@@ -29,11 +29,12 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_INPUT = 2
 
+# `enumerate` yields the delta-0 shift of each ideal, which contains R, so only
+# the flags that do not change under a shift mean anything there: is_trace
+# holds only for R itself and is_ulrich_ideal never does.
 _FILTER_FLAGS = {
     "closed": "is_closed",
-    "trace": "is_trace",
     "residually-faithful": "is_residually_faithful",
-    "ulrich": "is_ulrich_ideal",
     "ulrich-wrt-m": "is_ulrich_module_wrt_m",
     "canonical": "is_canonical",
     "principal": "is_principal",
@@ -267,7 +268,8 @@ def _cmd_enumerate(args) -> int:
                 "generators": list(ideal.minimal_generators()),
                 "mu": rep.mu,
                 "r_idealization": rep.idealization.value,
-                "flags": {k: v for k, v in rep.flags.items() if v},
+                "flags": {k: v for k, v in rep.flags.items()
+                          if v and k in _FILTER_FLAGS.values()},
             }
         )
     doc = _document(

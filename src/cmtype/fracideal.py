@@ -14,7 +14,9 @@ representatives and re-window the result, and widening a window is always
 legal (pad rows with zeros, adjoin unit tail rows).
 """
 
-from . import linalg
+import functools
+
+from . import linalg, relideal
 from .errors import (
     ArgumentError,
     ConsistencyError,
@@ -162,9 +164,6 @@ class FractionalIdeal:
             for row in self.matrix.rows
         ]
 
-    def window_dim(self) -> int:
-        return self.matrix.rank
-
     def support_ideal(self) -> RelativeIdeal:
         """The value set v(I) = {orders of elements} as a relative ideal."""
         mask = 0
@@ -176,17 +175,6 @@ class FractionalIdeal:
 
     def is_monomial(self) -> bool:
         return all(sum(1 for x in row if x) == 1 for row in self.matrix.rows)
-
-    def contains_series(self, s: TruncatedSeries) -> bool:
-        if s.order is None:
-            return True
-        if s.order < self.delta:
-            return False
-        if s.precision < self.gamma:
-            raise ArgumentError("series not known across the ideal window")
-        vec = s.window_vector(self.delta, self.gamma - self.delta)
-        ok, _ = linalg.member(vec, self.matrix)
-        return ok
 
     def describe(self) -> str:
         gens = self.generators or self.module_generators()
@@ -392,10 +380,11 @@ class FractionalIdeal:
         return _maximal(self.semigroup, self.field)
 
     def find_reduction(self):
-        """Some x in I of order delta with I^2 = xI, if the search finds one.
+        """A principal (x) <= I with I^2 = xI, if the search finds one.
 
-        Candidates: the stored generators of order delta, then the lowest
-        basis row.  Absence of a reduction among these is reported as None.
+        Candidates for x: the stored generators of order delta, then the
+        lowest basis row.  Absence of a reduction among these is reported
+        as None.
         """
         candidates = []
         if self.generators:
@@ -412,7 +401,7 @@ class FractionalIdeal:
             seen.add(x)
             principal = FractionalIdeal.from_generators(self.semigroup, self.field, [x])
             if principal.multiply(self) == squared:
-                return x
+                return principal
         return None
 
 
@@ -426,65 +415,16 @@ def from_relative(ideal: RelativeIdeal, field: FieldSpec, slack=0) -> Fractional
     return FractionalIdeal.from_relative(ideal, field, slack=slack)
 
 
-def ideal_sum(a, b):
-    return a.add(b)
-
-
-def ideal_product(a, b):
-    return a.multiply(b)
-
-
-def ideal_colon(a, b):
-    return a.colon(b)
-
-
-def ideal_mu(a) -> int:
-    return a.mu()
-
-
-def ideal_quotient_length(a, b) -> int:
-    return a.quotient_length(b)
-
-
-def ideal_equals(a, b) -> bool:
-    return a == b
-
-
-def is_principal(a) -> bool:
-    return a.is_principal()
-
-
-def find_reduction(a):
-    return a.find_reduction()
-
-
-_UNIT_CACHE = {}
-_CANONICAL_CACHE = {}
-_MAXIMAL_CACHE = {}
-
-
+@functools.cache
 def _unit(H: NumericalSemigroup, field: FieldSpec) -> FractionalIdeal:
-    key = (H, field)
-    if key not in _UNIT_CACHE:
-        from .relideal import _unit as _runit
-
-        _UNIT_CACHE[key] = FractionalIdeal.from_relative(_runit(H), field)
-    return _UNIT_CACHE[key]
+    return FractionalIdeal.from_relative(relideal._unit(H), field)
 
 
+@functools.cache
 def _canonical_ideal(H: NumericalSemigroup, field: FieldSpec) -> FractionalIdeal:
-    key = (H, field)
-    if key not in _CANONICAL_CACHE:
-        from .relideal import _canonical as _rcanon
-
-        _CANONICAL_CACHE[key] = FractionalIdeal.from_relative(_rcanon(H), field)
-    return _CANONICAL_CACHE[key]
+    return FractionalIdeal.from_relative(relideal._canonical(H), field)
 
 
+@functools.cache
 def _maximal(H: NumericalSemigroup, field: FieldSpec) -> FractionalIdeal:
-    key = (H, field)
-    if key not in _MAXIMAL_CACHE:
-        from .relideal import _maximal as _rmax
-
-        _MAXIMAL_CACHE[key] = FractionalIdeal.from_relative(_rmax(H), field)
-    return _MAXIMAL_CACHE[key]
+    return FractionalIdeal.from_relative(relideal._maximal(H), field)

@@ -10,6 +10,8 @@ All operations are exact set combinatorics on these masks, so two relative
 ideals are equal iff their (delta, mask) pairs coincide.
 """
 
+import functools
+
 from .errors import ArgumentError, ConsistencyError, ContainmentError
 from .semigroup import NumericalSemigroup
 
@@ -95,11 +97,6 @@ class RelativeIdeal:
             seg = (self._mask >> (w0 - delta)) & ((1 << (w1 - w0)) - 1)
             result |= seg << (w0 - start)
         return result
-
-    def window_members(self):
-        """Members in [delta, delta + c); with the tail these determine E."""
-        return tuple(self.delta + i for i in range(self.semigroup.conductor)
-                     if self._mask >> i & 1)
 
     def minimal_generators(self):
         """E \\ (E + M) with M = H \\ {0}; always inside [delta, delta + c)."""
@@ -242,24 +239,16 @@ class RelativeIdeal:
         return f"RelativeIdeal({self.describe()})"
 
 
-_UNIT_CACHE = {}
-_CANONICAL_CACHE = {}
-_MAXIMAL_CACHE = {}
-
-
+@functools.cache
 def _unit(H: NumericalSemigroup) -> RelativeIdeal:
-    if H not in _UNIT_CACHE:
-        _UNIT_CACHE[H] = RelativeIdeal.from_exponents(H, {0})
-    return _UNIT_CACHE[H]
+    return RelativeIdeal.from_exponents(H, {0})
 
 
+@functools.cache
 def _canonical(H: NumericalSemigroup) -> RelativeIdeal:
-    if H not in _CANONICAL_CACHE:
-        _CANONICAL_CACHE[H] = H.canonical_relative_ideal()
-    return _CANONICAL_CACHE[H]
+    return H.canonical_relative_ideal()
 
 
+@functools.cache
 def _maximal(H: NumericalSemigroup) -> RelativeIdeal:
-    if H not in _MAXIMAL_CACHE:
-        _MAXIMAL_CACHE[H] = RelativeIdeal.from_exponents(H, H.generators)
-    return _MAXIMAL_CACHE[H]
+    return RelativeIdeal.from_exponents(H, H.generators)

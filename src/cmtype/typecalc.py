@@ -18,8 +18,6 @@ anything.
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ConsistencyError, UndecidableError
-from .fracideal import FractionalIdeal
-from .series import TruncatedSeries
 
 
 def module_type(ideal) -> int:
@@ -131,19 +129,6 @@ def is_residually_faithful(ideal) -> bool:
     return annihilator == R.shift(e)
 
 
-def _reduction_principal(ideal):
-    """Engine-uniform reduction witness: (principal ideal, description)."""
-    witness = ideal.find_reduction()
-    if witness is None:
-        return None, None
-    if isinstance(witness, TruncatedSeries):
-        principal = FractionalIdeal.from_generators(
-            ideal.semigroup, ideal.field, [witness]
-        )
-        return principal, str(witness)
-    return witness, witness.describe()
-
-
 def is_ulrich_ideal(ideal) -> bool:
     """Non-principal I <= R with I^2 = xI and I/I^2 free over R/I.
 
@@ -153,8 +138,7 @@ def is_ulrich_ideal(ideal) -> bool:
     R = ideal.unit_ideal()
     if not R.contains_ideal(ideal) or ideal == R:
         raise ArgumentError("Ulrich ideals are proper ideals of R")
-    principal, _ = _reduction_principal(ideal)
-    if principal is None or ideal.mu() < 2:
+    if ideal.find_reduction() is None or ideal.mu() < 2:
         return False
     squared = ideal.multiply(ideal)
     return ideal.quotient_length(squared) == ideal.mu() * R.quotient_length(ideal)
@@ -171,7 +155,7 @@ def is_ulrich_module_wrt(module, ideal=None) -> bool:
         e = module.semigroup.multiplicity
         m = module.maximal_ideal()
         return m.multiply(module) == module.shift(e)
-    principal, _ = _reduction_principal(ideal)
+    principal = ideal.find_reduction()
     if principal is None:
         raise UndecidableError(
             f"no reduction found for {ideal.describe()}; the search tries the "

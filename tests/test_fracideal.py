@@ -14,6 +14,7 @@ from helpers import SERIES_POOL, random_relative_ideal, random_semigroup
 
 H345 = NumericalSemigroup([3, 4, 5])
 H37 = NumericalSemigroup([3, 7])
+H456 = NumericalSemigroup([4, 5, 6])
 
 
 def series_ideal(H, field, *exprs, slack=0):
@@ -110,9 +111,8 @@ class TestArithmetic:
 class TestFindReduction:
     def test_ulrich_generator_is_reduction(self):
         I = series_ideal(H37, QQ, "t^6 - t^7", "t^10")
-        x = I.find_reduction()
-        assert x is not None and x.order == 6
-        P = ideal_from_generators(H37, QQ, [x])
+        P = I.find_reduction()
+        assert P is not None and P.delta == 6 and P.is_principal()
         assert P.multiply(I) == I.multiply(I)
 
     def test_monomial_pair_has_no_reduction(self):
@@ -182,6 +182,23 @@ class TestEngineAgreement:
             assert a.contains_ideal(b) == E.contains_ideal(F)
             if E.contains_ideal(F):
                 assert a.quotient_length(b) == E.quotient_length(F)
+
+    def test_find_reduction(self):
+        rng = random.Random(25)
+        outcomes = set()
+        for H in (H37, H345, H456):
+            ideals = [H.canonical_relative_ideal(), RelativeIdeal.from_exponents(H, H.generators)]
+            ideals += [random_relative_ideal(rng, H) for _ in range(12)]
+            for E in ideals:
+                field = rng.choice([QQ, GF(5)])
+                red = E.find_reduction()
+                got = from_relative(E, field).find_reduction()
+                outcomes.add(red is None)
+                if red is None:
+                    assert got is None
+                else:
+                    assert got == from_relative(red, field)
+        assert outcomes == {True, False}
 
 
 class TestColonBruteForce:
