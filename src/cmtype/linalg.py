@@ -17,7 +17,8 @@ from fractions import Fraction
 from . import kernels
 from .errors import ArgumentError, DimensionError
 
-_PRIME_LIMIT = 1 << 16
+# Python ints do not overflow; the bound keeps trial division to <= 23,170 odd steps.
+_PRIME_LIMIT = 1 << 31
 
 
 def _is_prime(n: int) -> bool:
@@ -35,7 +36,7 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The coefficient field: the rationals or F_p with p prime, p < 2**16."""
+    """The coefficient field: the rationals or F_p with p prime, p < 2**31."""
 
     kind: str  # "rationals" | "prime_field"
     characteristic: int = 0
@@ -47,7 +48,7 @@ class FieldSpec:
         elif self.kind == "prime_field":
             p = self.characteristic
             if not (2 <= p < _PRIME_LIMIT) or not _is_prime(p):
-                raise ArgumentError(f"characteristic must be a prime < 2**16, got {p}")
+                raise ArgumentError(f"characteristic must be a prime < 2**31, got {p}")
         else:
             raise ArgumentError(f"unknown field kind {self.kind!r}")
 

@@ -5,9 +5,21 @@ It models the monomial fractional ideal spanned by {t^x : x in E}.  The
 representation is canonical: delta = min(E) plus a membership bitmask on
 the window [delta, delta + c) where c is the conductor of H; every integer
 >= delta + c belongs to E automatically (delta + c - delta >= c lies in H).
+Two relative ideals are equal iff their (delta, mask) pairs coincide.
 
-All operations are exact set combinatorics on these masks, so two relative
-ideals are equal iff their (delta, mask) pairs coincide.
+Every operation is whole-mask integer arithmetic, with full = 2**c - 1,
+h the mask of H on [0, c) and W(s) = members_mask(s, c) the window of an
+ideal starting at s:
+
+  * H-stability: (mask << a) & ~mask & full == 0 for each generator a;
+  * the ideal generated by g_1 < ... < g_k: OR of h << (g_i - g_1);
+  * E + F, E meet F: OR, AND of both windows at min, max of the deltas;
+  * E F: OR of W_F(delta_E + delta_F - g) over the generators g of E;
+  * E - F: AND of W_E(delta_E - delta_F + g) over the generators g of F;
+  * minimal generators: mask & ~OR of mask << a over the generators a of
+    H, read off the set bits;
+  * normalization to the least member j of a window: mask >> j with the
+    tail past the window filled in.
 """
 
 import functools
@@ -28,16 +40,25 @@ class RelativeIdeal:
         self._mask = mask
         c = semigroup.conductor
         if c > 0 and not mask & 1:
-            raise ConsistencyError("window does not start at its minimum")
+            raise ConsistencyError(
+                f"ideal over {semigroup} with delta {delta} does not contain {delta}: "
+                f"mask {mask:#x} does not start at its minimum"
+            )
         if mask >> c:
-            raise ConsistencyError("mask wider than the conductor window")
-        for i in range(c):
-            if mask >> i & 1:
-                for a in semigroup.generators:
-                    if not self.contains(delta + i + a):
-                        raise ConsistencyError(
-                            f"{delta + i} + {a} escapes the ideal: not H-stable"
-                        )
+            raise ConsistencyError(
+                f"ideal over {semigroup} with delta {delta} has exponent "
+                f"{delta + mask.bit_length() - 1} in its mask, past the window "
+                f"[{delta}, {delta + c})"
+            )
+        full = (1 << c) - 1
+        for a in semigroup.generators:
+            escaped = (mask << a) & ~mask & full
+            if escaped:
+                x = delta + (escaped & -escaped).bit_length() - 1 - a
+                raise ConsistencyError(
+                    f"ideal over {semigroup} with delta {delta} and mask {mask:#x} "
+                    f"is not H-stable: {x} + {a} = {x + a} escapes it"
+                )
 
     @classmethod
     def from_exponents(cls, semigroup: NumericalSemigroup, gens) -> "RelativeIdeal":
@@ -47,29 +68,20 @@ class RelativeIdeal:
             raise ArgumentError("a relative ideal needs at least one generator")
         delta = gens[0]
         c = semigroup.conductor
+        h = semigroup._member_mask
         mask = 0
-        for i in range(c):
-            x = delta + i
-            if any(g <= x and semigroup.contains(x - g) for g in gens):
-                mask |= 1 << i
-        return cls(semigroup, delta, mask)
+        for g in gens:
+            if g - delta < c:
+                mask |= h << (g - delta)
+        return cls(semigroup, delta, mask & ((1 << c) - 1))
 
     @classmethod
     def _normalized(cls, semigroup, start, mask, width) -> "RelativeIdeal":
         """Build from any window [start, start+width) whose complement is
         guaranteed to be a subset of [start, start+width) (tail implied)."""
-        c = semigroup.conductor
-        if mask:
-            j = (mask & -mask).bit_length() - 1
-        else:
-            j = width
-        delta = start + j
-        out = 0
-        for i in range(c):
-            pos = delta + i
-            if pos >= start + width or (0 <= pos - start and mask >> (pos - start) & 1):
-                out |= 1 << i
-        return cls(semigroup, delta, out)
+        j = (mask & -mask).bit_length() - 1 if mask else width
+        tail = -(1 << (width - j))
+        return cls(semigroup, start + j, ((mask >> j) | tail) & ((1 << semigroup.conductor) - 1))
 
     # -- queries ----------------------------------------------------------
 
@@ -84,31 +96,32 @@ class RelativeIdeal:
         """Membership bitmask over [start, start + length)."""
         if length <= 0:
             return 0
-        delta = self.delta
-        end = start + length
-        tail_from = delta + self.semigroup.conductor
-        result = 0
-        t0 = max(start, tail_from)
-        if t0 < end:
-            result |= ((1 << (end - t0)) - 1) << (t0 - start)
-        w0 = max(start, delta)
-        w1 = min(end, tail_from)
-        if w0 < w1:
-            seg = (self._mask >> (w0 - delta)) & ((1 << (w1 - w0)) - 1)
-            result |= seg << (w0 - start)
-        return result
+        s = self.delta - start
+        window = self._mask << s if s >= 0 else self._mask >> -s
+        t = s + self.semigroup.conductor
+        tail = -(1 << t) if t > 0 else -1
+        return (window | tail) & ((1 << length) - 1)
 
     def minimal_generators(self):
-        """E \\ (E + M) with M = H \\ {0}; always inside [delta, delta + c)."""
+        """E \\ (E + M) with M = H \\ {0}; always inside [delta, delta + c).
+
+        E + M is the union of the E + a over the generators a of H, whose
+        window part is mask << a.
+        """
         H = self.semigroup
-        c = H.conductor
-        if c == 0:
+        if H.conductor == 0:
             return (self.delta,)
+        mask = self._mask
         covered = 0
         for a in H.generators:
-            covered |= self.members_mask(self.delta - a, c)
-        free = self._mask & ~covered
-        return tuple(self.delta + i for i in range(c) if free >> i & 1)
+            covered |= mask << a
+        free = mask & ~covered
+        out = []
+        while free:
+            low = free & -free
+            out.append(self.delta + low.bit_length() - 1)
+            free ^= low
+        return tuple(out)
 
     def mu(self) -> int:
         return len(self.minimal_generators())
@@ -119,7 +132,7 @@ class RelativeIdeal:
     # -- arithmetic --------------------------------------------------------
 
     def _check_same(self, other: "RelativeIdeal"):
-        if self.semigroup != other.semigroup:
+        if self.semigroup is not other.semigroup and self.semigroup != other.semigroup:
             raise ArgumentError(
                 f"semigroup mismatch: {self.semigroup} vs {other.semigroup}"
             )
@@ -146,22 +159,29 @@ class RelativeIdeal:
         """E - F = {z : z + F <= E}.
 
         Testing z against the minimal generators of F suffices (H-stability
-        of E covers the rest).  Every z >= delta_E - delta_F + c passes,
-        and no z < delta_E - delta_F can; both bounds are spot-checked.
+        of E covers the rest), so the mask is the AND of the windows of E at
+        start + g, start = delta_E - delta_F.  No z < start can pass, and
+        every z >= start + c must: the two z just past the window, whose
+        bits the mask carries, are spot-checked.
         """
         self._check_same(other)
-        c = self.semigroup.conductor
+        H = self.semigroup
+        c = H.conductor
         gens = other.minimal_generators()
         start = self.delta - other.delta
-        mask = 0
-        for i in range(c):
-            z = start + i
-            if all(self.contains(z + g) for g in gens):
-                mask |= 1 << i
-        for z in (start + c, start + c + 1):
-            if not all(self.contains(z + g) for g in gens):
-                raise ConsistencyError("colon window bound violated")
-        return RelativeIdeal._normalized(self.semigroup, start, mask, c)
+        mask = (1 << (c + 2)) - 1
+        for g in gens:
+            mask &= self.members_mask(start + g, c + 2)
+        if mask >> c != 0b11:
+            z = start + c + (mask >> c & 1)
+            g = next(g for g in gens if not self.contains(z + g))
+            raise ConsistencyError(
+                f"colon window bound violated over {H}: E has delta {self.delta}, "
+                f"F has delta {other.delta} and generators {list(gens)}; "
+                f"z = {z} lies past the window [{start}, {start + c}) of E - F "
+                f"but z + {g} = {z + g} is not in E"
+            )
+        return RelativeIdeal._normalized(H, start, mask, c + 2)
 
     def intersect(self, other: "RelativeIdeal") -> "RelativeIdeal":
         self._check_same(other)

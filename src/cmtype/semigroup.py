@@ -1,11 +1,19 @@
 """Numerical semigroup combinatorics.
 
 A numerical semigroup H = <a_1, ..., a_l> (gcd 1) is the exponent
-monoid of the monomial curve ring R = k[[t^{a_1}, ..., t^{a_l}]].  This
-module computes the classic invariants: Apery sets, the Frobenius number,
-pseudo-Frobenius numbers (whose count is the Cohen-Macaulay type of R),
-symmetry (the Gorenstein property), maximal embedding dimension, and the
-gap-dual exponent set realizing a fractional canonical ideal.
+monoid of the monomial curve ring R = k[[t^{a_1}, ..., t^{a_l}]].  Every
+invariant is read off the Apery set Ap(H, e) of the multiplicity e, the
+least member of H in each residue class mod e, or off the membership
+bitmask of [0, c) that it determines (Rosales & Garcia-Sanchez, Numerical
+Semigroups, 2009, ch. 1-4):
+
+  * the Frobenius number F = max Ap(H, e) - e and the conductor c = F + 1;
+  * the pseudo-Frobenius numbers PF(H) = {w - e : w maximal in Ap(H, e)
+    under <=_H}, whose count is the Cohen-Macaulay type of R;
+  * symmetry (the Gorenstein property): the mask of H on [0, F] is the
+    complement of its own bit reversal;
+  * maximal embedding dimension, and the gap-dual set K = {x : F - x not
+    in H}, a fractional canonical ideal generated by F - PF(H).
 """
 
 import heapq
@@ -27,6 +35,7 @@ class NumericalSemigroup:
         "_apery_mod_e",
         "_apery_cache",
         "_member_mask",
+        "_pseudo_frobenius",
     )
 
     def __init__(self, generators):
@@ -42,17 +51,20 @@ class NumericalSemigroup:
         self.multiplicity = e
         self._apery_mod_e = _apery_by_shortest_path(gens, e)
         self.frobenius = max(self._apery_mod_e) - e
-        self.conductor = self.frobenius + 1
+        c = self.conductor = self.frobenius + 1
 
+        # H on [0, c) is w, w + e, w + 2e, ... for each Apery element w.
+        stride = int(("0" * (e - 1) + "1") * (c // e + 1), 2)
         mask = 0
-        for x in range(self.conductor):
-            if self._apery_mod_e[x % e] <= x:
-                mask |= 1 << x
-        self._member_mask = mask
+        for w in self._apery_mod_e:
+            if w < c:
+                mask |= stride << w
+        self._member_mask = mask & ((1 << c) - 1)
 
         self.generators = tuple(g for g in gens if self._is_minimal_generator(g))
         self.embedding_dimension = len(self.generators)
         self._apery_cache = {}
+        self._pseudo_frobenius = self._maximal_apery_pf()
 
     def _is_minimal_generator(self, x: int) -> bool:
         # x is redundant iff x = y + z with y, z nonzero members.
@@ -75,44 +87,67 @@ class NumericalSemigroup:
 
     def gaps(self):
         """All nonnegative integers not in H, in increasing order."""
-        return [z for z in range(self.conductor) if not self.contains(z)]
+        return _set_bits(((1 << self.conductor) - 1) & ~self._member_mask)
 
     def apery(self, n: int):
         """Ap(H, n): for each residue class mod n, the least member of H."""
         if n <= 0 or not self.contains(n):
             raise ArgumentError(f"Apery set needs a positive member of H, got {n}")
         if n not in self._apery_cache:
-            out = []
-            for r in range(n):
-                x = r
-                while not self.contains(x):
-                    x += n
-                out.append(x)
+            if n == self.multiplicity:
+                out = self._apery_mod_e
+            else:
+                out = []
+                for r in range(n):
+                    x = r
+                    while not self.contains(x):
+                        x += n
+                    out.append(x)
             self._apery_cache[n] = tuple(sorted(out))
         return self._apery_cache[n]
+
+    def _maximal_apery_pf(self):
+        # w in Ap(H, e) is maximal under <=_H iff no w + a (a a minimal
+        # generator) is in Ap(H, e), i.e. iff every w + a - e lies in H.
+        e = self.multiplicity
+        if e == 1:
+            return (-1,)
+        return tuple(sorted(
+            w - e
+            for w in self._apery_mod_e
+            if w and all(self.contains(w + a - e) for a in self.generators)
+        ))
 
     def pseudo_frobenius(self):
         """PF(H): gaps x with x + h in H for every nonzero h in H.
 
-        Checking x + a for the minimal generators a suffices.  For H equal
-        to the whole of Z>=0 this is {-1} (= Frobenius number), giving
-        type 1 for the DVR.
+        Computed once, at construction, as {w - e : w in Ap(H, e) maximal
+        under <=_H} (Rosales & Garcia-Sanchez, ch. 2): O(e l) instead
+        of a scan of the gaps.  For H equal to the whole of Z>=0 this is
+        {-1} (= Frobenius number), giving type 1 for the DVR.  An error
+        here is caught by canonical_relative_ideal, which checks the ideal
+        generated by F - PF(H) against the gap-dual set.
         """
-        if self.multiplicity == 1:
-            return (-1,)
-        pf = []
-        for x in self.gaps():
-            if all(self.contains(x + a) for a in self.generators):
-                pf.append(x)
-        return tuple(pf)
+        return self._pseudo_frobenius
 
     def type(self) -> int:
-        return len(self.pseudo_frobenius())
+        return len(self._pseudo_frobenius)
 
     def is_symmetric(self) -> bool:
-        """For every z exactly one of z, F - z lies in H (scan on [0, F])."""
-        F = self.frobenius
-        return all(self.contains(z) != self.contains(F - z) for z in range(F + 1))
+        """For every z in [0, F] exactly one of z, F - z lies in H.
+
+        That is, the mask of H on [0, F] equals the gap-dual mask, the
+        complement of its bit reversal.
+        """
+        return self._member_mask == self._gap_dual_mask()
+
+    def _gap_dual_mask(self) -> int:
+        """Bit x set, for x in [0, c), iff F - x is not in H."""
+        c = self.conductor
+        if c == 0:
+            return 0
+        reversed_mask = int(format(self._member_mask, f"0{c}b")[::-1], 2)
+        return ((1 << c) - 1) & ~reversed_mask
 
     def invariants(self) -> "SemigroupInvariants":
         pf = self.pseudo_frobenius()
@@ -123,7 +158,9 @@ class NumericalSemigroup:
                 f"symmetry scan ({sym}) disagrees with type {r} for {self}"
             )
         if max(pf) != self.frobenius:
-            raise ConsistencyError(f"max PF {max(pf)} != Frobenius {self.frobenius}")
+            raise ConsistencyError(
+                f"max PF {max(pf)} != Frobenius {self.frobenius} for {self}"
+            )
         e, v = self.multiplicity, self.embedding_dimension
         med = v == e
         if med and e >= 2 and r != e - 1:
@@ -144,14 +181,32 @@ class NumericalSemigroup:
 
         K is a fractional canonical ideal with R <= K <= normalization;
         its full exponent set is these values plus every integer >= c.
+        Read off the bit reversal of H's mask on [0, F], independently of
+        PF(H).
         """
-        F = self.frobenius
-        return tuple(x for x in range(self.conductor) if not self.contains(F - x))
+        return tuple(_set_bits(self._gap_dual_mask()))
 
     def canonical_relative_ideal(self):
+        """K = {x : F - x not in H}, built from its r generators F - PF(H).
+
+        Each generator contributes one shifted copy of H's mask, so this
+        costs O(r c) bit operations.  Two checks guard it: K must equal
+        the gap-dual set of canonical_exponents, computed from the
+        reversed mask without PF(H), and mu(K) must equal the type.
+        """
         from .relideal import RelativeIdeal
 
-        K = RelativeIdeal.from_exponents(self, set(self.canonical_exponents()) | {self.conductor})
+        F = self.frobenius
+        K = RelativeIdeal.from_exponents(self, {F - x for x in self.pseudo_frobenius()})
+        dual = self.canonical_exponents()
+        window = tuple(_set_bits(K.members_mask(0, self.conductor)))
+        if K.delta != 0 or window != dual:
+            wrong = min(set(window).symmetric_difference(dual), default=K.delta)
+            raise ConsistencyError(
+                f"canonical ideal of {self} generated by F - PF(H) = "
+                f"{sorted(F - x for x in self.pseudo_frobenius())} differs from the "
+                f"gap-dual set {{x : {F} - x not in H}} at {wrong}"
+            )
         if K.mu() != self.type():
             raise ConsistencyError(
                 f"canonical ideal of {self} has {K.mu()} generators but type is {self.type()}"
@@ -190,6 +245,11 @@ class SemigroupInvariants:
             "med": self.is_med,
             "dvr": self.is_dvr,
         }
+
+
+def _set_bits(mask: int):
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _apery_by_shortest_path(gens, e):

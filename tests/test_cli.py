@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cmtype import cli
+from cmtype.semigroup import NumericalSemigroup
 
 DOCUMENT_KEYS = {"schema_version", "command", "input", "timing_ms"}
 KEPT_FLAGS = {
@@ -71,3 +72,41 @@ def test_enumerate_prints_only_shift_invariant_flags(capsys):
     assert set(cli._FILTER_FLAGS.values()) == KEPT_FLAGS
     for entry in doc["ideals"]:
         assert set(entry["flags"]) <= KEPT_FLAGS
+
+
+def test_ideal_analyze_over_large_prime(capsys):
+    argv = ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4 - t^5, t^6"]
+    code, doc = run_json(capsys, argv + ["--field", "fp:65537"])
+    assert code == cli.EXIT_OK
+    assert doc["input"]["field"] == "F_65537"
+    assert doc["report"]["consistent"] is True
+
+
+@pytest.mark.parametrize("dropped", [0, -1])
+def test_wrong_pseudo_frobenius_exits_inconsistent(capsys, monkeypatch, dropped):
+    # PF(<9,10,11,12,15>) = (13, 14, 16, 17); losing one must not pass silently
+    original = NumericalSemigroup.pseudo_frobenius
+
+    def lossy(self):
+        pf = list(original(self))
+        del pf[dropped]
+        return tuple(pf)
+
+    monkeypatch.setattr(NumericalSemigroup, "pseudo_frobenius", lossy)
+    code = cli.main(["semigroup", "info", "9,10,11,12,15", "--json"])
+    assert code == cli.EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err.startswith("inconsistency:")
+    assert "<9,10,11,12,15>" in err
+
+
+def test_semigroup_info_at_large_conductor(capsys):
+    # c = 89,700: any O(c^2) step would run for minutes; no time is asserted
+    code, doc = run_json(capsys, ["semigroup", "info", "300,301"])
+    assert code == cli.EXIT_OK
+    info = doc["semigroup"]
+    assert info["conductor"] == 89_700
+    assert info["type"] == 1 and info["gorenstein"] is True
+    assert info["pseudo_frobenius"] == [89_699]
+    assert len(info["gaps"]) == 44_850
+    assert info["canonical_ideal_generators"] == [0]

@@ -30,11 +30,11 @@ class TestFieldSpec:
         assert QQ.element(3) == Fraction(3)
         assert not QQ.is_prime_field
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 65521])
+    @pytest.mark.parametrize("p", [2, 3, 5, 65521, 65537, 2**31 - 1])
     def test_primes_accepted(self, p):
         assert GF(p).characteristic == p
 
-    @pytest.mark.parametrize("p", [1, 4, 0, -3, 65537, 91])
+    @pytest.mark.parametrize("p", [1, 4, 0, -3, 91, 2**31 + 11])
     def test_bad_characteristic_rejected(self, p):
         with pytest.raises(ArgumentError):
             GF(p)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cmtype.errors import ArgumentError, ContainmentError
+from cmtype.errors import ArgumentError, ConsistencyError, ContainmentError
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from helpers import random_relative_ideal, random_semigroup
@@ -101,6 +101,25 @@ class TestGeneratorsAndLengths:
         K = H345.canonical_relative_ideal()
         with pytest.raises(ContainmentError):
             R.quotient_length(K)  # K is strictly bigger than R
+
+
+class TestMalformedMasks:
+    """Each rejected mask names the semigroup, delta and the offending exponent."""
+
+    # H456 on [0, 8) is {0, 4, 5, 6}
+    @pytest.mark.parametrize(
+        "delta, mask, named",
+        [
+            (0, H456._member_mask | 0b10, "1 + 6 = 7 escapes"),  # 7 is a gap of H
+            (2, 0b1110000, "does not contain 2"),
+            (0, H456._member_mask | 1 << 8, "exponent 8"),
+        ],
+    )
+    def test_message_names_input(self, delta, mask, named):
+        with pytest.raises(ConsistencyError, match="<4,5,6>") as err:
+            RelativeIdeal(H456, delta, mask)
+        assert f"delta {delta}" in str(err.value)
+        assert named in str(err.value)
 
 
 class TestCanonicalDual:

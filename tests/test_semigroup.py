@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cmtype.errors import ArgumentError
+from cmtype.errors import ArgumentError, ConsistencyError
 from cmtype.semigroup import NumericalSemigroup
 from helpers import random_semigroup
 
@@ -135,6 +135,15 @@ class TestCanonicalIdeal:
         K = H.canonical_relative_ideal()
         assert K.minimal_generators() == (0, 1, 3, 4)
         assert K.mu() == 4
+
+    def test_wrong_apery_pf_caught_by_gap_dual(self, monkeypatch):
+        # PF is (13, 14, 16, 17).  A lost element also lowers the cached
+        # type, so mu(K) == type still holds and only the gap-dual set,
+        # computed without PF, can see it.
+        monkeypatch.setattr(NumericalSemigroup, "_maximal_apery_pf", lambda self: (13, 14, 17))
+        H = NumericalSemigroup([9, 10, 11, 12, 15])
+        with pytest.raises(ConsistencyError, match=r"<9,10,11,12,15>.*gap-dual set .* at 1$"):
+            H.canonical_relative_ideal()
 
 
 def test_random_invariant_properties():
