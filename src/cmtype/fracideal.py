@@ -29,7 +29,9 @@ from .series import EXACT, TruncatedSeries
 
 
 class FractionalIdeal:
-    __slots__ = ("semigroup", "field", "delta", "gamma", "matrix", "generators", "_modgens")
+    __slots__ = (
+        "semigroup", "field", "delta", "gamma", "matrix", "generators", "_modgens", "_mI", "_mu",
+    )
 
     engine = "series"
 
@@ -43,6 +45,8 @@ class FractionalIdeal:
         self.matrix = matrix
         self.generators = tuple(generators) if generators else None
         self._modgens = None
+        self._mI = None
+        self._mu = None
 
     # -- construction -------------------------------------------------------
 
@@ -72,10 +76,12 @@ class FractionalIdeal:
                     f"window [{delta}, {gamma}) needs precision {gamma}"
                 )
         width = gamma - delta
+        zero = field.zero()
         rows = []
         for g in gens:
+            vec = g.window_vector(delta, width)
             for h in semigroup.members(0, gamma - g.order):
-                rows.append(g.shift(h).window_vector(delta, width))
+                rows.append(_shifted(vec, h, zero))
         matrix = CoeffMatrix(field, width, rows)
         ideal = cls(semigroup, field, delta, gamma, matrix, generators=gens)
         ideal._certify()
@@ -144,10 +150,10 @@ class FractionalIdeal:
             ok, _ = linalg.member(row, self.matrix)
             if not ok:
                 raise ConsistencyError(f"tail certification failed at exponent {u}")
-        for r in self._basis_series():
+        zero = self.field.zero()
+        for r in self.matrix.rows:
             for a in self.semigroup.generators:
-                vec = r.shift(a).window_vector(self.delta, self.gamma - self.delta)
-                ok, _ = linalg.member(vec, self.matrix)
+                ok, _ = linalg.member(_shifted(r, a, zero), self.matrix)
                 if not ok:
                     raise ConsistencyError(
                         f"span is not stable under multiplication by t^{a}"
@@ -157,12 +163,9 @@ class FractionalIdeal:
 
     # -- views --------------------------------------------------------------
 
-    def _basis_series(self):
-        """Basis rows as exact Laurent polynomials (genuine ideal elements)."""
-        return [
-            TruncatedSeries.from_window(self.field, self.delta, row, precision=EXACT)
-            for row in self.matrix.rows
-        ]
+    def _as_series(self, row):
+        """A basis row as an exact Laurent polynomial (a genuine ideal element)."""
+        return TruncatedSeries.from_window(self.field, self.delta, row, precision=EXACT)
 
     def support_ideal(self) -> RelativeIdeal:
         """The value set v(I) = {orders of elements} as a relative ideal."""
@@ -227,25 +230,32 @@ class FractionalIdeal:
         if self.semigroup.conductor == 0:
             self._modgens = [TruncatedSeries.monomial(self.field, self.delta)]
             return self._modgens
-        mI = _maximal(self.semigroup, self.field).multiply(self)
-        start, end, mine, sub = self._align(mI)
+        start, end, mine, sub = self._align(self._maximal_product())
         picked = []
         span = sub
-        for row, series in zip(mine.rows, self._basis_series()):
-            ok, _ = linalg.member(row, span)
+        for row, wide in zip(self.matrix.rows, mine.rows):
+            ok, _ = linalg.member(wide, span)
             if not ok:
-                picked.append(series)
-                span = linalg.sum_spaces(span, CoeffMatrix(self.field, end - start, [row]))
+                picked.append(self._as_series(row))
+                span = linalg.sum_spaces(span, CoeffMatrix(self.field, end - start, [wide]))
         if len(picked) != self.mu():
             raise ConsistencyError("generator extraction disagrees with mu")
         self._modgens = picked
         return picked
 
     def mu(self) -> int:
-        if self.semigroup.conductor == 0:
-            return 1
-        mI = _maximal(self.semigroup, self.field).multiply(self)
-        return self.quotient_length(mI)
+        if self._mu is None:
+            if self.semigroup.conductor == 0:
+                self._mu = 1
+            else:
+                self._mu = self.quotient_length(self._maximal_product())
+        return self._mu
+
+    def _maximal_product(self):
+        """m I, built once and shared by mu and module_generators."""
+        if self._mI is None:
+            self._mI = _maximal(self.semigroup, self.field).multiply(self)
+        return self._mI
 
     def is_principal(self) -> bool:
         return self.mu() == 1
@@ -268,7 +278,12 @@ class FractionalIdeal:
         return FractionalIdeal._build(self.semigroup, self.field, start, end, rows)
 
     def multiply(self, other):
-        """Ideal product, spanned by (module generators) x (basis rows)."""
+        """Ideal product, spanned by (module generators) x (basis rows).
+
+        Each product row is a convolution of the generator's coefficients
+        with a basis row b on the window [start, end).  It is known below
+        g.precision + order(b), exactly as TruncatedSeries.mul tracks it.
+        """
         self._check_same(other)
         gens = self.generators or self.module_generators()
         dmin = min(g.order for g in gens)
@@ -278,10 +293,17 @@ class FractionalIdeal:
         end = self.delta + other.gamma
         width = end - start
         rows = []
-        basis = other._basis_series()
         for g in gens:
-            for b in basis:
-                rows.append(g.mul(b).window_vector(start, width))
+            # term t^e of g moves a basis row e - delta_I places into the window
+            terms = [(e - self.delta, v) for e, v in g.coeffs.items() if e - self.delta < width]
+            for b, piv in zip(other.matrix.rows, other.matrix.pivots):
+                if g.precision + other.delta + piv < end:
+                    # the series product raises the precision-naming error
+                    g.mul(other._as_series(b)).window_vector(start, width)
+                row = [0] * width
+                for d, v in terms:
+                    row[d:] = [x + v * y if y else x for x, y in zip(row[d:], b)]
+                rows.append(row)
         result = FractionalIdeal._build(self.semigroup, self.field, start, end, rows)
         if result.delta != self.delta + other.delta:
             raise ConsistencyError("product order differs from the sum of orders")
@@ -301,14 +323,15 @@ class FractionalIdeal:
         end = self.gamma - other.delta
         nunk = end - start
         width_i = self.gamma - self.delta
+        # Window cell i of t^u g is g's coefficient at delta_I + i - u: all
+        # shifts are slices of one coefficient list of g starting at lo.
+        lo = self.delta - (end - 1)
         constraint_rows = []
         for g in other.module_generators():
-            vecs = [g.shift(u).window_vector(self.delta, width_i) for u in range(start, end)]
+            padded = g.window_vector(lo, self.gamma - start - lo)
+            vecs = [padded[end - 1 - u:end - 1 - u + width_i] for u in range(start, end)]
             residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
-            for i in range(width_i):
-                row = [residuals[j][i] for j in range(nunk)]
-                if any(row):
-                    constraint_rows.append(row)
+            constraint_rows += [row for row in zip(*residuals) if any(row)]
         constraint = CoeffMatrix(self.field, nunk, constraint_rows)
         solutions = linalg.nullspace(constraint)
         return FractionalIdeal._build(
@@ -379,21 +402,22 @@ class FractionalIdeal:
     def maximal_ideal(self):
         return _maximal(self.semigroup, self.field)
 
-    def find_reduction(self):
+    def find_reduction(self, squared=None):
         """A principal (x) <= I with I^2 = xI, if the search finds one.
 
         Candidates for x: the stored generators of order delta, then the
         lowest basis row.  Absence of a reduction among these is reported
-        as None.
+        as None.  ``squared`` is I I when the caller has already computed it.
         """
         candidates = []
         if self.generators:
             candidates += [g for g in self.generators if g.order == self.delta]
         if self.matrix.rows and self.matrix.pivots[0] == 0:
-            candidates.append(self._basis_series()[0])
+            candidates.append(self._as_series(self.matrix.rows[0]))
         if self.semigroup.conductor == 0:
             candidates.append(TruncatedSeries.monomial(self.field, self.delta))
-        squared = self.multiply(self)
+        if squared is None:
+            squared = self.multiply(self)
         seen = set()
         for x in candidates:
             if x in seen:
@@ -403,6 +427,11 @@ class FractionalIdeal:
             if principal.multiply(self) == squared:
                 return principal
         return None
+
+
+def _shifted(row, a, zero):
+    """The window row of t^a times the polynomial ``row``; cells past the window drop."""
+    return ([zero] * a + list(row))[:len(row)]
 
 
 # -- module-level operation names -------------------------------------------

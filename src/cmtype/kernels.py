@@ -4,13 +4,17 @@ Matrices are plain lists of lists.  Prime field entries are ints in
 ``[0, p)``; rational entries are ``fractions.Fraction``.  All functions
 leave their inputs untouched.
 
-There is one implementation, in pure Python.  A compiled F_p kernel was
-9-19x faster in isolation, but the benchmark's ``kernels.share`` (kernel
-time over item time) is 0.20 on ``series-fp`` and 0 on the monomial and
-semigroup workloads, and QQ entries are ``Fraction`` objects a C loop cannot
-speed up; by Amdahl's law even a 19x kernel gains at most 1.23x end to
-end.  Revisit this only if ``kernels.share`` on an F_p workload rises above
-about 0.35.
+There is one implementation, in pure Python; the inner loops are slice
+comprehensions from the pivot column on.  A compiled F_p kernel was 9-19x
+faster in isolation.  When it was removed, the benchmark's ``kernels.share``
+(kernel time over item time) was 0.20 on ``series-fp``, capping even a 19x
+kernel at 1.23x end to end.  With the series engine's arithmetic on plain
+coefficient rows, the traced ``series-fp`` share is 0.41 (0.27 on
+``series-qq``, whose ``Fraction`` entries a C loop cannot speed up, and 0 on
+the monomial and semigroup workloads).  That is above the ~0.35 at which the
+compiled kernel was to be reconsidered: a 19x kernel would now cap at
+1/(0.59 + 0.41/19) ~ 1.6x on ``series-fp``.  Whether to bring one back is
+left open.
 """
 
 from fractions import Fraction
@@ -43,16 +47,14 @@ def rref_fp(rows, p):
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
         inv = pow(m[rank][col], p - 2, p)
         row = m[rank]
-        for c in range(col, ncols):
-            row[c] = row[c] * inv % p
+        row[col:] = tail = [x * inv % p for x in row[col:]]
         for i in range(nrows):
             if i == rank:
                 continue
-            f = m[i][col] % p
+            ri = m[i]
+            f = ri[col] % p
             if f:
-                ri = m[i]
-                for c in range(col, ncols):
-                    ri[c] = (ri[c] - f * row[c]) % p
+                ri[col:] = [(a - f * b) % p for a, b in zip(ri[col:], tail)]
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -66,15 +68,14 @@ def reduce_rows_fp(vecs, basis, pivots, p):
     ``basis`` must be in reduced echelon form with the given pivot
     columns.  Returns the list of residual vectors.
     """
+    tails = [(col, row[col:]) for row, col in zip(basis, pivots)]
     out = []
-    ncols = len(basis[0]) if basis else (len(vecs[0]) if vecs else 0)
     for v in vecs:
         r = list(v)
-        for row, col in zip(basis, pivots):
+        for col, tail in tails:
             f = r[col] % p
             if f:
-                for c in range(col, ncols):
-                    r[c] = (r[c] - f * row[c]) % p
+                r[col:] = [(a - f * b) % p for a, b in zip(r[col:], tail)]
         out.append(r)
     return out
 
@@ -97,16 +98,14 @@ def rref_qq(rows):
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
         inv = Fraction(1) / m[rank][col]
         row = m[rank]
-        for c in range(col, ncols):
-            row[c] *= inv
+        row[col:] = tail = [x * inv if x else x for x in row[col:]]
         for i in range(nrows):
             if i == rank:
                 continue
-            f = m[i][col]
+            ri = m[i]
+            f = ri[col]
             if f:
-                ri = m[i]
-                for c in range(col, ncols):
-                    ri[c] -= f * row[c]
+                ri[col:] = [a - f * b if b else a for a, b in zip(ri[col:], tail)]
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -115,14 +114,13 @@ def rref_qq(rows):
 
 
 def reduce_rows_qq(vecs, basis, pivots):
+    tails = [(col, row[col:]) for row, col in zip(basis, pivots)]
     out = []
-    ncols = len(basis[0]) if basis else (len(vecs[0]) if vecs else 0)
     for v in vecs:
         r = list(v)
-        for row, col in zip(basis, pivots):
+        for col, tail in tails:
             f = r[col]
             if f:
-                for c in range(col, ncols):
-                    r[c] -= f * row[c]
+                r[col:] = [a - f * b if b else a for a, b in zip(r[col:], tail)]
         out.append(r)
     return out

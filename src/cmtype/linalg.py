@@ -171,21 +171,25 @@ def member(v, basis: CoeffMatrix):
     Returns ``(True, coords)`` with ``coords[i]`` the coefficient of basis
     row i, or ``(False, None)``.
     """
-    v = list(v)
     if len(v) != basis.ncols:
         raise DimensionError(f"vector of length {len(v)} vs {basis.ncols} columns")
     field = basis.field
-    v = [field.element(x) for x in v]
     coords = []
-    for row, col in zip(basis.rows, basis.pivots):
-        f = v[col]
-        coords.append(f)
-        if f:
-            if field.is_prime_field:
-                p = field.characteristic
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-            else:
-                v = [a - f * b for a, b in zip(v, row)]
+    if field.is_prime_field:
+        p = field.characteristic
+        v = [x % p if type(x) is int else field.element(x) for x in v]
+        for row, col in zip(basis.rows, basis.pivots):
+            f = v[col]
+            coords.append(f)
+            if f:
+                v[col:] = [(a - f * b) % p for a, b in zip(v[col:], row[col:])]
+    else:
+        v = [x if type(x) is Fraction else Fraction(x) for x in v]
+        for row, col in zip(basis.rows, basis.pivots):
+            f = v[col]
+            coords.append(f)
+            if f:
+                v[col:] = [a - f * b if b else a for a, b in zip(v[col:], row[col:])]
     if any(v):
         return False, None
     return True, coords

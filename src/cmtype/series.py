@@ -26,15 +26,19 @@ EXACT = math.inf
 class TruncatedSeries:
     __slots__ = ("field", "coeffs", "order", "precision")
 
-    def __init__(self, field: FieldSpec, coeffs, precision=EXACT):
+    def __init__(self, field: FieldSpec, coeffs, precision=EXACT, *, coerced=False):
+        """``coerced=True`` promises nonzero field elements below ``precision``."""
         self.field = field
-        clean = {}
-        for e, v in coeffs.items():
-            if e >= precision:
-                continue
-            v = field.element(v)
-            if v:
-                clean[e] = v
+        if coerced:
+            clean = coeffs
+        else:
+            clean = {}
+            for e, v in coeffs.items():
+                if e >= precision:
+                    continue
+                v = field.element(v)
+                if v:
+                    clean[e] = v
         self.coeffs = clean
         self.order = min(clean) if clean else None
         self.precision = precision
@@ -71,7 +75,8 @@ class TruncatedSeries:
                 f"series {self} + O(t^{self.precision}) has precision {self.precision}; "
                 f"window [{start}, {end}) needs precision {end}"
             )
-        return [self.coefficient(start + i) for i in range(length)]
+        get, zero = self.coeffs.get, self.field.zero()
+        return [get(e, zero) for e in range(start, end)]
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_field(other)
@@ -90,7 +95,8 @@ class TruncatedSeries:
     def shift(self, s: int) -> "TruncatedSeries":
         """Multiplication by t^s."""
         return TruncatedSeries(
-            self.field, {e + s: v for e, v in self.coeffs.items()}, self.precision + s
+            self.field, {e + s: v for e, v in self.coeffs.items()}, self.precision + s,
+            coerced=True,
         )
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":

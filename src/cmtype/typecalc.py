@@ -15,6 +15,7 @@ Both must agree; a mismatch raises ConsistencyError rather than returning
 anything.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ConsistencyError, UndecidableError
@@ -41,16 +42,24 @@ def socle_formula(ideal, a: int):
     excess = length of [ (t^a : m) meet R ] meet [ (t^a I : I) meet R ]
     modulo (t^a); the idealization type is excess + r_R(I).
     """
+    excess = _socle_excess(ideal, a)
+    return excess, excess + module_type(ideal)
+
+
+def _socle_excess(ideal, a):
     H = ideal.semigroup
     if a <= 0 or not H.contains(a):
         raise ArgumentError(f"parameter exponent must be a positive member of {H}, got {a}")
     R = ideal.unit_ideal()
-    m = ideal.maximal_ideal()
-    q = R.shift(a)
-    socle = q.colon(m).intersect(R)
+    socle = _parameter_socle(R, a)
     annihilator = ideal.shift(a).colon(ideal).intersect(R)
-    excess = socle.intersect(annihilator).quotient_length(q)
-    return excess, excess + module_type(ideal)
+    return socle.intersect(annihilator).quotient_length(R.shift(a))
+
+
+@functools.cache
+def _parameter_socle(R, a):
+    """(t^a : m) meet R: it depends only on the companions R, m and on a."""
+    return R.shift(a).colon(R.maximal_ideal()).intersect(R)
 
 
 def cokernel_formula(ideal):
@@ -59,12 +68,16 @@ def cokernel_formula(ideal):
     The evaluation image of Hom(I, K) x I in K is (K:I)I, so the cokernel
     needs mu(K / (K:I)I) = dim K / ((K:I)I + mK) generators.
     """
+    dual = ideal.canonical_ideal().colon(ideal)
+    mu_coker = _cokernel_mu(ideal, dual)
+    return mu_coker, mu_coker + dual.mu()
+
+
+def _cokernel_mu(ideal, dual):
     K = ideal.canonical_ideal()
-    dual = K.colon(ideal)
     image = dual.multiply(ideal)
     mK = ideal.maximal_ideal().multiply(K)
-    mu_coker = K.quotient_length(image.add(mK))
-    return mu_coker, mu_coker + module_type(ideal)
+    return K.quotient_length(image.add(mK))
 
 
 @dataclass(frozen=True)
@@ -82,14 +95,17 @@ def idealization_type(ideal, a: int | None = None) -> IdealizationType:
     H = ideal.semigroup
     if a is None:
         a = H.multiplicity
-    excess, socle_value = socle_formula(ideal, a)
-    mu_coker, coker_value = cokernel_formula(ideal)
+    # K:I and r_R(I) = mu(K:I) are shared; the two routes' own terms are not.
+    dual = ideal.canonical_ideal().colon(ideal)
+    r_mod = dual.mu()
+    excess = _socle_excess(ideal, a)
+    mu_coker = _cokernel_mu(ideal, dual)
+    socle_value, coker_value = excess + r_mod, mu_coker + r_mod
     if socle_value != coker_value:
         raise ConsistencyError(
             f"socle formula gives {socle_value} but cokernel formula gives "
             f"{coker_value} for {ideal.describe()}"
         )
-    r_mod = socle_value - excess
     r_ring = H.type()
     if not r_mod <= socle_value <= r_ring + r_mod:
         raise ConsistencyError(
@@ -138,23 +154,23 @@ def is_ulrich_ideal(ideal) -> bool:
     R = ideal.unit_ideal()
     if not R.contains_ideal(ideal) or ideal == R:
         raise ArgumentError("Ulrich ideals are proper ideals of R")
-    if ideal.find_reduction() is None or ideal.mu() < 2:
-        return False
     squared = ideal.multiply(ideal)
+    if ideal.find_reduction(squared) is None or ideal.mu() < 2:
+        return False
     return ideal.quotient_length(squared) == ideal.mu() * R.quotient_length(ideal)
 
 
 def is_ulrich_module_wrt(module, ideal=None) -> bool:
     """Ulrich property of a rank-one module (fractional ideal).
 
-    With respect to the maximal ideal (ideal=None): m M = t^e M.  With
+    With respect to the maximal ideal (ideal=None): m M = t^e M, decided
+    as len(M/mM) = mu(M) = len(M/t^e M) since t^e M <= m M.  With
     respect to an m-primary ideal I: I M = x M for a reduction x of I and
     M/IM is free over R/I (length criterion).
     """
     if ideal is None:
         e = module.semigroup.multiplicity
-        m = module.maximal_ideal()
-        return m.multiply(module) == module.shift(e)
+        return module.mu() == module.quotient_length(module.shift(e))
     principal = ideal.find_reduction()
     if principal is None:
         raise UndecidableError(

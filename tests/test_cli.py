@@ -1,9 +1,14 @@
 """The command-line contract: exit codes, JSON documents, error carets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmtype
 from cmtype import cli
 from cmtype.semigroup import NumericalSemigroup
 
@@ -110,3 +115,14 @@ def test_semigroup_info_at_large_conductor(capsys):
     assert info["pseudo_frobenius"] == [89_699]
     assert len(info["gaps"]) == 44_850
     assert info["canonical_ideal_generators"] == [0]
+
+
+def test_python_dash_m_runs_the_cli():
+    path = [str(Path(cmtype.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmtype", "verify", "paper", "--json"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "verify-paper"

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from cmtype import linalg
-from cmtype.errors import ArgumentError, ContainmentError
+from cmtype.errors import ArgumentError, ConsistencyError, ContainmentError
 from cmtype.fracideal import FractionalIdeal, from_relative, ideal_from_generators
 from cmtype.linalg import GF, QQ, CoeffMatrix
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
-from cmtype.series import TruncatedSeries, parse_series
+from cmtype.series import EXACT, TruncatedSeries, parse_series
 from helpers import SERIES_POOL, random_relative_ideal, random_semigroup
 
 H345 = NumericalSemigroup([3, 4, 5])
@@ -199,6 +199,118 @@ class TestEngineAgreement:
                 else:
                     assert got == from_relative(red, field)
         assert outcomes == {True, False}
+
+
+def _as_series(I, row):
+    return TruncatedSeries.from_window(I.field, I.delta, row, precision=EXACT)
+
+
+def series_multiply(I, J):
+    """I J through TruncatedSeries.mul and window_vector."""
+    start, end = I.delta + J.delta, I.delta + J.gamma
+    rows = [
+        g.mul(_as_series(J, b)).window_vector(start, end - start)
+        for g in I.generators or I.module_generators()
+        for b in J.matrix.rows
+    ]
+    return FractionalIdeal._build(I.semigroup, I.field, start, end, rows)
+
+
+def series_colon(I, J):
+    """I : J with one shifted series per unknown, as a nullspace."""
+    start, end = I.delta - J.delta, I.gamma - J.delta
+    constraint = []
+    for g in J.module_generators():
+        vecs = [g.shift(u).window_vector(I.delta, I.gamma - I.delta) for u in range(start, end)]
+        residuals = linalg._reduce_rows(I.field, vecs, I.matrix)
+        constraint += [list(col) for col in zip(*residuals) if any(col)]
+    solutions = linalg.nullspace(CoeffMatrix(I.field, end - start, constraint))
+    rows = [list(r) for r in solutions.rows]
+    return FractionalIdeal._build(I.semigroup, I.field, start, end, rows)
+
+
+def series_stable(I):
+    """Every basis row times t^a, a a generator of H, stays in the span."""
+    width = I.gamma - I.delta
+    return all(
+        linalg.member(_as_series(I, row).shift(a).window_vector(I.delta, width), I.matrix)[0]
+        for row in I.matrix.rows
+        for a in I.semigroup.generators
+    )
+
+
+class TestRowLayerReference:
+    """Non-monomial inputs: the row arithmetic matches the series arithmetic."""
+
+    SEMIGROUPS = [[3, 7], [5, 9], [4, 9, 11], [6, 8, 9, 11]]
+
+    def random_coeffs(self, rng, field, H):
+        o = rng.randrange(H.conductor)
+        coeffs = {o: 1}
+        for e in rng.sample(range(o + 1, o + 8), 3):
+            coeffs[e] = rng.randrange(1, 7) if field is QQ else rng.randrange(field.characteristic)
+        return coeffs
+
+    def instances(self):
+        rng = random.Random(26)
+        for gens in self.SEMIGROUPS:
+            H = NumericalSemigroup(gens)
+            for field in (QQ, GF(7)):
+                ideals = []
+                for _ in range(2):
+                    coeffs = [self.random_coeffs(rng, field, H) for _ in range(rng.randint(1, 2))]
+                    ideals.append([TruncatedSeries(field, c) for c in coeffs])
+                yield H, field, ideals
+
+    def test_multiply_colon_validate(self):
+        corrupted_unstable = 0
+        for H, field, (gens_i, gens_j) in self.instances():
+            I = ideal_from_generators(H, field, gens_i)
+            J = ideal_from_generators(H, field, gens_j)
+            assert not (I.is_monomial() and J.is_monomial())
+            results = []
+            for a, b in ((I, J), (J, I), (I, I)):
+                results += [a.multiply(b), a.colon(b)]
+                assert results[-2] == series_multiply(a, b)
+                assert results[-1] == series_colon(a, b)
+            for X in [I, J] + results:
+                assert series_stable(X)
+                X.validate()
+                if X.matrix.rank < 3:
+                    continue
+                rows = list(X.matrix.rows)
+                pivots = list(X.matrix.pivots)
+                k = len(rows) // 2
+                del rows[k], pivots[k]
+                broken = FractionalIdeal(
+                    H, field, X.delta, X.gamma,
+                    CoeffMatrix(field, X.gamma - X.delta, rows, pivots=pivots, reduced=True),
+                )
+                if series_stable(broken):
+                    broken.validate()
+                else:
+                    corrupted_unstable += 1
+                    with pytest.raises(ConsistencyError, match="not stable"):
+                        broken.validate()
+        assert corrupted_unstable > 0
+
+    def test_generator_precision_at_the_window_edge(self):
+        for H, field, (gens_i, gens_j) in self.instances():
+            I = ideal_from_generators(H, field, gens_i)
+            tight = [TruncatedSeries(field, g.coeffs, precision=I.gamma) for g in gens_i]
+            I_tight = ideal_from_generators(H, field, tight)
+            assert I_tight == I
+            J = ideal_from_generators(H, field, gens_j)
+            assert I_tight.multiply(J) == series_multiply(I_tight, J) == I.multiply(J)
+            # J's window one wider needs each generator of I one term further
+            J_wide = ideal_from_generators(H, field, gens_j, slack=1)
+            with pytest.raises(ArgumentError, match="precision"):
+                I_tight.multiply(J_wide)
+            with pytest.raises(ArgumentError, match="precision"):
+                series_multiply(I_tight, J_wide)
+            short = [TruncatedSeries(field, g.coeffs, precision=I.gamma - 1) for g in gens_i]
+            with pytest.raises(ArgumentError, match="precision"):
+                ideal_from_generators(H, field, short)
 
 
 class TestColonBruteForce:

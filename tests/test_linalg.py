@@ -102,6 +102,14 @@ class TestMember:
         with pytest.raises(DimensionError):
             member([1, 2, 3], mat(QQ, [[1, 2]]))
 
+    def test_entries_are_coerced_into_the_field(self):
+        # over F_5, (6, 12, 5) = (1, 2, 0) = 1 * (1, 2, 0); 1/2 = 3
+        basis = mat(GF(5), [[1, 2, 0]])
+        assert member([6, 12, 5], basis) == (True, [1])
+        assert member([Fraction(1, 2), 1, -5], basis) == (True, [3])
+        assert member([1, 2, 1], basis) == (False, None)
+        assert member([1, Fraction(2), 0], mat(QQ, [[1, 2, 0]])) == (True, [Fraction(1)])
+
 
 class TestIntersect:
     def test_idempotent(self):
