@@ -14,6 +14,7 @@ representatives and re-window the result, and widening a window is always
 legal (pad rows with zeros, adjoin unit tail rows).
 """
 
+import bisect
 import functools
 
 from . import linalg, relideal
@@ -108,33 +109,40 @@ class FractionalIdeal:
         return cls(H, field, delta, gamma, matrix, generators=gens)
 
     @classmethod
-    def _build(cls, semigroup, field, start, end, rows, generators=None):
-        """Normalize a windowed span to the canonical window.
+    def _build(cls, semigroup, start, matrix, generators=None):
+        """Normalize a reduced windowed span to the canonical window.
 
-        Caller guarantees: span(rows) + t^end k[[t]] is the ideal modulo
-        t^end, and t^end k[[t]] is contained in the ideal.
+        Caller guarantees: ``matrix`` is reduced, and its span on
+        [start, end), end = start + matrix.ncols, plus t^end k[[t]] is the
+        ideal modulo t^end, with t^end k[[t]] contained in the ideal.
+        Nothing is reduced again: a column prefix of a reduced matrix is
+        reduced once the rows whose pivot falls past the cut are dropped,
+        and the unit rows that widen the window sit on columns where every
+        old row is zero.
         """
+        field = matrix.field
         c = semigroup.conductor
-        matrix = CoeffMatrix(field, end - start, rows)
+        end = start + matrix.ncols
         delta = start + matrix.pivots[0] if matrix.rows else end
-        target = delta + c
-        width = c
-        if target <= end:
-            off = delta - start
-            cut = [r[off:off + width] for r in matrix.rows]
-            out = CoeffMatrix(field, width, cut)
+        off = delta - start
+        if delta + c <= end:
+            k = bisect.bisect_left(matrix.pivots, off + c)
+            rows = [r[off:off + c] for r in matrix.rows[:k]]
+            pivots = [piv - off for piv in matrix.pivots[:k]]
         else:
-            off = delta - start
             zero, one = field.zero(), field.one()
-            padded = [list(r[off:]) + [zero] * (target - end) for r in matrix.rows]
-            for u in range(end, target):
-                row = [zero] * width
-                row[u - delta] = one
-                padded.append(row)
-            out = CoeffMatrix(field, width, padded)
+            pad = [zero] * (delta + c - end)
+            rows = [list(r[off:]) + pad for r in matrix.rows]
+            pivots = [piv - off for piv in matrix.pivots]
+            for u in range(end - delta, c):
+                row = [zero] * c
+                row[u] = one
+                rows.append(row)
+                pivots.append(u)
+        out = CoeffMatrix(field, c, rows, pivots, reduced=True)
         if out.rows and out.pivots[0] != 0:
             raise ConsistencyError("window minimum drifted during normalization")
-        return cls(semigroup, field, delta, delta + width, out, generators=generators)
+        return cls(semigroup, field, delta, delta + c, out, generators=generators)
 
     def _certify(self):
         """Runtime checks of the representation invariants (loud on failure)."""
@@ -265,17 +273,15 @@ class FractionalIdeal:
     def add(self, other):
         self._check_same(other)
         start = min(self.delta, other.delta)
-        end = min(self.gamma, other.gamma)
+        width = min(self.gamma, other.gamma) - start
+        zero = self.field.zero()
         rows = []
         for ideal in (self, other):
-            off = ideal.delta - start
-            for row in ideal.matrix.rows:
-                vec = [ideal.field.zero()] * off + list(row)
-                vec = vec[:end - start]
-                if len(vec) < end - start:
-                    vec += [ideal.field.zero()] * (end - start - len(vec))
-                rows.append(vec)
-        return FractionalIdeal._build(self.semigroup, self.field, start, end, rows)
+            pad = [zero] * (ideal.delta - start)
+            rows += [(pad + list(row))[:width] for row in ideal.matrix.rows]
+        return FractionalIdeal._build(
+            self.semigroup, start, CoeffMatrix(self.field, width, rows)
+        )
 
     def multiply(self, other):
         """Ideal product, spanned by (module generators) x (basis rows).
@@ -304,7 +310,9 @@ class FractionalIdeal:
                 for d, v in terms:
                     row[d:] = [x + v * y if y else x for x, y in zip(row[d:], b)]
                 rows.append(row)
-        result = FractionalIdeal._build(self.semigroup, self.field, start, end, rows)
+        result = FractionalIdeal._build(
+            self.semigroup, start, CoeffMatrix(self.field, width, rows)
+        )
         if result.delta != self.delta + other.delta:
             raise ConsistencyError("product order differs from the sum of orders")
         return result
@@ -333,18 +341,12 @@ class FractionalIdeal:
             residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
             constraint_rows += [row for row in zip(*residuals) if any(row)]
         constraint = CoeffMatrix(self.field, nunk, constraint_rows)
-        solutions = linalg.nullspace(constraint)
-        return FractionalIdeal._build(
-            self.semigroup, self.field, start, end, [list(r) for r in solutions.rows]
-        )
+        return FractionalIdeal._build(self.semigroup, start, linalg.nullspace(constraint))
 
     def intersect(self, other):
         self._check_same(other)
-        start, end, a, b = self._align(other)
-        inter = linalg.intersect(a, b)
-        return FractionalIdeal._build(
-            self.semigroup, self.field, start, end, [list(r) for r in inter.rows]
-        )
+        start, _, a, b = self._align(other)
+        return FractionalIdeal._build(self.semigroup, start, linalg.intersect(a, b))
 
     def shift(self, s: int):
         """Multiplication by t^s."""
@@ -354,22 +356,27 @@ class FractionalIdeal:
         )
 
     def contains_ideal(self, sub) -> bool:
+        return self._aligned_if_contains(sub) is not None
+
+    def quotient_length(self, sub) -> int:
+        """dim_k(I/J) for J <= I; both contain the common window tail."""
+        aligned = self._aligned_if_contains(sub)
+        if aligned is None:
+            raise ContainmentError(f"{sub.describe()} is not contained in {self.describe()}")
+        mine, theirs = aligned
+        return mine.rank - theirs.rank
+
+    def _aligned_if_contains(self, sub):
+        """Both ideals on one common window if sub <= self, else None."""
         self._check_same(sub)
         if sub.delta < self.delta:
-            return False
+            return None
         _, _, mine, theirs = self._align(sub)
         for row in theirs.rows:
             ok, _ = linalg.member(row, mine)
             if not ok:
-                return False
-        return True
-
-    def quotient_length(self, sub) -> int:
-        """dim_k(I/J) for J <= I; both contain the common window tail."""
-        if not self.contains_ideal(sub):
-            raise ContainmentError(f"{sub.describe()} is not contained in {self.describe()}")
-        _, _, mine, theirs = self._align(sub)
-        return mine.rank - theirs.rank
+                return None
+        return mine, theirs
 
     def __eq__(self, other):
         if not isinstance(other, FractionalIdeal):
@@ -387,8 +394,7 @@ class FractionalIdeal:
         if self.gamma == self.delta + self.semigroup.conductor:
             return self
         return FractionalIdeal._build(
-            self.semigroup, self.field, self.delta, self.gamma,
-            [list(r) for r in self.matrix.rows], generators=self.generators,
+            self.semigroup, self.delta, self.matrix, generators=self.generators
         )
 
     # -- companions ----------------------------------------------------------

@@ -1,20 +1,20 @@
 """Exact row-reduction kernels over F_p and the rationals.
 
-Matrices are plain lists of lists.  Prime field entries are ints in
-``[0, p)``; rational entries are ``fractions.Fraction``.  All functions
-leave their inputs untouched.
+Matrices are sequences of rows.  Prime field entries are ints, returned
+in ``[0, p)`` wherever a function computes them; rational entries are
+``fractions.Fraction``.  All functions leave their inputs untouched.
 
-There is one implementation, in pure Python; the inner loops are slice
-comprehensions from the pivot column on.  A compiled F_p kernel was 9-19x
-faster in isolation.  When it was removed, the benchmark's ``kernels.share``
-(kernel time over item time) was 0.20 on ``series-fp``, capping even a 19x
-kernel at 1.23x end to end.  With the series engine's arithmetic on plain
-coefficient rows, the traced ``series-fp`` share is 0.41 (0.27 on
-``series-qq``, whose ``Fraction`` entries a C loop cannot speed up, and 0 on
-the monomial and semigroup workloads).  That is above the ~0.35 at which the
-compiled kernel was to be reconsidered: a 19x kernel would now cap at
-1/(0.59 + 0.41/19) ~ 1.6x on ``series-fp``.  Whether to bring one back is
-left open.
+There is one implementation, in pure Python, and no compiled kernel: the
+inner loops are slice comprehensions from the pivot column on.  A compiled
+F_p kernel was 9-19x faster in isolation, but Cython cannot be installed
+without network access, and C through ctypes or the C API would bring back
+a build step for a package that installs and runs as plain Python.  With
+each ideal operation reducing once, the benchmark's traced ``kernels.share``
+(kernel time over item time, seed 1, three runs) is 0.37-0.39 on
+``series-fp``, where a 19x kernel would cap at 1/(0.61 + 0.39/19) ~ 1.6x
+end to end, and 0.37-0.41 on ``series-qq``, whose ``Fraction`` entries a C
+loop cannot speed up; it is 0 on the monomial and semigroup workloads.  Kernel time is cut instead by
+making fewer and smaller reductions.
 """
 
 from fractions import Fraction
@@ -27,9 +27,9 @@ BACKEND = "python"
 def rref_fp(rows, p):
     """Reduced row echelon form over F_p.
 
-    Returns ``(reduced_rows, pivot_cols)`` where ``reduced_rows`` contains
-    only the nonzero rows, pivots are 1 and pivot columns are cleared
-    elsewhere.
+    Entries may be any ints; the result is canonical.  Returns
+    ``(reduced_rows, pivot_cols)`` where ``reduced_rows`` contains only the
+    nonzero rows, pivots are 1 and pivot columns are cleared elsewhere.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -46,8 +46,9 @@ def rref_fp(rows, p):
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
         inv = pow(m[rank][col], p - 2, p)
-        row = m[rank]
-        row[col:] = tail = [x * inv % p for x in row[col:]]
+        tail = [x * inv % p for x in m[rank][col:]]
+        # The cells left of the pivot are 0 mod p but may be raw multiples of p.
+        m[rank] = [0] * col + tail
         for i in range(nrows):
             if i == rank:
                 continue
@@ -66,7 +67,8 @@ def reduce_rows_fp(vecs, basis, pivots, p):
     """Reduce each vector in ``vecs`` modulo the row span of ``basis``.
 
     ``basis`` must be in reduced echelon form with the given pivot
-    columns.  Returns the list of residual vectors.
+    columns.  Returns the list of residual vectors; a cell that no basis
+    row touches is returned as given.
     """
     tails = [(col, row[col:]) for row, col in zip(basis, pivots)]
     out = []

@@ -8,9 +8,25 @@ nonzero rows only, strictly increasing pivot columns, pivots equal to 1
 and cleared elsewhere, so equality of row spaces is equality of rows.
 
 No floating point is used anywhere: rationals are fractions.Fraction,
-prime field elements are ints in [0, p).
+prime field elements are ints in [0, p).  Every row a CoeffMatrix holds is
+canonical in that sense, and each cell is coerced at most once, where it
+enters a row reduction:
+
+  * over QQ, ``_rref`` and ``_reduce_rows`` wrap the cells that are not yet
+    ``Fraction``s (ints, from callers and from products); ``member`` does
+    the same for the vector it tests;
+  * over F_p, cells are ints, canonical or not (``multiply``'s convolution
+    emits sums of products).  There is no ``x % p`` pass: the kernels reduce
+    every cell they rewrite and zero the cells left of each pivot, so a
+    reduced matrix comes out canonical.  ``_reduce_rows`` leaves the cells
+    no basis row touches as given, so canonical vectors give canonical
+    residuals; ``member`` reduces its vector first.
+
+``reduced=True`` skips the reduction and trusts the caller: the rows must
+already be canonical and in reduced row echelon form, with those pivots.
 """
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,35 +143,19 @@ class CoeffMatrix:
 
 
 def _rref(field: FieldSpec, rows):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
     if field.is_prime_field:
-        p = field.characteristic
-        reduced, pivots = kernels.rref_fp([[x % p for x in r] for r in rows], p)
-        return reduced, pivots
-    reduced, pivots = kernels.rref_qq([[Fraction(x) for x in r] for r in rows])
-    return reduced, pivots
+        return kernels.rref_fp(rows, field.characteristic)
+    return kernels.rref_qq([[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows])
 
 
 def _reduce_rows(field: FieldSpec, vecs, basis: CoeffMatrix):
     """Residuals of ``vecs`` modulo the row span of a reduced basis."""
-    if not vecs:
-        return []
-    if not basis.rows:
-        return [list(v) for v in vecs]
     if field.is_prime_field:
-        p = field.characteristic
-        return kernels.reduce_rows_fp(
-            [[x % p for x in v] for v in vecs],
-            [list(r) for r in basis.rows],
-            list(basis.pivots),
-            p,
-        )
+        return kernels.reduce_rows_fp(vecs, basis.rows, basis.pivots, field.characteristic)
     return kernels.reduce_rows_qq(
-        [[Fraction(x) for x in v] for v in vecs],
-        [list(r) for r in basis.rows],
-        list(basis.pivots),
+        [[x if type(x) is Fraction else Fraction(x) for x in v] for v in vecs],
+        basis.rows,
+        basis.pivots,
     )
 
 
@@ -213,9 +213,13 @@ def intersect(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
     zero = field.zero()
     stacked = [list(r) + list(r) for r in a.rows]
     stacked += [list(r) + [zero] * n for r in b.rows]
-    reduced, pivots = _rref(field, stacked) if stacked else ([], [])
-    inter_rows = [r[n:] for r, piv in zip(reduced, pivots) if piv >= n]
-    return CoeffMatrix(field, n, inter_rows)
+    reduced, pivots = _rref(field, stacked)
+    # A row whose pivot lies in the right half has a zero left half, so these
+    # right halves are already reduced, with their pivots shifted by n.
+    k = bisect.bisect_left(pivots, n)
+    return CoeffMatrix(
+        field, n, [r[n:] for r in reduced[k:]], [piv - n for piv in pivots[k:]], reduced=True
+    )
 
 
 def nullspace(m: CoeffMatrix) -> CoeffMatrix:
@@ -233,6 +237,8 @@ def nullspace(m: CoeffMatrix) -> CoeffMatrix:
             if row[fc]:
                 v[piv] = -row[fc] if not field.is_prime_field else (-row[fc]) % field.characteristic
         rows.append(v)
+    # Not yet reduced: each row's leading entry sits in a pivot column of
+    # ``m`` left of its free column.
     return CoeffMatrix(field, n, rows)
 
 

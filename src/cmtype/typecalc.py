@@ -42,17 +42,21 @@ def socle_formula(ideal, a: int):
     excess = length of [ (t^a : m) meet R ] meet [ (t^a I : I) meet R ]
     modulo (t^a); the idealization type is excess + r_R(I).
     """
-    excess = _socle_excess(ideal, a)
+    R = ideal.unit_ideal()
+    excess = _socle_excess(R, a, _annihilator(ideal, a, R))
     return excess, excess + module_type(ideal)
 
 
-def _socle_excess(ideal, a):
+def _annihilator(ideal, a, R):
+    """(t^a I : I) meet R, the annihilator of I/t^a I, for a positive a in H."""
     H = ideal.semigroup
     if a <= 0 or not H.contains(a):
         raise ArgumentError(f"parameter exponent must be a positive member of {H}, got {a}")
-    R = ideal.unit_ideal()
+    return ideal.shift(a).colon(ideal).intersect(R)
+
+
+def _socle_excess(R, a, annihilator):
     socle = _parameter_socle(R, a)
-    annihilator = ideal.shift(a).colon(ideal).intersect(R)
     return socle.intersect(annihilator).quotient_length(R.shift(a))
 
 
@@ -92,13 +96,19 @@ class IdealizationType:
 
 def idealization_type(ideal, a: int | None = None) -> IdealizationType:
     """Both formulas, cross-checked, with the general bounds asserted."""
-    H = ideal.semigroup
     if a is None:
-        a = H.multiplicity
-    # K:I and r_R(I) = mu(K:I) are shared; the two routes' own terms are not.
-    dual = ideal.canonical_ideal().colon(ideal)
+        a = ideal.semigroup.multiplicity
+    return _idealization_type(ideal, a, ideal.canonical_ideal().colon(ideal))
+
+
+def _idealization_type(ideal, a, dual, annihilator=None):
+    """idealization_type from K:I; classify also hands in (t^a I : I) meet R."""
+    R = ideal.unit_ideal()
+    if annihilator is None:
+        annihilator = _annihilator(ideal, a, R)
+    # r_R(I) = mu(K:I) is shared; the two routes' own terms are not.
     r_mod = dual.mu()
-    excess = _socle_excess(ideal, a)
+    excess = _socle_excess(R, a, annihilator)
     mu_coker = _cokernel_mu(ideal, dual)
     socle_value, coker_value = excess + r_mod, mu_coker + r_mod
     if socle_value != coker_value:
@@ -106,7 +116,7 @@ def idealization_type(ideal, a: int | None = None) -> IdealizationType:
             f"socle formula gives {socle_value} but cokernel formula gives "
             f"{coker_value} for {ideal.describe()}"
         )
-    r_ring = H.type()
+    r_ring = ideal.semigroup.type()
     if not r_mod <= socle_value <= r_ring + r_mod:
         raise ConsistencyError(
             f"type {socle_value} escapes [{r_mod}, {r_ring + r_mod}] for {ideal.describe()}"
@@ -134,15 +144,29 @@ def is_trace(ideal) -> bool:
     R = ideal.unit_ideal()
     if not R.contains_ideal(ideal):
         return False
-    return R.colon(ideal) == ideal.colon(ideal)
+    return _is_trace(ideal, ideal.colon(ideal))
+
+
+def _is_trace(ideal, endo, dual=None):
+    """R : I = I : I for I <= R, given endo = I : I.
+
+    ``dual`` is K : I when the caller has it; it is R : I when K = R.
+    """
+    R = ideal.unit_ideal()
+    if dual is None or ideal.canonical_ideal() != R:
+        dual = R.colon(ideal)
+    return dual == endo
 
 
 def is_residually_faithful(ideal) -> bool:
     """I/t^e I is faithful over R/(t^e): the annihilator is exactly (t^e)."""
     e = ideal.semigroup.multiplicity
-    R = ideal.unit_ideal()
-    annihilator = ideal.shift(e).colon(ideal).intersect(R)
-    return annihilator == R.shift(e)
+    return _is_residually_faithful(ideal, _annihilator(ideal, e, ideal.unit_ideal()))
+
+
+def _is_residually_faithful(ideal, annihilator):
+    """The annihilator (t^e I : I) meet R is exactly (t^e)."""
+    return annihilator == ideal.unit_ideal().shift(ideal.semigroup.multiplicity)
 
 
 def is_ulrich_ideal(ideal) -> bool:
@@ -249,15 +273,20 @@ def classify(ideal) -> IdealReport:
     proper = in_ring and ideal != R
 
     mu = ideal.mu()
-    itype = idealization_type(ideal)
+    # K:I, (t^e I : I) meet R and I:I are each computed once for the report.
+    e = H.multiplicity
+    dual = ideal.canonical_ideal().colon(ideal)
+    annihilator = _annihilator(ideal, e, R)
+    itype = _idealization_type(ideal, e, dual, annihilator)
     r_mod = itype.module_type
     value = itype.value
     r_quot = quotient_type(ideal) if proper else None
     r_ring = inv.type
 
-    closed = is_closed(ideal)
-    faithful = is_residually_faithful(ideal)
-    trace = is_trace(ideal)
+    endo = ideal.colon(ideal)
+    closed = endo == R
+    faithful = _is_residually_faithful(ideal, annihilator)
+    trace = in_ring and _is_trace(ideal, endo, dual)
     ulrich_ideal = is_ulrich_ideal(ideal) if proper else False
     ulrich_wrt_m = is_ulrich_module_wrt(ideal)
     principal = ideal.is_principal()

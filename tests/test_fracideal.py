@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmtype import linalg
 from cmtype.errors import ArgumentError, ConsistencyError, ContainmentError
 from cmtype.fracideal import FractionalIdeal, from_relative, ideal_from_generators
-from cmtype.linalg import GF, QQ, CoeffMatrix
+from cmtype.linalg import GF, QQ, CoeffMatrix, reduce_echelon
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import EXACT, TruncatedSeries, parse_series
@@ -213,7 +215,7 @@ def series_multiply(I, J):
         for g in I.generators or I.module_generators()
         for b in J.matrix.rows
     ]
-    return FractionalIdeal._build(I.semigroup, I.field, start, end, rows)
+    return FractionalIdeal._build(I.semigroup, start, CoeffMatrix(I.field, end - start, rows))
 
 
 def series_colon(I, J):
@@ -225,8 +227,7 @@ def series_colon(I, J):
         residuals = linalg._reduce_rows(I.field, vecs, I.matrix)
         constraint += [list(col) for col in zip(*residuals) if any(col)]
     solutions = linalg.nullspace(CoeffMatrix(I.field, end - start, constraint))
-    rows = [list(r) for r in solutions.rows]
-    return FractionalIdeal._build(I.semigroup, I.field, start, end, rows)
+    return FractionalIdeal._build(I.semigroup, start, solutions)
 
 
 def series_stable(I):
@@ -359,7 +360,7 @@ class TestColonBruteForce:
                 continue
             J = ideal_from_generators(H, field, gens[:1])
             start, end, rows = self._brute_colon_rows(I, J)
-            rebuilt = FractionalIdeal._build(H, field, start, end, rows)
+            rebuilt = FractionalIdeal._build(H, start, CoeffMatrix(field, end - start, rows))
             assert rebuilt == I.colon(J)
             checked += 1
 
@@ -382,3 +383,71 @@ def test_validate_on_random_operation_results():
         K = I.canonical_ideal()
         for result in (I, I.colon(I), I.multiply(I), K.colon(I), I.intersect(K), I.add(K)):
             result.validate()
+
+
+def rereduced_window(H, start, matrix):
+    """_build's window, by reducing the cut or padded rows once more."""
+    c, field = H.conductor, matrix.field
+    end = start + matrix.ncols
+    delta = start + matrix.pivots[0] if matrix.rows else end
+    off = delta - start
+    zero, one = field.zero(), field.one()
+    rows = [(list(r[off:]) + [zero] * c)[:c] for r in matrix.rows]
+    rows += [[one if i == u - delta else zero for i in range(c)] for u in range(end, delta + c)]
+    return CoeffMatrix(field, c, rows)
+
+
+@st.composite
+def windowed_spans(draw):
+    H = NumericalSemigroup(draw(st.sampled_from(SERIES_POOL)))
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    width = draw(st.integers(min_value=1, max_value=2 * H.conductor + 2))
+    cell = st.sampled_from([0, 0, 0, 1, 2, -1, 5])
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=width))
+    return H, draw(st.integers(min_value=-5, max_value=5)), CoeffMatrix(field, width, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(windowed_spans())
+# prefix cut: the row with pivot 4 lies past delta + c = 3 and vanishes
+@example((H345, 0, CoeffMatrix(GF(7), 6, [[1, 0, 2, 0, 0, 1], [0, 1, 3, 0, 0, 0], [0, 0, 0, 0, 1, 4]])))
+# padded branch: delta = 1, so the window [1, 4) gains unit rows at 2 and 3
+@example((H345, 0, CoeffMatrix(QQ, 2, [[0, 1]])))
+@example((H345, 3, CoeffMatrix(GF(7), 2, [])))
+def test_build_marks_only_reduced_matrices_reduced(span):
+    H, start, matrix = span
+    out = FractionalIdeal._build(H, start, matrix).matrix
+    again = reduce_echelon(out)
+    assert again == out and again.pivots == out.pivots
+    assert out == rereduced_window(H, start, matrix)
+
+
+class TestWorkCounts:
+    """Each ideal operation row-reduces once; no time is measured."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_one_row_reduction_per_operation(self, monkeypatch, field):
+        I = series_ideal(H37, field, "t^6 - t^7", "t^10")
+        J = series_ideal(H37, field, "t^3 + 2*t^4", "t^7")
+        J.module_generators()  # colon reads them; built here, outside the count
+        calls = []
+        original = linalg._rref
+        monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or original(*args))
+        counts = {}
+        for name in ("multiply", "add", "intersect", "colon"):
+            before = len(calls)
+            getattr(I, name)(J)
+            counts[name] = len(calls) - before
+        # the colon reduces its constraint, then its solutions
+        assert counts == {"multiply": 1, "add": 1, "intersect": 1, "colon": 2}
+
+    def test_quotient_length_aligns_each_ideal_once(self, monkeypatch):
+        I = series_ideal(H37, QQ, "t^6 - t^7", "t^10")
+        R = I.unit_ideal()
+        calls = []
+        original = FractionalIdeal._extended
+        monkeypatch.setattr(
+            FractionalIdeal, "_extended", lambda *args: calls.append(args) or original(*args)
+        )
+        assert R.quotient_length(I) == 3
+        assert len(calls) == 2

@@ -181,3 +181,35 @@ def test_nullspace_kernel_property():
                     if field.is_prime_field:
                         s %= field.characteristic
                     assert s == 0
+
+
+def assert_reduced(m):
+    """``m`` is exactly its own reduced row echelon form, pivots included."""
+    again = reduce_echelon(m)
+    assert again == m and again.pivots == m.pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_rows(ncols=5, max_rows=5), random_rows(ncols=5, max_rows=5),
+       st.sampled_from([QQ, GF(7)]))
+def test_zassenhaus_intersection_is_reduced(rows_a, rows_b, field):
+    # intersect marks its right halves reduced=True without reducing them again
+    a, b = mat(field, rows_a), mat(field, rows_b)
+    inter = intersect(a, b)
+    assert_reduced(inter)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=-14, max_value=21), min_size=4, max_size=4),
+                min_size=1, max_size=4))
+def test_raw_fp_cells_come_out_canonical(rows):
+    p = 7
+    m = mat(GF(p), rows)
+    assert all(type(x) is int and 0 <= x < p for row in m.rows for x in row)
+    assert m == mat(GF(p), [[x % p for x in row] for row in rows])
+    assert_reduced(m)
+
+
+def test_a_cell_equal_to_p_is_reduced():
+    assert mat(GF(7), [[7, 1]]).rows == ((0, 1),)
+    assert mat(GF(7), [[7, 1], [1, 14]]).rows == ((1, 0), (0, 1))

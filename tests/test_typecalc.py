@@ -99,6 +99,21 @@ class TestWorkCounts:
         assert pairs[(False, True, True)] <= 1  # m I
         assert sum(1 for (a,) in mus if a is I) > 1
 
+    @pytest.mark.parametrize("gens, exprs, colons", [
+        ([3, 7], ("t^6 - t^7", "t^10"), 4),  # symmetric: R : I is the K : I already built
+        ([3, 4, 5], ("t^3 - t^4", "t^5"), 5),
+    ])
+    def test_series_classify_computes_each_colon_once(self, monkeypatch, gens, exprs, colons):
+        H, field = NumericalSemigroup(gens), GF(5)
+        I = ideal_from_generators(H, field, [parse_series(s, field) for s in exprs])
+        typecalc._parameter_socle(I.unit_ideal(), H.multiplicity)
+        record = []
+        count_calls(monkeypatch, FractionalIdeal, "colon", record)
+        assert typecalc.classify(I).consistent
+        # K:I, (t^e I):I, I:m, I:I, and R:I unless K = R; none of them twice
+        assert len(record) == colons
+        assert max(Counter(record).values()) == 1
+
     def test_monomial_idealization_type_makes_two_colons(self, monkeypatch):
         H = NumericalSemigroup([10, 13, 17])
         I = RelativeIdeal.from_exponents(H, {0, 13, 21})
