@@ -24,12 +24,11 @@ from .errors import (
     ResourceLimitError,
     UndecidableError,
 )
-from .fracideal import FractionalIdeal, from_relative, ideal_from_generators
-from .kernels import BACKEND
+from .fracideal import FractionalIdeal
 from .linalg import GF, QQ, CoeffMatrix, FieldSpec, intersect, member, reduce_echelon
 from .relideal import RelativeIdeal
 from .semigroup import NumericalSemigroup, SemigroupInvariants
-from .series import TruncatedSeries, parse_generators, parse_series, series_mul
+from .series import TruncatedSeries, parse_generators, parse_series
 from .typecalc import (
     IdealReport,
     classify,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError",
-    "BACKEND",
     "CmtypeError",
     "CoeffMatrix",
     "ConsistencyError",
@@ -72,8 +70,6 @@ __all__ = [
     "cokernel_formula",
     "dual_family_ideal",
     "enumerate_monomial_ideals",
-    "from_relative",
-    "ideal_from_generators",
     "idealization_type",
     "intersect",
     "is_closed",
@@ -89,7 +85,6 @@ __all__ = [
     "pf_family_ideal",
     "quotient_type",
     "reduce_echelon",
-    "series_mul",
     "socle_formula",
     "sup_search",
 ]

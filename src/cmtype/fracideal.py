@@ -7,6 +7,13 @@ determined by its image in t^delta k[[t]] / t^gamma k[[t]] with
 gamma = delta + c, stored as a reduced CoeffMatrix on the exponent window
 [delta, gamma).
 
+That window is the only one an ideal has.  ``FractionalIdeal.__init__``
+derives gamma from delta and c, and raises ConsistencyError if the matrix
+width is not c or a stored generator is known only below gamma.  So equal
+ideals have equal (delta, rows), and an operation that needs another
+window (a product, a colon solve, the common window of two ideals) moves
+rows there and back with ``_reframe``.
+
 Because the tail t^gamma k[[t]] lies inside I, every truncated basis row,
 read as a Laurent polynomial, is itself a genuine element of I.  That
 keeps all arithmetic exact: products and colon solves work on polynomial
@@ -36,15 +43,26 @@ class FractionalIdeal:
 
     engine = "series"
 
-    def __init__(self, semigroup, field, delta, gamma, matrix, generators=None):
-        if matrix.ncols != gamma - delta:
-            raise ConsistencyError("matrix width disagrees with the exponent window")
+    def __init__(self, semigroup, field, delta, matrix, generators=None):
+        c = semigroup.conductor
+        gamma = delta + c
+        if matrix.ncols != c:
+            raise ConsistencyError(
+                f"matrix width {matrix.ncols} is not the conductor {c} of {semigroup}"
+            )
+        generators = tuple(generators) if generators else None
+        for g in generators or ():
+            if g.precision < gamma:
+                raise ConsistencyError(
+                    f"generator {g} + O(t^{g.precision}) is known only below "
+                    f"t^{g.precision}; window [{delta}, {gamma}) needs precision {gamma}"
+                )
         self.semigroup = semigroup
         self.field = field
         self.delta = delta
         self.gamma = gamma
         self.matrix = matrix
-        self.generators = tuple(generators) if generators else None
+        self.generators = generators
         self._modgens = None
         self._mI = None
         self._mu = None
@@ -52,12 +70,11 @@ class FractionalIdeal:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_generators(cls, semigroup, field, gens, slack=0):
+    def from_generators(cls, semigroup, field, gens):
         """Ideal generated over R by Laurent series.
 
-        The window is [delta, delta + c + slack).  Rows t^h * g for h in H
-        span the ideal modulo the window top; the tail certification and
-        the R-stability of the span are verified, not trusted.
+        Rows t^h * g for h in H span the ideal modulo t^gamma; the
+        R-stability of the span is verified, not trusted.
         """
         gens = [g for g in gens if g.order is not None]
         if not gens:
@@ -65,99 +82,56 @@ class FractionalIdeal:
         for g in gens:
             if g.field != field:
                 raise ArgumentError(f"generator field {g.field} != ideal field {field}")
-        if slack < 0:
-            raise ArgumentError("slack must be nonnegative")
         c = semigroup.conductor
         delta = min(g.order for g in gens)
-        gamma = delta + c + slack
-        for g in gens:
-            if g.precision < gamma:
-                raise ArgumentError(
-                    f"generator {g} + O(t^{g.precision}) has precision {g.precision}; "
-                    f"window [{delta}, {gamma}) needs precision {gamma}"
-                )
-        width = gamma - delta
         zero = field.zero()
         rows = []
         for g in gens:
-            vec = g.window_vector(delta, width)
-            for h in semigroup.members(0, gamma - g.order):
+            vec = g.window_vector(delta, c)  # raises the precision-naming error
+            for h in semigroup.members(0, delta + c - g.order):
                 rows.append(_shifted(vec, h, zero))
-        matrix = CoeffMatrix(field, width, rows)
-        ideal = cls(semigroup, field, delta, gamma, matrix, generators=gens)
-        ideal._certify()
+        ideal = cls(semigroup, field, delta, CoeffMatrix(field, c, rows), generators=gens)
+        ideal.validate()
         return ideal
 
     @classmethod
-    def from_relative(cls, ideal: RelativeIdeal, field: FieldSpec, slack=0):
+    def from_relative(cls, ideal: RelativeIdeal, field: FieldSpec):
         """The monomial fractional ideal with the given exponent set."""
         H = ideal.semigroup
         c = H.conductor
-        delta = ideal.delta
-        gamma = delta + c + slack
-        width = gamma - delta
-        mask = ideal.members_mask(delta, width)
-        positions = [i for i in range(width) if mask >> i & 1]
+        mask = ideal.members_mask(ideal.delta, c)
+        positions = [i for i in range(c) if mask >> i & 1]
         one, zero = field.one(), field.zero()
         rows = []
         for i in positions:
-            row = [zero] * width
+            row = [zero] * c
             row[i] = one
             rows.append(row)
-        matrix = CoeffMatrix(field, width, rows, pivots=positions, reduced=True)
+        matrix = CoeffMatrix(field, c, rows, pivots=positions, reduced=True)
         gens = [TruncatedSeries.monomial(field, g) for g in ideal.minimal_generators()]
-        return cls(H, field, delta, gamma, matrix, generators=gens)
+        return cls(H, field, ideal.delta, matrix, generators=gens)
 
     @classmethod
-    def _build(cls, semigroup, start, matrix, generators=None):
-        """Normalize a reduced windowed span to the canonical window.
+    def _build(cls, semigroup, start, matrix):
+        """The ideal whose span on [start, start + matrix.ncols) is ``matrix``.
 
-        Caller guarantees: ``matrix`` is reduced, and its span on
-        [start, end), end = start + matrix.ncols, plus t^end k[[t]] is the
-        ideal modulo t^end, with t^end k[[t]] contained in the ideal.
-        Nothing is reduced again: a column prefix of a reduced matrix is
-        reduced once the rows whose pivot falls past the cut are dropped,
-        and the unit rows that widen the window sit on columns where every
-        old row is zero.
+        Caller guarantees: ``matrix`` is reduced, and its span plus
+        t^end k[[t]], end = start + matrix.ncols, is the ideal modulo
+        t^end, with t^end k[[t]] contained in the ideal.
         """
-        field = matrix.field
-        c = semigroup.conductor
-        end = start + matrix.ncols
-        delta = start + matrix.pivots[0] if matrix.rows else end
-        off = delta - start
-        if delta + c <= end:
-            k = bisect.bisect_left(matrix.pivots, off + c)
-            rows = [r[off:off + c] for r in matrix.rows[:k]]
-            pivots = [piv - off for piv in matrix.pivots[:k]]
-        else:
-            zero, one = field.zero(), field.one()
-            pad = [zero] * (delta + c - end)
-            rows = [list(r[off:]) + pad for r in matrix.rows]
-            pivots = [piv - off for piv in matrix.pivots]
-            for u in range(end - delta, c):
-                row = [zero] * c
-                row[u] = one
-                rows.append(row)
-                pivots.append(u)
-        out = CoeffMatrix(field, c, rows, pivots, reduced=True)
+        delta = start + matrix.pivots[0] if matrix.rows else start + matrix.ncols
+        out = _reframe(matrix, delta - start, semigroup.conductor)
         if out.rows and out.pivots[0] != 0:
             raise ConsistencyError("window minimum drifted during normalization")
-        return cls(semigroup, field, delta, delta + c, out, generators=generators)
+        return cls(semigroup, matrix.field, delta, out)
 
-    def _certify(self):
+    def validate(self):
         """Runtime checks of the representation invariants (loud on failure)."""
-        c = self.semigroup.conductor
         if self.matrix.rows:
             if self.matrix.pivots[0] != 0:
                 raise ConsistencyError("lowest basis order differs from delta")
         elif self.gamma > self.delta:
             raise ConsistencyError("empty basis on a nonempty window")
-        for u in range(self.delta + c, self.gamma):
-            row = [self.field.zero()] * (self.gamma - self.delta)
-            row[u - self.delta] = self.field.one()
-            ok, _ = linalg.member(row, self.matrix)
-            if not ok:
-                raise ConsistencyError(f"tail certification failed at exponent {u}")
         zero = self.field.zero()
         for r in self.matrix.rows:
             for a in self.semigroup.generators:
@@ -166,8 +140,6 @@ class FractionalIdeal:
                     raise ConsistencyError(
                         f"span is not stable under multiplication by t^{a}"
                     )
-
-    validate = _certify
 
     # -- views --------------------------------------------------------------
 
@@ -197,29 +169,15 @@ class FractionalIdeal:
 
     # -- alignment helpers ---------------------------------------------------
 
-    def _extended(self, start, end):
-        """Rows + pivots representing this ideal on the window [start, end).
-
-        Requires start <= delta and end >= gamma: widening only.
-        """
-        zero, one = self.field.zero(), self.field.one()
-        left = self.delta - start
-        width = end - start
-        rows, pivots = [], []
-        for row, piv in zip(self.matrix.rows, self.matrix.pivots):
-            rows.append([zero] * left + list(row) + [zero] * (end - self.gamma))
-            pivots.append(piv + left)
-        for u in range(self.gamma, end):
-            row = [zero] * width
-            row[u - start] = one
-            rows.append(row)
-            pivots.append(u - start)
-        return CoeffMatrix(self.field, width, rows, pivots=pivots, reduced=True)
-
     def _align(self, other):
+        """Both ideals on the common window [min delta, max gamma)."""
         start = min(self.delta, other.delta)
-        end = max(self.gamma, other.gamma)
-        return start, end, self._extended(start, end), other._extended(start, end)
+        width = max(self.gamma, other.gamma) - start
+        return (
+            start,
+            _reframe(self.matrix, start - self.delta, width),
+            _reframe(other.matrix, start - other.delta, width),
+        )
 
     def _check_same(self, other):
         if not isinstance(other, FractionalIdeal):
@@ -238,14 +196,13 @@ class FractionalIdeal:
         if self.semigroup.conductor == 0:
             self._modgens = [TruncatedSeries.monomial(self.field, self.delta)]
             return self._modgens
-        start, end, mine, sub = self._align(self._maximal_product())
+        _, mine, span = self._align(self._maximal_product())
         picked = []
-        span = sub
         for row, wide in zip(self.matrix.rows, mine.rows):
             ok, _ = linalg.member(wide, span)
             if not ok:
                 picked.append(self._as_series(row))
-                span = linalg.sum_spaces(span, CoeffMatrix(self.field, end - start, [wide]))
+                span = linalg.sum_spaces(span, CoeffMatrix(self.field, mine.ncols, [wide]))
         if len(picked) != self.mu():
             raise ConsistencyError("generator extraction disagrees with mu")
         self._modgens = picked
@@ -273,22 +230,22 @@ class FractionalIdeal:
     def add(self, other):
         self._check_same(other)
         start = min(self.delta, other.delta)
-        width = min(self.gamma, other.gamma) - start
-        zero = self.field.zero()
-        rows = []
-        for ideal in (self, other):
-            pad = [zero] * (ideal.delta - start)
-            rows += [(pad + list(row))[:width] for row in ideal.matrix.rows]
-        return FractionalIdeal._build(
-            self.semigroup, start, CoeffMatrix(self.field, width, rows)
-        )
+        c = self.semigroup.conductor
+        rows = [
+            row
+            for ideal in (self, other)
+            for row in _reframe(ideal.matrix, start - ideal.delta, c).rows
+        ]
+        return FractionalIdeal._build(self.semigroup, start, CoeffMatrix(self.field, c, rows))
 
     def multiply(self, other):
         """Ideal product, spanned by (module generators) x (basis rows).
 
         Each product row is a convolution of the generator's coefficients
-        with a basis row b on the window [start, end).  It is known below
-        g.precision + order(b), exactly as TruncatedSeries.mul tracks it.
+        with a basis row b on the window [delta_I + delta_J, delta_I + gamma_J).
+        The constructor's precision bound, g.precision >= gamma_I, makes
+        every cell exact: TruncatedSeries.mul knows g b below
+        g.precision + order(b) >= gamma_I + delta_J.
         """
         self._check_same(other)
         gens = self.generators or self.module_generators()
@@ -296,16 +253,12 @@ class FractionalIdeal:
         if dmin != self.delta:
             raise ConsistencyError("stored generators miss the minimal order")
         start = self.delta + other.delta
-        end = self.delta + other.gamma
-        width = end - start
+        width = self.semigroup.conductor
         rows = []
         for g in gens:
             # term t^e of g moves a basis row e - delta_I places into the window
             terms = [(e - self.delta, v) for e, v in g.coeffs.items() if e - self.delta < width]
-            for b, piv in zip(other.matrix.rows, other.matrix.pivots):
-                if g.precision + other.delta + piv < end:
-                    # the series product raises the precision-naming error
-                    g.mul(other._as_series(b)).window_vector(start, width)
+            for b in other.matrix.rows:
                 row = [0] * width
                 for d, v in terms:
                     row[d:] = [x + v * y if y else x for x, y in zip(row[d:], b)]
@@ -327,33 +280,30 @@ class FractionalIdeal:
         coefficients of x.
         """
         self._check_same(other)
+        c = self.semigroup.conductor
         start = self.delta - other.delta
-        end = self.gamma - other.delta
-        nunk = end - start
-        width_i = self.gamma - self.delta
+        end = start + c
         # Window cell i of t^u g is g's coefficient at delta_I + i - u: all
         # shifts are slices of one coefficient list of g starting at lo.
         lo = self.delta - (end - 1)
         constraint_rows = []
         for g in other.module_generators():
             padded = g.window_vector(lo, self.gamma - start - lo)
-            vecs = [padded[end - 1 - u:end - 1 - u + width_i] for u in range(start, end)]
+            vecs = [padded[end - 1 - u:end - 1 - u + c] for u in range(start, end)]
             residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
             constraint_rows += [row for row in zip(*residuals) if any(row)]
-        constraint = CoeffMatrix(self.field, nunk, constraint_rows)
+        constraint = CoeffMatrix(self.field, c, constraint_rows)
         return FractionalIdeal._build(self.semigroup, start, linalg.nullspace(constraint))
 
     def intersect(self, other):
         self._check_same(other)
-        start, _, a, b = self._align(other)
+        start, a, b = self._align(other)
         return FractionalIdeal._build(self.semigroup, start, linalg.intersect(a, b))
 
     def shift(self, s: int):
         """Multiplication by t^s."""
         gens = [g.shift(s) for g in self.generators] if self.generators else None
-        return FractionalIdeal(
-            self.semigroup, self.field, self.delta + s, self.gamma + s, self.matrix, gens
-        )
+        return FractionalIdeal(self.semigroup, self.field, self.delta + s, self.matrix, gens)
 
     def contains_ideal(self, sub) -> bool:
         return self._aligned_if_contains(sub) is not None
@@ -371,7 +321,7 @@ class FractionalIdeal:
         self._check_same(sub)
         if sub.delta < self.delta:
             return None
-        _, _, mine, theirs = self._align(sub)
+        _, mine, theirs = self._align(sub)
         for row in theirs.rows:
             ok, _ = linalg.member(row, mine)
             if not ok:
@@ -381,21 +331,15 @@ class FractionalIdeal:
     def __eq__(self, other):
         if not isinstance(other, FractionalIdeal):
             return NotImplemented
-        if self.semigroup != other.semigroup or self.field != other.field:
-            return False
-        a, b = self._canonical(), other._canonical()
-        return a.delta == b.delta and a.matrix.rows == b.matrix.rows
+        return (
+            self.semigroup == other.semigroup
+            and self.field == other.field
+            and self.delta == other.delta
+            and self.matrix.rows == other.matrix.rows
+        )
 
     def __hash__(self):
-        a = self._canonical()
-        return hash((a.semigroup, a.field, a.delta, a.matrix.rows))
-
-    def _canonical(self):
-        if self.gamma == self.delta + self.semigroup.conductor:
-            return self
-        return FractionalIdeal._build(
-            self.semigroup, self.delta, self.matrix, generators=self.generators
-        )
+        return hash((self.semigroup, self.field, self.delta, self.matrix.rows))
 
     # -- companions ----------------------------------------------------------
 
@@ -440,14 +384,28 @@ def _shifted(row, a, zero):
     return ([zero] * a + list(row))[:len(row)]
 
 
-# -- module-level operation names -------------------------------------------
+def _reframe(matrix, shift, width):
+    """A reduced windowed span moved to a window ``width`` columns wide.
 
-def ideal_from_generators(semigroup, field, gens, slack=0) -> FractionalIdeal:
-    return FractionalIdeal.from_generators(semigroup, field, gens, slack=slack)
-
-
-def from_relative(ideal: RelativeIdeal, field: FieldSpec, slack=0) -> FractionalIdeal:
-    return FractionalIdeal.from_relative(ideal, field, slack=slack)
+    New column j is old column j + shift.  Columns before the old window
+    are zero (shift < 0 pads on the left); a positive shift drops columns
+    that must be zero in every row.  A cut on the right drops the rows
+    whose pivot falls past it, and the columns past the old window's end
+    get unit rows, since the tail beyond a window lies in the ideal.
+    Nothing is reduced again: the kept rows keep their pivots, and the
+    unit rows sit on columns where every old row is zero.
+    """
+    zero, one = matrix.field.zero(), matrix.field.one()
+    hi = shift + width  # the new window's end, in old columns
+    keep = bisect.bisect_left(matrix.pivots, hi)
+    lead, pad = (zero,) * -shift, (zero,) * (hi - matrix.ncols)
+    lo = max(shift, 0)
+    rows = [lead + r[lo:hi] + pad for r in matrix.rows[:keep]]
+    pivots = [piv - shift for piv in matrix.pivots[:keep]]
+    for u in range(matrix.ncols - shift, width):
+        rows.append((zero,) * u + (one,) + (zero,) * (width - u - 1))
+        pivots.append(u)
+    return CoeffMatrix(matrix.field, width, rows, pivots, reduced=True)
 
 
 @functools.cache

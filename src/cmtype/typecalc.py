@@ -80,8 +80,13 @@ def cokernel_formula(ideal):
 def _cokernel_mu(ideal, dual):
     K = ideal.canonical_ideal()
     image = dual.multiply(ideal)
-    mK = ideal.maximal_ideal().multiply(K)
-    return K.quotient_length(image.add(mK))
+    return K.quotient_length(image.add(_maximal_canonical(K)))
+
+
+@functools.cache
+def _maximal_canonical(K):
+    """m K: it depends only on the companions K and m."""
+    return K.maximal_ideal().multiply(K)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cmtype import linalg
 from cmtype.errors import ArgumentError, ConsistencyError, ContainmentError
-from cmtype.fracideal import FractionalIdeal, from_relative, ideal_from_generators
+from cmtype import fracideal
+from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import GF, QQ, CoeffMatrix, reduce_echelon
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
@@ -19,15 +20,15 @@ H37 = NumericalSemigroup([3, 7])
 H456 = NumericalSemigroup([4, 5, 6])
 
 
-def series_ideal(H, field, *exprs, slack=0):
-    return ideal_from_generators(H, field, [parse_series(s, field) for s in exprs], slack=slack)
+def series_ideal(H, field, *exprs):
+    return FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
 
 
 class TestConstruction:
     def test_monomial_pair_equals_relative(self):
         I = series_ideal(H345, QQ, "t^3", "t^4")
         assert (I.delta, I.gamma) == (3, 6)
-        assert I == from_relative(RelativeIdeal.from_exponents(H345, {3, 4}), QQ)
+        assert I == FractionalIdeal.from_relative(RelativeIdeal.from_exponents(H345, {3, 4}), QQ)
         assert I.is_monomial()
 
     def test_ulrich_window(self):
@@ -44,19 +45,33 @@ class TestConstruction:
 
     def test_all_zero_generators_rejected(self):
         with pytest.raises(ArgumentError):
-            ideal_from_generators(H345, QQ, [TruncatedSeries.zero(QQ)])
+            FractionalIdeal.from_generators(H345, QQ, [TruncatedSeries.zero(QQ)])
 
     def test_field_mismatch_rejected(self):
         with pytest.raises(ArgumentError):
-            ideal_from_generators(H345, QQ, [parse_series("t^3", GF(5))])
+            FractionalIdeal.from_generators(H345, QQ, [parse_series("t^3", GF(5))])
 
     def test_insufficient_precision_rejected(self):
         short = TruncatedSeries(QQ, {3: 1}, precision=4)
         with pytest.raises(ArgumentError, match="precision"):
-            ideal_from_generators(H345, QQ, [short])
+            FractionalIdeal.from_generators(H345, QQ, [short])
+
+    def test_constructor_allows_only_the_conductor_window(self):
+        I = series_ideal(H345, QQ, "t^3", "t^4")
+        assert (I.gamma - I.delta, I.matrix.ncols) == (3, 3)
+        for width in (2, 4):
+            rows = [[1] + [0] * (width - 1)]
+            with pytest.raises(ConsistencyError, match="width"):
+                FractionalIdeal(H345, QQ, 3, CoeffMatrix(QQ, width, rows))
+        exact_to_6 = TruncatedSeries(QQ, {3: 1}, precision=6)
+        assert FractionalIdeal(H345, QQ, 3, I.matrix, [exact_to_6]).gamma == 6
+        known_below_6 = TruncatedSeries(QQ, {3: 1}, precision=5)
+        with pytest.raises(ConsistencyError, match="precision 6"):
+            FractionalIdeal(H345, QQ, 3, I.matrix, [known_below_6])
 
     def test_zero_generators_dropped(self):
-        I = ideal_from_generators(H345, QQ, [TruncatedSeries.zero(QQ), parse_series("t^5", QQ)])
+        gens = [TruncatedSeries.zero(QQ), parse_series("t^5", QQ)]
+        I = FractionalIdeal.from_generators(H345, QQ, gens)
         assert I.delta == 5
 
 
@@ -74,7 +89,7 @@ class TestArithmetic:
         assert end.contains_ideal(R)
 
     def test_canonical_self_colon(self):
-        K = from_relative(H345.canonical_relative_ideal(), QQ)
+        K = FractionalIdeal.from_relative(H345.canonical_relative_ideal(), QQ)
         assert K.colon(K) == K.unit_ideal()
 
     def test_lengths_and_mu(self):
@@ -102,7 +117,7 @@ class TestArithmetic:
         expected = RelativeIdeal.from_exponents(H345, {3}).intersect(
             RelativeIdeal.from_exponents(H345, {4})
         )
-        assert a.intersect(b) == from_relative(expected, QQ)
+        assert a.intersect(b) == FractionalIdeal.from_relative(expected, QQ)
 
     def test_shift_round_trip(self):
         I = series_ideal(H37, QQ, "t^6 - t^7", "t^10")
@@ -132,37 +147,25 @@ class TestFindReduction:
 class TestFromRelative:
     def test_unit(self):
         R = RelativeIdeal.from_exponents(H345, {0})
-        assert from_relative(R, QQ) == from_relative(R, QQ).unit_ideal()
+        S = FractionalIdeal.from_relative(R, QQ)
+        assert S == S.unit_ideal()
 
     def test_canonical_mu(self):
-        K = from_relative(H345.canonical_relative_ideal(), QQ)
+        K = FractionalIdeal.from_relative(H345.canonical_relative_ideal(), QQ)
         assert K.mu() == 2
 
     def test_matches_generator_construction(self):
         E = RelativeIdeal.from_exponents(H345, {3, 5})
-        assert from_relative(E, QQ) == series_ideal(H345, QQ, "t^3", "t^5")
+        assert FractionalIdeal.from_relative(E, QQ) == series_ideal(H345, QQ, "t^3", "t^5")
 
     def test_support_round_trip(self):
         rng = random.Random(21)
         for _ in range(40):
             H = random_semigroup(rng)
             E = random_relative_ideal(rng, H)
-            S = from_relative(E, GF(3))
+            S = FractionalIdeal.from_relative(E, GF(3))
             assert S.support_ideal() == E
-            assert from_relative(S.support_ideal(), GF(3)).contains_ideal(S)
-
-
-class TestPrecisionStability:
-    def test_slack_does_not_change_results(self):
-        field = GF(5)
-        for slack in (0, 1, 3):
-            a = series_ideal(H37, field, "t^6 - 2*t^7", "t^10", slack=slack)
-            b = series_ideal(H37, field, "t^6 - 2*t^7", "t^10", slack=slack + 3)
-            assert a == b
-            assert a.colon(a) == b.colon(b)
-            assert a.multiply(a) == b.multiply(b)
-            assert a.mu() == b.mu()
-            assert a.unit_ideal().quotient_length(a) == b.unit_ideal().quotient_length(b)
+            assert FractionalIdeal.from_relative(S.support_ideal(), GF(3)).contains_ideal(S)
 
 
 class TestEngineAgreement:
@@ -175,12 +178,12 @@ class TestEngineAgreement:
             field = rng.choice([QQ, GF(2), GF(5)])
             E = random_relative_ideal(rng, H)
             F = random_relative_ideal(rng, H)
-            a, b = from_relative(E, field), from_relative(F, field)
+            a, b = FractionalIdeal.from_relative(E, field), FractionalIdeal.from_relative(F, field)
             assert a.mu() == E.mu()
-            assert a.colon(b) == from_relative(E.colon(F), field)
-            assert a.multiply(b) == from_relative(E.multiply(F), field)
-            assert a.add(b) == from_relative(E.add(F), field)
-            assert a.intersect(b) == from_relative(E.intersect(F), field)
+            assert a.colon(b) == FractionalIdeal.from_relative(E.colon(F), field)
+            assert a.multiply(b) == FractionalIdeal.from_relative(E.multiply(F), field)
+            assert a.add(b) == FractionalIdeal.from_relative(E.add(F), field)
+            assert a.intersect(b) == FractionalIdeal.from_relative(E.intersect(F), field)
             assert a.contains_ideal(b) == E.contains_ideal(F)
             if E.contains_ideal(F):
                 assert a.quotient_length(b) == E.quotient_length(F)
@@ -194,12 +197,12 @@ class TestEngineAgreement:
             for E in ideals:
                 field = rng.choice([QQ, GF(5)])
                 red = E.find_reduction()
-                got = from_relative(E, field).find_reduction()
+                got = FractionalIdeal.from_relative(E, field).find_reduction()
                 outcomes.add(red is None)
                 if red is None:
                     assert got is None
                 else:
-                    assert got == from_relative(red, field)
+                    assert got == FractionalIdeal.from_relative(red, field)
         assert outcomes == {True, False}
 
 
@@ -266,8 +269,8 @@ class TestRowLayerReference:
     def test_multiply_colon_validate(self):
         corrupted_unstable = 0
         for H, field, (gens_i, gens_j) in self.instances():
-            I = ideal_from_generators(H, field, gens_i)
-            J = ideal_from_generators(H, field, gens_j)
+            I = FractionalIdeal.from_generators(H, field, gens_i)
+            J = FractionalIdeal.from_generators(H, field, gens_j)
             assert not (I.is_monomial() and J.is_monomial())
             results = []
             for a, b in ((I, J), (J, I), (I, I)):
@@ -284,8 +287,8 @@ class TestRowLayerReference:
                 k = len(rows) // 2
                 del rows[k], pivots[k]
                 broken = FractionalIdeal(
-                    H, field, X.delta, X.gamma,
-                    CoeffMatrix(field, X.gamma - X.delta, rows, pivots=pivots, reduced=True),
+                    H, field, X.delta,
+                    CoeffMatrix(field, H.conductor, rows, pivots=pivots, reduced=True),
                 )
                 if series_stable(broken):
                     broken.validate()
@@ -297,21 +300,15 @@ class TestRowLayerReference:
 
     def test_generator_precision_at_the_window_edge(self):
         for H, field, (gens_i, gens_j) in self.instances():
-            I = ideal_from_generators(H, field, gens_i)
+            I = FractionalIdeal.from_generators(H, field, gens_i)
             tight = [TruncatedSeries(field, g.coeffs, precision=I.gamma) for g in gens_i]
-            I_tight = ideal_from_generators(H, field, tight)
+            I_tight = FractionalIdeal.from_generators(H, field, tight)
             assert I_tight == I
-            J = ideal_from_generators(H, field, gens_j)
+            J = FractionalIdeal.from_generators(H, field, gens_j)
             assert I_tight.multiply(J) == series_multiply(I_tight, J) == I.multiply(J)
-            # J's window one wider needs each generator of I one term further
-            J_wide = ideal_from_generators(H, field, gens_j, slack=1)
-            with pytest.raises(ArgumentError, match="precision"):
-                I_tight.multiply(J_wide)
-            with pytest.raises(ArgumentError, match="precision"):
-                series_multiply(I_tight, J_wide)
             short = [TruncatedSeries(field, g.coeffs, precision=I.gamma - 1) for g in gens_i]
             with pytest.raises(ArgumentError, match="precision"):
-                ideal_from_generators(H, field, short)
+                FractionalIdeal.from_generators(H, field, short)
 
 
 class TestColonBruteForce:
@@ -355,10 +352,10 @@ class TestColonBruteForce:
                 for e in range(o + 1, o + 4):
                     coeffs[e] = rng.randrange(p)
                 gens.append(TruncatedSeries(field, coeffs))
-            I = ideal_from_generators(H, field, gens)
+            I = FractionalIdeal.from_generators(H, field, gens)
             if I.gamma - I.delta > 8 or p ** (I.gamma - I.delta) > 7000:
                 continue
-            J = ideal_from_generators(H, field, gens[:1])
+            J = FractionalIdeal.from_generators(H, field, gens[:1])
             start, end, rows = self._brute_colon_rows(I, J)
             rebuilt = FractionalIdeal._build(H, start, CoeffMatrix(field, end - start, rows))
             assert rebuilt == I.colon(J)
@@ -379,7 +376,7 @@ def test_validate_on_random_operation_results():
                 if rng.random() < 0.6:
                     coeffs[e] = rng.randrange(1, p)
             gens.append(TruncatedSeries(field, coeffs))
-        I = ideal_from_generators(H, field, gens)
+        I = FractionalIdeal.from_generators(H, field, gens)
         K = I.canonical_ideal()
         for result in (I, I.colon(I), I.multiply(I), K.colon(I), I.intersect(K), I.add(K)):
             result.validate()
@@ -445,9 +442,9 @@ class TestWorkCounts:
         I = series_ideal(H37, QQ, "t^6 - t^7", "t^10")
         R = I.unit_ideal()
         calls = []
-        original = FractionalIdeal._extended
+        original = fracideal._reframe
         monkeypatch.setattr(
-            FractionalIdeal, "_extended", lambda *args: calls.append(args) or original(*args)
+            fracideal, "_reframe", lambda *args: calls.append(args) or original(*args)
         )
         assert R.quotient_length(I) == 3
         assert len(calls) == 2

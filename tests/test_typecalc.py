@@ -1,5 +1,6 @@
 """The type formulas and the work one report does, on both ideal engines."""
 
+import inspect
 import re
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 
 from cmtype import typecalc
 from cmtype.errors import ConsistencyError
-from cmtype.fracideal import FractionalIdeal, from_relative, ideal_from_generators
+from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import GF, QQ
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
@@ -19,7 +20,7 @@ H37 = NumericalSemigroup([3, 7])
 
 def ulrich_ideal(field=GF(5)):
     gens = [parse_series(s, field) for s in ("t^6 - t^7", "t^10")]
-    return ideal_from_generators(H37, field, gens)
+    return FractionalIdeal.from_generators(H37, field, gens)
 
 
 def cases():
@@ -27,13 +28,29 @@ def cases():
     K = H345.canonical_relative_ideal()
     out = [("monomial m", m), ("monomial K", K)]
     for field in (QQ, GF(5)):
-        out += [(f"series m {field}", from_relative(m, field)),
-                (f"series K {field}", from_relative(K, field))]
+        out += [(f"series m {field}", FractionalIdeal.from_relative(m, field)),
+                (f"series K {field}", FractionalIdeal.from_relative(K, field))]
     out.append(("series Ulrich", ulrich_ideal()))
     return out
 
 
 CASES = cases()
+
+# Every operation typecalc and constructions call on an ideal, whichever the engine.
+ENGINE_CONTRACT = (
+    "add", "multiply", "colon", "intersect", "shift", "contains_ideal", "quotient_length",
+    "mu", "is_principal", "find_reduction", "unit_ideal", "canonical_ideal", "maximal_ideal",
+    "describe",
+)
+
+
+@pytest.mark.parametrize("name", ENGINE_CONTRACT)
+def test_both_engines_define_the_contract_alike(name):
+    params = []
+    for cls in (RelativeIdeal, FractionalIdeal):
+        assert name in vars(cls), f"{cls.__name__} lacks {name}"
+        params.append(list(inspect.signature(vars(cls)[name]).parameters))
+    assert params[0] == params[1]
 
 
 @pytest.mark.parametrize("name, ideal", CASES, ids=[name for name, _ in CASES])
@@ -99,13 +116,28 @@ class TestWorkCounts:
         assert pairs[(False, True, True)] <= 1  # m I
         assert sum(1 for (a,) in mus if a is I) > 1
 
+    def test_two_series_reports_make_one_maximal_canonical_product(self, monkeypatch):
+        field = GF(5)
+        ideals = [
+            FractionalIdeal.from_generators(H345, field, [parse_series(s, field) for s in exprs])
+            for exprs in (("t^3 - t^4", "t^5"), ("t^4 + 2*t^5", "t^6"))
+        ]
+        K, m = ideals[0].canonical_ideal(), ideals[0].maximal_ideal()
+        K.mu()  # K's own m K, built here, outside the count
+        typecalc._maximal_canonical.cache_clear()
+        products = []
+        count_calls(monkeypatch, FractionalIdeal, "multiply", products)
+        for I in ideals:
+            assert typecalc.classify(I).consistent
+        assert sum(1 for a, b in products if a is m and b is K) == 1
+
     @pytest.mark.parametrize("gens, exprs, colons", [
         ([3, 7], ("t^6 - t^7", "t^10"), 4),  # symmetric: R : I is the K : I already built
         ([3, 4, 5], ("t^3 - t^4", "t^5"), 5),
     ])
     def test_series_classify_computes_each_colon_once(self, monkeypatch, gens, exprs, colons):
         H, field = NumericalSemigroup(gens), GF(5)
-        I = ideal_from_generators(H, field, [parse_series(s, field) for s in exprs])
+        I = FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
         typecalc._parameter_socle(I.unit_ideal(), H.multiplicity)
         record = []
         count_calls(monkeypatch, FractionalIdeal, "colon", record)
