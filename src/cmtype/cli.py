@@ -9,6 +9,7 @@ json module byte-identically.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -41,7 +42,9 @@ _FILTER_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="cmtype",
         description="Cohen-Macaulay types of idealizations over numerical semigroup rings",

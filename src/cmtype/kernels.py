@@ -1,8 +1,25 @@
 """Exact row-reduction kernels over F_p and the rationals.
 
 Matrices are sequences of rows.  Prime field entries are ints, returned
-in ``[0, p)`` wherever a function computes them; rational entries are
-``fractions.Fraction``.  All functions leave their inputs untouched.
+in ``[0, p)`` wherever a function computes them.  Rational entries may be
+ints or ``fractions.Fraction``s, and ``rref_qq`` returns Fractions.  All
+functions leave their inputs untouched.
+
+``rref_qq`` is fraction-free.  It scales each row to integers by the lcm of
+its denominators, eliminates with row_i <- a row_i - b pivot_row (a and b
+divided by their gcd) and divides each changed row by its content, so the
+integers stay about the size of the data, the job Bareiss's division by the
+previous pivot does (Math. Comp. 22, 1968).  A ``Fraction`` is built only
+for the nonzero cells of the rows it returns, each divided by its pivot;
+elimination on Fractions instead made a gcd for every product of two cells.
+Most cells that come back into a reduction are zero, and the zeros this
+module emits are the one ``ZERO``, so ``_integer_rows`` recognises them by
+identity and reads ``numerator`` only off the other Fractions; in a profile
+of the benchmark's ``series-qq`` inputs that conversion is still about a
+third of the kernel's time.  ``reduce_rows_qq`` (and ``linalg.member``)
+stay on Fractions: a prototype that also ran them on integer rows, with
+the integer view of each reduced basis cached on the matrix, was slower
+(9.0 against 8.3 ms per calibrated ``series-qq`` item, 150 items of seed 1).
 
 There is one implementation, in pure Python, and no compiled kernel: the
 inner loops are slice comprehensions from the pivot column on.  A compiled
@@ -12,16 +29,24 @@ a build step for a package that installs and runs as plain Python.  With
 each ideal operation reducing once, the benchmark's traced ``kernels.share``
 (kernel time over item time, seed 1, three runs) is 0.37-0.39 on
 ``series-fp``, where a 19x kernel would cap at 1/(0.61 + 0.39/19) ~ 1.6x
-end to end, and 0.37-0.41 on ``series-qq``, whose ``Fraction`` entries a C
-loop cannot speed up; it is 0 on the monomial and semigroup workloads.  Kernel time is cut instead by
-making fewer and smaller reductions.
+end to end; it is 0 on the monomial and semigroup workloads.  On
+``series-qq`` it is 0.40-0.42 with the fraction-free kernel, against
+0.37-0.41 with Fraction elimination: the kernel's own traced time fell by
+about 40%, and the rest of each item fell too, since the CLI now builds its
+parser once.  Kernel time is cut by making fewer and smaller reductions.
 """
 
+import math
 from fractions import Fraction
 
 # Recorded on the benchmark environment line, which refuses to compare runs
 # of different backends.
 BACKEND = "python"
+
+# The rational zero that rref_qq emits and QQ.zero() returns.  Rows fed back
+# into a reduction mostly hold this object, and _integer_rows tests it by
+# identity; any other zero takes the general path.
+ZERO = Fraction(0)
 
 
 def rref_fp(rows, p):
@@ -82,37 +107,62 @@ def reduce_rows_fp(vecs, basis, pivots, p):
     return out
 
 
+def _integer_rows(rows):
+    """The rows as lists of ints, each scaled by the lcm of its denominators."""
+    m = [[0 if x is ZERO else x if type(x) is int else x.numerator for x in r] for r in rows]
+    if {x.denominator for r in rows for x in r if x is not ZERO and type(x) is not int} <= {1}:
+        return m
+    for k, (row, nums) in enumerate(zip(rows, m)):
+        lcm = math.lcm(*[x.denominator for x in row if x is not ZERO and type(x) is not int])
+        if lcm > 1:
+            m[k] = [n * (lcm // x.denominator) for x, n in zip(row, nums)]
+    return m
+
+
 def rref_qq(rows):
-    """Reduced row echelon form over the rationals (exact Fractions)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form over the rationals.
+
+    Entries may be ints or Fractions.  Returns ``(reduced_rows, pivot_cols)``
+    like ``rref_fp``, with every cell a Fraction and every zero cell ``ZERO``.
+    """
+    m = _integer_rows(rows)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
     rank = 0
     for col in range(ncols):
-        pivot_row = -1
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot_row = i
+        for pivot_row in range(rank, nrows):
+            if m[pivot_row][col]:
                 break
-        if pivot_row < 0:
+        else:
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        row = m[rank]
-        row[col:] = tail = [x * inv if x else x for x in row[col:]]
-        for i in range(nrows):
-            if i == rank:
-                continue
-            ri = m[i]
-            f = ri[col]
-            if f:
-                ri[col:] = [a - f * b if b else a for a, b in zip(ri[col:], tail)]
+        a = m[rank][col]
+        if a < 0:
+            m[rank] = [-x for x in m[rank]]
+            a = -a
+        tail = m[rank][col:]
+        for i, ri in enumerate(m):
+            b = ri[col]
+            if b and i != rank:
+                # row_i <- a row_i - b pivot_row, with a and b divided by their gcd;
+                # the pivot row is zero left of col.
+                g = math.gcd(a, b)
+                ai, bi = a // g, b // g
+                if ai == 1:
+                    ri[col:] = [x - bi * y for x, y in zip(ri[col:], tail)]
+                else:
+                    ri = [ai * x for x in ri[:col]] + [
+                        ai * x - bi * y for x, y in zip(ri[col:], tail)
+                    ]
+                g = math.gcd(*ri)
+                m[i] = [x // g for x in ri] if g > 1 else ri
         pivots.append(col)
         rank += 1
         if rank == nrows:
             break
-    return m[:rank], pivots
+    reduced = [[Fraction(x, row[col]) if x else ZERO for x in row] for row, col in zip(m, pivots)]
+    return reduced, pivots
 
 
 def reduce_rows_qq(vecs, basis, pivots):

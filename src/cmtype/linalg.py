@@ -12,9 +12,12 @@ prime field elements are ints in [0, p).  Every row a CoeffMatrix holds is
 canonical in that sense, and each cell is coerced at most once, where it
 enters a row reduction:
 
-  * over QQ, ``_rref`` and ``_reduce_rows`` wrap the cells that are not yet
-    ``Fraction``s (ints, from callers and from products); ``member`` does
-    the same for the vector it tests;
+  * over QQ, ``_rref`` passes its rows on as they are: ``kernels.rref_qq``
+    accepts ints and ``Fraction``s alike, eliminates on integer rows and
+    emits ``Fraction``s, with every zero cell the one ``kernels.ZERO``
+    that ``QQ.zero()`` also returns.  ``_reduce_rows`` wraps the cells that
+    are not yet ``Fraction``s (ints, from callers and from products), and
+    ``member`` does the same for the vector it tests;
   * over F_p, cells are ints, canonical or not (``multiply``'s convolution
     emits sums of products).  There is no ``x % p`` pass: the kernels reduce
     every cell they rewrite and zero the cells left of each pivot, so a
@@ -73,7 +76,7 @@ class FieldSpec:
         return self.kind == "prime_field"
 
     def zero(self):
-        return 0 if self.is_prime_field else Fraction(0)
+        return 0 if self.is_prime_field else kernels.ZERO
 
     def one(self):
         return 1 if self.is_prime_field else Fraction(1)
@@ -115,7 +118,10 @@ class CoeffMatrix:
         self.ncols = ncols
         if not reduced:
             rows, pivots = _rref(field, rows)
-        self.rows = tuple(tuple(r) for r in rows)
+        # tuple() of a list, not of a generator: CPython builds the latter at a
+        # guessed size and resizes it, so the tuples it frees pile up on the
+        # interpreter's per-size free lists until a full garbage collection.
+        self.rows = tuple([tuple(r) for r in rows])
         if pivots is None:
             pivots = [next(i for i, x in enumerate(r) if x) for r in self.rows]
         self.pivots = tuple(pivots)
@@ -145,7 +151,7 @@ class CoeffMatrix:
 def _rref(field: FieldSpec, rows):
     if field.is_prime_field:
         return kernels.rref_fp(rows, field.characteristic)
-    return kernels.rref_qq([[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows])
+    return kernels.rref_qq(rows)
 
 
 def _reduce_rows(field: FieldSpec, vecs, basis: CoeffMatrix):

@@ -29,10 +29,19 @@ def module_type(ideal) -> int:
 
 def quotient_type(ideal) -> int:
     """r(R/I): socle dimension of R/I, for a proper nonzero ideal I of R."""
-    R = ideal.unit_ideal()
-    if not R.contains_ideal(ideal) or ideal == R:
+    if not _is_proper(ideal):
         raise ArgumentError("quotient type needs a proper ideal contained in R")
-    socle = ideal.colon(ideal.maximal_ideal()).intersect(R)
+    return _quotient_type(ideal)
+
+
+def _is_proper(ideal) -> bool:
+    R = ideal.unit_ideal()
+    return R.contains_ideal(ideal) and ideal != R
+
+
+def _quotient_type(ideal) -> int:
+    """quotient_type for an ideal the caller knows to be proper."""
+    socle = ideal.colon(ideal.maximal_ideal()).intersect(ideal.unit_ideal())
     return socle.quotient_length(ideal)
 
 
@@ -180,12 +189,17 @@ def is_ulrich_ideal(ideal) -> bool:
     Freeness is decided by lengths: the natural surjection from a free
     module of rank mu(I) is an isomorphism iff len(I/I^2) = mu(I) len(R/I).
     """
-    R = ideal.unit_ideal()
-    if not R.contains_ideal(ideal) or ideal == R:
+    if not _is_proper(ideal):
         raise ArgumentError("Ulrich ideals are proper ideals of R")
+    return _is_ulrich_ideal(ideal)
+
+
+def _is_ulrich_ideal(ideal) -> bool:
+    """is_ulrich_ideal for an ideal the caller knows to be proper."""
     squared = ideal.multiply(ideal)
     if ideal.find_reduction(squared) is None or ideal.mu() < 2:
         return False
+    R = ideal.unit_ideal()
     return ideal.quotient_length(squared) == ideal.mu() * R.quotient_length(ideal)
 
 
@@ -274,6 +288,7 @@ def classify(ideal) -> IdealReport:
     inv = H.invariants()
     R = ideal.unit_ideal()
     m = ideal.maximal_ideal()
+    # R >= I is tested once; the private forms below skip the public precondition.
     in_ring = R.contains_ideal(ideal)
     proper = in_ring and ideal != R
 
@@ -285,14 +300,14 @@ def classify(ideal) -> IdealReport:
     itype = _idealization_type(ideal, e, dual, annihilator)
     r_mod = itype.module_type
     value = itype.value
-    r_quot = quotient_type(ideal) if proper else None
+    r_quot = _quotient_type(ideal) if proper else None
     r_ring = inv.type
 
     endo = ideal.colon(ideal)
     closed = endo == R
     faithful = _is_residually_faithful(ideal, annihilator)
     trace = in_ring and _is_trace(ideal, endo, dual)
-    ulrich_ideal = is_ulrich_ideal(ideal) if proper else False
+    ulrich_ideal = _is_ulrich_ideal(ideal) if proper else False
     ulrich_wrt_m = is_ulrich_module_wrt(ideal)
     principal = ideal.is_principal()
     canonical = value == 1  # Reiten: the idealization is Gorenstein iff I = K up to units

@@ -1,6 +1,7 @@
-"""Shared generators for randomized tests (all explicitly seeded)."""
+"""Shared generators for randomized tests (all explicitly seeded) and references."""
 
 import math
+from fractions import Fraction
 
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
@@ -33,3 +34,29 @@ SERIES_POOL = [
     [5, 6, 7],
     [3, 7],
 ]
+
+
+def rref_qq_reference(rows):
+    """Gauss-Jordan elimination on Fractions: the reference for kernels.rref_qq.
+
+    Returns ``(reduced_rows, pivot_cols)`` with the same contract.
+    """
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, nrows) if m[i][col]), -1)
+        if pivot_row < 0:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = tail = [x * inv for x in m[rank]]
+        for i in range(nrows):
+            f = m[i][col]
+            if i != rank and f:
+                m[i] = [a - f * b for a, b in zip(m[i], tail)]
+        pivots.append(col)
+        rank += 1
+    return m[:rank], pivots

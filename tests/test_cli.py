@@ -48,6 +48,44 @@ def test_ideal_analyze_json(capsys):
     assert report["methods"]["socle"] == report["methods"]["cokernel"] == report["r_idealization"]
 
 
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        code, _ = run_json(capsys, ["semigroup", "info", "3,5"])
+        assert code == cli.EXIT_OK
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def without_timing(doc):
+    return {k: v for k, v in doc.items() if k != "timing_ms"}
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    info = ["semigroup", "info", "3,5"]
+    analyze = ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4 - t^5, t^6"]
+    cli.build_parser.cache_clear()
+    assert cli.main(info) == cli.EXIT_OK
+    fresh_text = capsys.readouterr().out
+    cli.build_parser.cache_clear()
+    _, fresh_doc = run_json(capsys, analyze)
+
+    # a --json call, then a plain call
+    run_json(capsys, info)
+    assert cli.main(info) == cli.EXIT_OK
+    assert capsys.readouterr().out == fresh_text
+    # an argparse error (exit 2) and an input error, each followed by a valid call
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ideal", "analyze", "--semigroup", "4,5,6"])
+    assert exc.value.code == cli.EXIT_INPUT
+    _, doc = run_json(capsys, analyze)
+    assert without_timing(doc) == without_timing(fresh_doc)
+    assert cli.main(analyze + ["--field", "fp:4"]) == cli.EXIT_INPUT
+    _, doc = run_json(capsys, analyze)
+    assert without_timing(doc) == without_timing(fresh_doc)
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_parse_error_caret(capsys):
     gens = "t^4+t^"
     code = cli.main(["ideal", "analyze", "--semigroup", "4,5,6", "--gens", gens])

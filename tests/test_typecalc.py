@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from cmtype import typecalc
-from cmtype.errors import ConsistencyError
+from cmtype.errors import ArgumentError, ConsistencyError
 from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import GF, QQ
 from cmtype.relideal import RelativeIdeal
@@ -81,6 +81,16 @@ class TestFormulas:
             assert typecalc._parameter_socle.cache_info().hits == hits + 1
             assert typecalc._parameter_socle(R, a) == socle
 
+    def test_classify_matches_the_public_predicates(self, name, ideal):
+        report = typecalc.classify(ideal)
+        if report.proper:
+            assert report.quotient_type == typecalc.quotient_type(ideal)
+            assert report.flags["is_ulrich_ideal"] == typecalc.is_ulrich_ideal(ideal)
+        for target in [ideal.unit_ideal()] + ([] if report.proper else [ideal]):
+            for public in (typecalc.quotient_type, typecalc.is_ulrich_ideal):
+                with pytest.raises(ArgumentError):
+                    public(target)
+
     @pytest.mark.parametrize("route", ["_socle_excess", "_cokernel_mu"])
     def test_a_route_off_by_one_is_caught(self, name, ideal, monkeypatch, route):
         original = getattr(typecalc, route)
@@ -130,6 +140,16 @@ class TestWorkCounts:
         for I in ideals:
             assert typecalc.classify(I).consistent
         assert sum(1 for a, b in products if a is m and b is K) == 1
+
+    def test_series_classify_tests_containment_once(self, monkeypatch):
+        field = GF(5)
+        gens = [parse_series(s, field) for s in ("t^3 - t^4", "t^5")]
+        I = FractionalIdeal.from_generators(H345, field, gens)
+        record = []
+        count_calls(monkeypatch, FractionalIdeal, "contains_ideal", record)
+        report = typecalc.classify(I)
+        assert report.proper and report.consistent
+        assert len(record) == 1
 
     @pytest.mark.parametrize("gens, exprs, colons", [
         ([3, 7], ("t^6 - t^7", "t^10"), 4),  # symmetric: R : I is the K : I already built
