@@ -10,16 +10,13 @@ its denominators, eliminates with row_i <- a row_i - b pivot_row (a and b
 divided by their gcd) and divides each changed row by its content, so the
 integers stay about the size of the data, the job Bareiss's division by the
 previous pivot does (Math. Comp. 22, 1968).  A ``Fraction`` is built only
-for the nonzero cells of the rows it returns, each divided by its pivot;
-elimination on Fractions instead made a gcd for every product of two cells.
-Most cells that come back into a reduction are zero, and the zeros this
-module emits are the one ``ZERO``, so ``_integer_rows`` recognises them by
-identity and reads ``numerator`` only off the other Fractions; in a profile
-of the benchmark's ``series-qq`` inputs that conversion is still about a
-third of the kernel's time.  ``reduce_rows_qq`` (and ``linalg.member``)
-stay on Fractions: a prototype that also ran them on integer rows, with
-the integer view of each reduced basis cached on the matrix, was slower
-(9.0 against 8.3 ms per calibrated ``series-qq`` item, 150 items of seed 1).
+for the nonzero cells of the rows it returns, each divided by its pivot,
+and every zero cell is the one ``ZERO``.  Most cells that come back into a
+reduction are zero, so ``_integer_rows`` recognises them by identity and
+reads ``numerator`` only off the other Fractions.  ``reduce_rows_qq`` (and
+``linalg.member``) stay on Fractions: a prototype that also ran them on
+integer rows, with the integer view of each reduced basis cached on the
+matrix, was slower.
 
 There is one implementation, in pure Python, and no compiled kernel: the
 inner loops are slice comprehensions from the pivot column on.  A compiled
@@ -29,11 +26,9 @@ a build step for a package that installs and runs as plain Python.  With
 each ideal operation reducing once, the benchmark's traced ``kernels.share``
 (kernel time over item time, seed 1, three runs) is 0.37-0.39 on
 ``series-fp``, where a 19x kernel would cap at 1/(0.61 + 0.39/19) ~ 1.6x
-end to end; it is 0 on the monomial and semigroup workloads.  On
-``series-qq`` it is 0.40-0.42 with the fraction-free kernel, against
-0.37-0.41 with Fraction elimination: the kernel's own traced time fell by
-about 40%, and the rest of each item fell too, since the CLI now builds its
-parser once.  Kernel time is cut by making fewer and smaller reductions.
+end to end, and about 0.4 on ``series-qq``; it is 0 on the monomial and
+semigroup workloads.  Kernel time is cut by making fewer and smaller
+reductions.
 """
 
 import math
@@ -110,8 +105,6 @@ def reduce_rows_fp(vecs, basis, pivots, p):
 def _integer_rows(rows):
     """The rows as lists of ints, each scaled by the lcm of its denominators."""
     m = [[0 if x is ZERO else x if type(x) is int else x.numerator for x in r] for r in rows]
-    if {x.denominator for r in rows for x in r if x is not ZERO and type(x) is not int} <= {1}:
-        return m
     for k, (row, nums) in enumerate(zip(rows, m)):
         lcm = math.lcm(*[x.denominator for x in row if x is not ZERO and type(x) is not int])
         if lcm > 1:
@@ -138,9 +131,6 @@ def rref_qq(rows):
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
         a = m[rank][col]
-        if a < 0:
-            m[rank] = [-x for x in m[rank]]
-            a = -a
         tail = m[rank][col:]
         for i, ri in enumerate(m):
             b = ri[col]
@@ -149,12 +139,7 @@ def rref_qq(rows):
                 # the pivot row is zero left of col.
                 g = math.gcd(a, b)
                 ai, bi = a // g, b // g
-                if ai == 1:
-                    ri[col:] = [x - bi * y for x, y in zip(ri[col:], tail)]
-                else:
-                    ri = [ai * x for x in ri[:col]] + [
-                        ai * x - bi * y for x, y in zip(ri[col:], tail)
-                    ]
+                ri = [ai * x for x in ri[:col]] + [ai * x - bi * y for x, y in zip(ri[col:], tail)]
                 g = math.gcd(*ri)
                 m[i] = [x // g for x in ri] if g > 1 else ri
         pivots.append(col)
