@@ -16,7 +16,7 @@ import time
 
 from . import verify
 from .constructions import enumerate_monomial_ideals, sup_search
-from .errors import ArgumentError, CmtypeError, ConsistencyError, ParseError
+from .errors import ArgumentError, CmtypeError, ConsistencyError, ParseError, ResourceLimitError
 from .fracideal import FractionalIdeal
 from .linalg import GF, QQ
 from .relideal import RelativeIdeal
@@ -29,6 +29,11 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_INPUT = 2
+
+# The series engine row-reduces matrices about c columns wide, c the conductor,
+# so `ideal analyze` on it takes seconds at this cap and minutes at a few times
+# it; above the cap it refuses the input.  The monomial engine has no cap.
+SERIES_CONDUCTOR_LIMIT = 600
 
 # `enumerate` yields the delta-0 shift of each ideal, which contains R, so only
 # the flags that do not change under a shift mean anything there: is_trace
@@ -63,7 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--semigroup", required=True, help="comma-separated generators")
     p_an.add_argument("--gens", required=True, help="comma-separated series expressions")
     p_an.add_argument("--field", default="qq", help="qq or fp:<prime> (default qq)")
-    p_an.add_argument("--engine", default="auto", choices=["auto", "monomial", "series"])
+    p_an.add_argument(
+        "--engine", default="auto", choices=["auto", "monomial", "series"],
+        help="the series engine refuses conductors above "
+        f"SERIES_CONDUCTOR_LIMIT = {SERIES_CONDUCTOR_LIMIT}",
+    )
     p_an.add_argument("--json", action="store_true")
 
     p_ver = sub.add_parser("verify", help="verification suites")
@@ -122,6 +131,16 @@ def _build_ideal(H, field, gens, engine: str):
         if not monomial:
             raise ArgumentError("the monomial engine needs single-term generators")
         return RelativeIdeal.from_exponents(H, {g.order for g in gens})
+    c = H.conductor
+    if c > SERIES_CONDUCTOR_LIMIT:
+        # the generator shifts that from_generators row-reduces first
+        orders = [g.order for g in gens if g.order is not None]
+        rows = sum(len(H.members(0, min(orders) + c - o)) for o in orders)
+        raise ResourceLimitError(
+            f"conductor {c} of {H} exceeds the series engine's cap "
+            f"SERIES_CONDUCTOR_LIMIT = {SERIES_CONDUCTOR_LIMIT}: its first matrix "
+            f"alone is {rows} x {c}"
+        )
     return FractionalIdeal.from_generators(H, field, gens)
 
 

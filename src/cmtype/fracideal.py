@@ -133,13 +133,10 @@ class FractionalIdeal:
         elif self.gamma > self.delta:
             raise ConsistencyError("empty basis on a nonempty window")
         zero = self.field.zero()
-        for r in self.matrix.rows:
-            for a in self.semigroup.generators:
-                ok, _ = linalg.member(_shifted(r, a, zero), self.matrix)
-                if not ok:
-                    raise ConsistencyError(
-                        f"span is not stable under multiplication by t^{a}"
-                    )
+        for a in self.semigroup.generators:
+            shifted = [_shifted(r, a, zero) for r in self.matrix.rows]
+            if any(map(any, linalg._reduce_rows(self.field, shifted, self.matrix))):
+                raise ConsistencyError(f"span is not stable under multiplication by t^{a}")
 
     # -- views --------------------------------------------------------------
 
@@ -190,19 +187,23 @@ class FractionalIdeal:
     # -- module structure ----------------------------------------------------
 
     def module_generators(self):
-        """A minimal system of R-module generators, as exact polynomials."""
+        """A minimal system of R-module generators, as exact polynomials.
+
+        Basis row i is picked iff it is not in m I plus the rows picked
+        before it, that is, iff its residual modulo m I is not in the span
+        of the earlier rows' residuals: iff column i is a pivot column of
+        the matrix whose columns are the residuals.
+        """
         if self._modgens is not None:
             return self._modgens
         if self.semigroup.conductor == 0:
             self._modgens = [TruncatedSeries.monomial(self.field, self.delta)]
             return self._modgens
         _, mine, span = self._align(self._maximal_product())
-        picked = []
-        for row, wide in zip(self.matrix.rows, mine.rows):
-            ok, _ = linalg.member(wide, span)
-            if not ok:
-                picked.append(self._as_series(row))
-                span = linalg.sum_spaces(span, CoeffMatrix(self.field, mine.ncols, [wide]))
+        rank = self.matrix.rank
+        residuals = linalg._reduce_rows(self.field, mine.rows[:rank], span)
+        columns = CoeffMatrix(self.field, rank, list(zip(*residuals)))
+        picked = [self._as_series(self.matrix.rows[i]) for i in columns.pivots]
         if len(picked) != self.mu():
             raise ConsistencyError("generator extraction disagrees with mu")
         self._modgens = picked
@@ -322,10 +323,8 @@ class FractionalIdeal:
         if sub.delta < self.delta:
             return None
         _, mine, theirs = self._align(sub)
-        for row in theirs.rows:
-            ok, _ = linalg.member(row, mine)
-            if not ok:
-                return None
+        if any(map(any, linalg._reduce_rows(self.field, theirs.rows, mine))):
+            return None
         return mine, theirs
 
     def __eq__(self, other):

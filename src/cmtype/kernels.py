@@ -22,13 +22,8 @@ There is one implementation, in pure Python, and no compiled kernel: the
 inner loops are slice comprehensions from the pivot column on.  A compiled
 F_p kernel was 9-19x faster in isolation, but Cython cannot be installed
 without network access, and C through ctypes or the C API would bring back
-a build step for a package that installs and runs as plain Python.  With
-each ideal operation reducing once, the benchmark's traced ``kernels.share``
-(kernel time over item time, seed 1, three runs) is 0.37-0.39 on
-``series-fp``, where a 19x kernel would cap at 1/(0.61 + 0.39/19) ~ 1.6x
-end to end, and about 0.4 on ``series-qq``; it is 0 on the monomial and
-semigroup workloads.  Kernel time is cut by making fewer and smaller
-reductions.
+a build step for a package that installs and runs as plain Python.  Kernel
+time is cut by making fewer and smaller reductions.
 """
 
 import math

@@ -175,7 +175,8 @@ def member(v, basis: CoeffMatrix):
     """Test membership of a vector in a reduced row space.
 
     Returns ``(True, coords)`` with ``coords[i]`` the coefficient of basis
-    row i, or ``(False, None)``.
+    row i, or ``(False, None)``.  This is the public single-vector test;
+    the series engine tests its vectors in batches through ``_reduce_rows``.
     """
     if len(v) != basis.ncols:
         raise DimensionError(f"vector of length {len(v)} vs {basis.ncols} columns")

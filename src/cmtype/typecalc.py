@@ -196,8 +196,10 @@ def is_ulrich_ideal(ideal) -> bool:
 
 def _is_ulrich_ideal(ideal) -> bool:
     """is_ulrich_ideal for an ideal the caller knows to be proper."""
+    if ideal.mu() < 2:
+        return False
     squared = ideal.multiply(ideal)
-    if ideal.find_reduction(squared) is None or ideal.mu() < 2:
+    if ideal.find_reduction(squared) is None:
         return False
     R = ideal.unit_ideal()
     return ideal.quotient_length(squared) == ideal.mu() * R.quotient_length(ideal)

@@ -155,6 +155,20 @@ def test_semigroup_info_at_large_conductor(capsys):
     assert info["canonical_ideal_generators"] == [0]
 
 
+def test_series_engine_refuses_conductors_above_the_cap(capsys):
+    # <40,41> has conductor 1560; the series engine would run for minutes
+    H = ["--semigroup", "40,41", "--gens"]
+    assert cli.main(["ideal", "analyze", *H, "t^40 + t^41, t^80"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"SERIES_CONDUCTOR_LIMIT = {cli.SERIES_CONDUCTOR_LIMIT}" in err
+    assert "1521 x 1560" in err  # 780 + 741 generator shifts, 1560 columns
+    code, doc = run_json(capsys, ["ideal", "analyze", *H, "t^40, t^41"])
+    assert code == cli.EXIT_OK and doc["report"]["engine"] == "monomial"
+    with pytest.raises(SystemExit):
+        cli.main(["ideal", "analyze", "--help"])
+    assert f"SERIES_CONDUCTOR_LIMIT = {cli.SERIES_CONDUCTOR_LIMIT}" in capsys.readouterr().out
+
+
 def test_python_dash_m_runs_the_cli():
     path = [str(Path(cmtype.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

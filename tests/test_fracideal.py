@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cmtype import linalg
 from cmtype.errors import ArgumentError, ConsistencyError, ContainmentError
-from cmtype import fracideal
+from cmtype import fracideal, typecalc
 from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import GF, QQ, CoeffMatrix, reduce_echelon
 from cmtype.relideal import RelativeIdeal
@@ -243,6 +243,17 @@ def series_stable(I):
     )
 
 
+def greedy_module_generators(I):
+    """Row by row: keep a basis row iff it is not in m I plus the rows kept before it."""
+    _, mine, span = I._align(I._maximal_product())
+    picked = []
+    for row, wide in zip(I.matrix.rows, mine.rows):
+        if not linalg.member(wide, span)[0]:
+            picked.append(_as_series(I, row))
+            span = linalg.sum_spaces(span, CoeffMatrix(I.field, mine.ncols, [wide]))
+    return picked
+
+
 class TestRowLayerReference:
     """Non-monomial inputs: the row arithmetic matches the series arithmetic."""
 
@@ -297,6 +308,13 @@ class TestRowLayerReference:
                     with pytest.raises(ConsistencyError, match="not stable"):
                         broken.validate()
         assert corrupted_unstable > 0
+
+    def test_module_generators_match_the_greedy_extraction(self):
+        for H, field, (gens_i, gens_j) in self.instances():
+            I = FractionalIdeal.from_generators(H, field, gens_i)
+            J = FractionalIdeal.from_generators(H, field, gens_j)
+            for X in (I, J, I.multiply(J), I.colon(J), J.colon(I), I.intersect(J)):
+                assert X.module_generators() == greedy_module_generators(X)
 
     def test_generator_precision_at_the_window_edge(self):
         for H, field, (gens_i, gens_j) in self.instances():
@@ -438,6 +456,48 @@ class TestWorkCounts:
         # the colon reduces its constraint, then its solutions
         assert counts == {"multiply": 1, "add": 1, "intersect": 1, "colon": 2}
 
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_predicates_reduce_once_without_member(self, monkeypatch, field):
+        I = series_ideal(H37, field, "t^6 - t^7", "t^10")
+        R = I.unit_ideal()
+        I.mu()  # builds m I, which module_generators reads
+        members = self.count_calls(monkeypatch, linalg, "member")
+        reductions = self.count_calls(monkeypatch, linalg, "_reduce_rows")
+        counts = {}
+        for name, call in (
+            ("contains_ideal", lambda: R.contains_ideal(I)),
+            ("quotient_length", lambda: R.quotient_length(I)),
+            ("module_generators", I.module_generators),
+        ):
+            before = len(reductions)
+            call()
+            counts[name] = len(reductions) - before
+        assert counts == dict.fromkeys(counts, 1)
+        assert members == []
+
+    @pytest.mark.parametrize("H", [H37, H345])
+    def test_validate_reduces_once_per_generator(self, monkeypatch, H):
+        I = series_ideal(H, GF(7), "t^6 - t^7", "t^10")
+        reductions = self.count_calls(monkeypatch, linalg, "_reduce_rows")
+        I.validate()
+        assert len(reductions) == len(H.generators)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_classify_never_squares_a_principal_ideal(self, monkeypatch, field):
+        I = series_ideal(H37, field, "t^6 + t^7")
+        calls = self.count_calls(monkeypatch, FractionalIdeal, "multiply")
+        report = typecalc.classify(I)
+        assert report.proper and report.flags["is_principal"]
+        assert not report.flags["is_ulrich_ideal"]
+        assert not any(a is I and b is I for a, b in calls)
+
     def test_quotient_length_aligns_each_ideal_once(self, monkeypatch):
         I = series_ideal(H37, QQ, "t^6 - t^7", "t^10")
         R = I.unit_ideal()
@@ -448,3 +508,15 @@ class TestWorkCounts:
         )
         assert R.quotient_length(I) == 3
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_non_containment_with_equal_pivots(field):
+    # both windows hold one row with pivot 0; only the cells past it differ
+    plus = series_ideal(H345, field, "t^3 + t^4")
+    minus = series_ideal(H345, field, "t^3 - t^4")
+    assert plus.matrix.pivots == minus.matrix.pivots == (0,)
+    for I, J in ((plus, minus), (minus, plus)):
+        assert not I.contains_ideal(J)
+        with pytest.raises(ContainmentError):
+            I.quotient_length(J)
