@@ -247,6 +247,10 @@ class FractionalIdeal:
         The constructor's precision bound, g.precision >= gamma_I, makes
         every cell exact: TruncatedSeries.mul knows g b below
         g.precision + order(b) >= gamma_I + delta_J.
+
+        g b leads at window cell (ord g - delta_I) + pivot(b) with a nonzero
+        product, so the rows b whose cell lies past the window, a suffix of
+        J's rows, are exactly those with g b = 0 there; they are skipped.
         """
         self._check_same(other)
         gens = self.generators or self.module_generators()
@@ -259,7 +263,8 @@ class FractionalIdeal:
         for g in gens:
             # term t^e of g moves a basis row e - delta_I places into the window
             terms = [(e - self.delta, v) for e, v in g.coeffs.items() if e - self.delta < width]
-            for b in other.matrix.rows:
+            cut = bisect.bisect_left(other.matrix.pivots, width - (g.order - self.delta))
+            for b in other.matrix.rows[:cut]:
                 row = [0] * width
                 for d, v in terms:
                     row[d:] = [x + v * y if y else x for x, y in zip(row[d:], b)]
@@ -272,7 +277,7 @@ class FractionalIdeal:
         return result
 
     def colon(self, other):
-        """I : J = {x : xJ <= I}, solved as one nullspace problem.
+        """I : J = {x : xJ <= I}, solved as one nullspace problem in one reduction.
 
         Solutions live in [delta_I - delta_J, gamma_I - delta_J); the tail
         t^(gamma_I - delta_J) k[[t]] multiplies J into t^(gamma_I) k[[t]],
@@ -293,8 +298,8 @@ class FractionalIdeal:
             vecs = [padded[end - 1 - u:end - 1 - u + c] for u in range(start, end)]
             residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
             constraint_rows += [row for row in zip(*residuals) if any(row)]
-        constraint = CoeffMatrix(self.field, c, constraint_rows)
-        return FractionalIdeal._build(self.semigroup, start, linalg.nullspace(constraint))
+        solutions = linalg.nullspace(self.field, c, constraint_rows)
+        return FractionalIdeal._build(self.semigroup, start, solutions)
 
     def intersect(self, other):
         self._check_same(other)

@@ -209,44 +209,54 @@ def sum_spaces(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
 
 
 def intersect(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
-    """Reduced basis of the intersection of two row spaces (Zassenhaus).
+    """Reduced basis of the intersection of two row spaces.
 
-    Row-reduce [A | A; B | 0]: the right halves of the rows whose left
-    half vanished form a basis of the intersection.
+    With A the operand of lower rank, x in A lies in B iff its residual
+    modulo B, which is zero on B's pivot columns, vanishes.  So reduce
+    [residual on B's non-pivot columns | A] for the rows of A: as with
+    Zassenhaus's [A | A; B | 0], the rows whose left half vanished have
+    right halves that form a reduced basis of the meet, since a reduced
+    matrix clears each pivot column in every other row.
     """
     _check_compatible(a, b)
-    n = a.ncols
+    if a.rank > b.rank:
+        a, b = b, a
     field = a.field
-    zero = field.zero()
-    stacked = [list(r) + list(r) for r in a.rows]
-    stacked += [list(r) + [zero] * n for r in b.rows]
+    free = sorted(set(range(a.ncols)) - set(b.pivots))
+    residuals = _reduce_rows(field, a.rows, b)
+    stacked = [[r[j] for j in free] + list(x) for r, x in zip(residuals, a.rows)]
     reduced, pivots = _rref(field, stacked)
-    # A row whose pivot lies in the right half has a zero left half, so these
-    # right halves are already reduced, with their pivots shifted by n.
+    n = len(free)
     k = bisect.bisect_left(pivots, n)
     return CoeffMatrix(
-        field, n, [r[n:] for r in reduced[k:]], [piv - n for piv in pivots[k:]], reduced=True
+        field, a.ncols, [r[n:] for r in reduced[k:]], [piv - n for piv in pivots[k:]], reduced=True
     )
 
 
-def nullspace(m: CoeffMatrix) -> CoeffMatrix:
-    """Reduced basis of {x : m x = 0} (columns of ``m`` are the unknowns)."""
-    field = m.field
-    n = m.ncols
-    pivot_set = set(m.pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    rows = []
-    one = field.one()
-    for fc in free_cols:
-        v = [field.zero()] * n
-        v[fc] = one
-        for row, piv in zip(m.rows, m.pivots):
-            if row[fc]:
-                v[piv] = -row[fc] if not field.is_prime_field else (-row[fc]) % field.characteristic
-        rows.append(v)
-    # Not yet reduced: each row's leading entry sits in a pivot column of
-    # ``m`` left of its free column.
-    return CoeffMatrix(field, n, rows)
+def nullspace(field: FieldSpec, ncols: int, rows) -> CoeffMatrix:
+    """Reduced basis of {x : r x = 0 for every r in ``rows``}, in one reduction.
+
+    ``rows`` is any spanning set of ``ncols``-cell rows.  Reduced with their
+    columns reversed, each pivot row leads at its last nonzero column, so the
+    solution for a free column f is 1 at f and nonzero elsewhere only at
+    pivot columns right of f: the solutions come out reduced, with the free
+    columns as pivots.
+    """
+    if any(len(r) != ncols for r in rows):
+        raise DimensionError(f"a row's length differs from the {ncols} columns")
+    reduced, pivots = _rref(field, [r[::-1] for r in rows])
+    free = sorted(set(range(ncols)) - {ncols - 1 - piv for piv in pivots})
+    zero, one, p = field.zero(), field.one(), field.characteristic
+    basis = []
+    for f in free:
+        v = [zero] * ncols
+        v[f] = one
+        for row, piv in zip(reduced, pivots):
+            x = row[ncols - 1 - f]
+            if x:
+                v[ncols - 1 - piv] = (-x) % p if p else -x
+        basis.append(v)
+    return CoeffMatrix(field, ncols, basis, free, reduced=True)
 
 
 def _check_compatible(a: CoeffMatrix, b: CoeffMatrix):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+from cmtype.linalg import CoeffMatrix
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 
@@ -60,3 +61,34 @@ def rref_qq_reference(rows):
         pivots.append(col)
         rank += 1
     return m[:rank], pivots
+
+
+def zassenhaus_intersect(a, b):
+    """The meet of two row spaces by Zassenhaus: the reference for linalg.intersect.
+
+    Row-reduce [A | A; B | 0]: the right halves of the rows whose left half
+    vanished form a basis of the intersection.
+    """
+    n, zero = a.ncols, a.field.zero()
+    stacked = [list(r) + list(r) for r in a.rows] + [list(r) + [zero] * n for r in b.rows]
+    m = CoeffMatrix(a.field, 2 * n, stacked)
+    return CoeffMatrix(a.field, n, [r[n:] for r, piv in zip(m.rows, m.pivots) if piv >= n])
+
+
+def two_step_nullspace(field, ncols, rows):
+    """The solutions of rows x = 0 in two reductions: the reference for linalg.nullspace.
+
+    Reduce the rows, read one solution per free column off the reduced rows,
+    then reduce the solutions.
+    """
+    m = CoeffMatrix(field, ncols, rows)
+    p = field.characteristic
+    solutions = []
+    for f in sorted(set(range(ncols)) - set(m.pivots)):
+        v = [field.zero()] * ncols
+        v[f] = field.one()
+        for row, piv in zip(m.rows, m.pivots):
+            if row[f]:
+                v[piv] = (-row[f]) % p if p else -row[f]
+        solutions.append(v)
+    return CoeffMatrix(field, ncols, solutions)

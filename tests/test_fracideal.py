@@ -229,7 +229,7 @@ def series_colon(I, J):
         vecs = [g.shift(u).window_vector(I.delta, I.gamma - I.delta) for u in range(start, end)]
         residuals = linalg._reduce_rows(I.field, vecs, I.matrix)
         constraint += [list(col) for col in zip(*residuals) if any(col)]
-    solutions = linalg.nullspace(CoeffMatrix(I.field, end - start, constraint))
+    solutions = linalg.nullspace(I.field, end - start, constraint)
     return FractionalIdeal._build(I.semigroup, start, solutions)
 
 
@@ -453,8 +453,30 @@ class TestWorkCounts:
             before = len(calls)
             getattr(I, name)(J)
             counts[name] = len(calls) - before
-        # the colon reduces its constraint, then its solutions
-        assert counts == {"multiply": 1, "add": 1, "intersect": 1, "colon": 2}
+        # the colon reduces its constraint with reversed columns, which leaves
+        # its solutions reduced
+        assert counts == {"multiply": 1, "add": 1, "intersect": 1, "colon": 1}
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_intersect_reduces_the_lower_rank_only(self, monkeypatch, field):
+        I = series_ideal(H37, field, "t^6 - t^7", "t^10")
+        J = series_ideal(H37, field, "t^3 + 2*t^4", "t^7")
+        _, a, b = I._align(J)
+        assert a.rank != b.rank
+        calls = self.count_calls(monkeypatch, linalg, "_rref")
+        I.intersect(J)
+        J.intersect(I)
+        assert [len(rows) for _, rows in calls] == [min(a.rank, b.rank)] * 2
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_multiply_builds_no_zero_row(self, monkeypatch, field):
+        I = series_ideal(H37, field, "t^6 - t^7", "t^10")
+        J = series_ideal(H37, field, "t^3 + 2*t^4", "t^7")
+        calls = self.count_calls(monkeypatch, linalg, "_rref")
+        for x, y in ((I, J), (J, I), (I, I)):
+            x.multiply(y)
+        assert len(calls) == 3
+        assert all(all(map(any, rows)) for _, rows in calls)
 
     @staticmethod
     def count_calls(monkeypatch, module, name):

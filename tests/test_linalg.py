@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmtype.errors import ArgumentError, DimensionError
@@ -18,6 +18,7 @@ from cmtype.linalg import (
     reduce_echelon,
     sum_spaces,
 )
+from helpers import two_step_nullspace, zassenhaus_intersect
 
 
 def mat(field, rows):
@@ -173,7 +174,8 @@ def test_nullspace_kernel_property():
         for _ in range(20):
             rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(3)]
             m = mat(field, rows)
-            ns = nullspace(m)
+            ns = nullspace(field, 5, rows)
+            assert_reduced(ns)
             assert ns.rank == 5 - m.rank
             for v in ns.rows:
                 for row in m.rows:
@@ -189,14 +191,77 @@ def assert_reduced(m):
     assert again == m and again.pivots == m.pivots
 
 
-@settings(max_examples=80, deadline=None)
-@given(random_rows(ncols=5, max_rows=5), random_rows(ncols=5, max_rows=5),
-       st.sampled_from([QQ, GF(7)]))
-def test_zassenhaus_intersection_is_reduced(rows_a, rows_b, field):
-    # intersect marks its right halves reduced=True without reducing them again
-    a, b = mat(field, rows_a), mat(field, rows_b)
-    inter = intersect(a, b)
-    assert_reduced(inter)
+def units(ncols, cols):
+    return [[int(j == i) for j in range(ncols)] for i in sorted(cols)]
+
+
+@st.composite
+def operands(draw, ncols=5):
+    """Rows of one kind: arbitrary, none, full rank, or unit vectors."""
+    kind = draw(st.sampled_from(["rows", "empty", "full", "units"]))
+    if kind == "empty":
+        return []
+    if kind == "units":
+        return units(ncols, draw(st.sets(st.integers(0, ncols - 1))))
+    rows = draw(random_rows(ncols=ncols, max_rows=ncols))
+    return rows + units(ncols, range(ncols)) if kind == "full" else rows
+
+
+FIELDS = [QQ, GF(2), GF(3), GF(7)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), operands(), st.sampled_from(FIELDS))
+# equal ranks, neither space inside the other
+@example([[1, 2, 0, 0, 1], [0, 1, 1, 0, 0]], [[1, 0, 0, 2, 0], [0, 1, 1, 0, 3]], QQ)
+@example([[1, 2, 0, 0, 1], [0, 1, 1, 0, 0]], [[1, 0, 0, 2, 0], [0, 1, 1, 0, 3]], GF(7))
+def test_intersection_matches_zassenhaus(rows_a, rows_b, field):
+    # intersect puts the operand of lower rank first and marks its right
+    # halves reduced=True without reducing them again
+    a, b = CoeffMatrix(field, 5, rows_a), CoeffMatrix(field, 5, rows_b)
+    expected = zassenhaus_intersect(a, b)
+    for inter in (intersect(a, b), intersect(b, a)):
+        assert_reduced(inter)
+        assert inter == expected and inter.pivots == expected.pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), st.sampled_from(FIELDS))
+@example([[0, 0, 0, 0, 0]], QQ)
+def test_nullspace_matches_two_reductions(rows, field):
+    ns = nullspace(field, 5, rows)
+    expected = two_step_nullspace(field, 5, rows)
+    assert_reduced(ns)
+    assert ns == expected and ns.pivots == expected.pivots
+
+
+def test_nullspace_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(DimensionError):
+        nullspace(QQ, 3, [[1, 2]])
+
+
+def span(field, rows, n):
+    """Every vector of the row space, as a set of tuples over F_p."""
+    p = field.characteristic
+    return {
+        tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(n))
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([GF(2), GF(3)]), st.integers(1, 4), st.data())
+def test_row_space_operations_against_set_oracle(field, n, data):
+    p = field.characteristic
+    cells = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    rows_a, rows_b = (data.draw(st.lists(cells, max_size=4)) for _ in range(2))
+    a, b = CoeffMatrix(field, n, rows_a), CoeffMatrix(field, n, rows_b)
+    assert span(field, intersect(a, b).rows, n) == span(field, rows_a, n) & span(field, rows_b, n)
+    annihilated = {
+        v for v in itertools.product(range(p), repeat=n)
+        if all(sum(x * y for x, y in zip(r, v)) % p == 0 for r in rows_a)
+    }
+    assert span(field, nullspace(field, n, rows_a).rows, n) == annihilated
 
 
 @settings(max_examples=60, deadline=None)
