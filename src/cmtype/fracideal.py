@@ -399,6 +399,8 @@ def _reframe(matrix, shift, width):
     Nothing is reduced again: the kept rows keep their pivots, and the
     unit rows sit on columns where every old row is zero.
     """
+    if shift == 0 and width == matrix.ncols:
+        return matrix  # the same window: keep the matrix and its cached tails()
     zero, one = matrix.field.zero(), matrix.field.one()
     hi = shift + width  # the new window's end, in old columns
     keep = bisect.bisect_left(matrix.pivots, hi)

@@ -13,13 +13,23 @@ previous pivot does (Math. Comp. 22, 1968).  A ``Fraction`` is built only
 for the nonzero cells of the rows it returns, each divided by its pivot,
 and every zero cell is the one ``ZERO``.  Most cells that come back into a
 reduction are zero, so ``_integer_rows`` recognises them by identity and
-reads ``numerator`` only off the other Fractions.  ``reduce_rows_qq`` (and
-``linalg.member``) stay on Fractions: a prototype that also ran them on
-integer rows, with the integer view of each reduced basis cached on the
-matrix, was slower.
+reads ``numerator`` only off the other Fractions.
+
+A reduction modulo a reduced basis touches only the basis's free (non-pivot)
+columns.  Row i is 1 at its pivot and 0 at every other pivot, so v's
+coefficient on row i is v[pivot_i]: the residual is zero on every pivot
+column and equals v[f] - sum_i v[pivot_i] row_i[f] on a free column f.  The
+``reduce_rows_*`` kernels read the coefficients off the pivots and rewrite
+only the free cells, against each row's cells there (``CoeffMatrix.tails``).
+In a series ideal's window the free columns are gaps of its value set, at
+most g(H) of them, and a monomial basis has no row to subtract at all.
+``reduce_rows_qq`` takes the cells as they come, ints or Fractions, and
+stays off integer rows: a prototype that ran it on integer rows, with the
+integer view of each reduced basis cached on the matrix, was slower.
 
 There is one implementation, in pure Python, and no compiled kernel: the
-inner loops are slice comprehensions from the pivot column on.  A compiled
+inner loops are slice comprehensions from the pivot column on (in a
+reduction, from the first free column right of it).  A compiled
 F_p kernel was 9-19x faster in isolation, but Cython cannot be installed
 without network access, and C through ctypes or the C API would bring back
 a build step for a package that installs and runs as plain Python.  Kernel
@@ -78,21 +88,24 @@ def rref_fp(rows, p):
     return m[:rank], pivots
 
 
-def reduce_rows_fp(vecs, basis, pivots, p):
-    """Reduce each vector in ``vecs`` modulo the row span of ``basis``.
+def reduce_rows_fp(vecs, free, tails, p):
+    """Residuals of the vectors in ``vecs`` modulo a reduced basis, on its free columns.
 
-    ``basis`` must be in reduced echelon form with the given pivot
-    columns.  Returns the list of residual vectors; a cell that no basis
-    row touches is returned as given.
+    ``free`` lists the basis's non-pivot columns in order, and ``tails`` holds
+    ``(pivot, s, cells)`` for each basis row that is nonzero on them: ``cells``
+    are its entries on ``free[s:]``, the free columns right of its pivot
+    (``CoeffMatrix.tails``).  Row i is 1 at its pivot and 0 at every other
+    pivot, so v's coefficient on it is v[pivot] and the residual is zero on
+    every pivot column.  Returns, per vector, its residual on ``free``; a cell
+    that no basis row touches is returned as given.
     """
-    tails = [(col, row[col:]) for row, col in zip(basis, pivots)]
     out = []
     for v in vecs:
-        r = list(v)
-        for col, tail in tails:
-            f = r[col] % p
-            if f:
-                r[col:] = [(a - f * b) % p for a, b in zip(r[col:], tail)]
+        r = [v[f] for f in free]
+        for col, s, tail in tails:
+            x = v[col] % p
+            if x:
+                r[s:] = [(a - x * b) % p for a, b in zip(r[s:], tail)]
         out.append(r)
     return out
 
@@ -145,14 +158,14 @@ def rref_qq(rows):
     return reduced, pivots
 
 
-def reduce_rows_qq(vecs, basis, pivots):
-    tails = [(col, row[col:]) for row, col in zip(basis, pivots)]
+def reduce_rows_qq(vecs, free, tails):
+    """``reduce_rows_fp`` over the rationals; cells may be ints or Fractions."""
     out = []
     for v in vecs:
-        r = list(v)
-        for col, tail in tails:
-            f = r[col]
-            if f:
-                r[col:] = [a - f * b if b else a for a, b in zip(r[col:], tail)]
+        r = [v[f] for f in free]
+        for col, s, tail in tails:
+            x = v[col]
+            if x:
+                r[s:] = [a - x * b if b else a for a, b in zip(r[s:], tail)]
         out.append(r)
     return out

@@ -15,15 +15,20 @@ enters a row reduction:
   * over QQ, ``_rref`` passes its rows on as they are: ``kernels.rref_qq``
     accepts ints and ``Fraction``s alike, eliminates on integer rows and
     emits ``Fraction``s, with every zero cell the one ``kernels.ZERO``
-    that ``QQ.zero()`` also returns.  ``_reduce_rows`` wraps the cells that
-    are not yet ``Fraction``s (ints, from callers and from products), and
-    ``member`` does the same for the vector it tests;
+    that ``QQ.zero()`` also returns.  ``_reduce_rows`` passes its vectors on
+    as they are too: its int cells only ever flow into ``_rref`` or into a
+    truth test, and both accept ints.  ``member`` makes the vector it tests
+    ``Fraction``s, so the coordinates it returns are ``Fraction``s;
   * over F_p, cells are ints, canonical or not (``multiply``'s convolution
     emits sums of products).  There is no ``x % p`` pass: the kernels reduce
     every cell they rewrite and zero the cells left of each pivot, so a
     reduced matrix comes out canonical.  ``_reduce_rows`` leaves the cells
     no basis row touches as given, so canonical vectors give canonical
     residuals; ``member`` reduces its vector first.
+
+``_reduce_rows`` returns each residual on the basis's free (non-pivot)
+columns only, in column order: modulo a reduced basis the residual is zero
+on every pivot column (see ``kernels``).
 
 ``reduced=True`` skips the reduction and trusts the caller: the rows must
 already be canonical and in reduced row echelon form, with those pivots.
@@ -108,10 +113,11 @@ class CoeffMatrix:
 
     ``rows`` are tuples of field elements, all of length ``ncols``.
     Construct through :func:`reduce_echelon` (or the ``reduced=True``
-    fast path when the rows are already reduced).
+    fast path when the rows are already reduced).  ``tails()`` is the view
+    that reductions modulo the matrix read, computed on first use and kept.
     """
 
-    __slots__ = ("field", "ncols", "rows", "pivots")
+    __slots__ = ("field", "ncols", "rows", "pivots", "_tails")
 
     def __init__(self, field: FieldSpec, ncols: int, rows, pivots=None, reduced=False):
         self.field = field
@@ -128,6 +134,28 @@ class CoeffMatrix:
         for r in self.rows:
             if len(r) != ncols:
                 raise DimensionError(f"row of length {len(r)} in a {ncols}-column matrix")
+        self._tails = None
+
+    def tails(self):
+        """``(free, tails)``: the view of the matrix on its free columns.
+
+        ``free`` lists the non-pivot columns in order.  ``tails`` holds
+        ``(pivot, s, cells)`` for each row, in row order, with ``cells`` its
+        entries on ``free[s:]``, the free columns right of its pivot; rows
+        that are zero there are left out, so a span of unit vectors has no
+        tails.  Computed once per matrix.
+        """
+        if self._tails is None:
+            pivots = set(self.pivots)
+            free = [j for j in range(self.ncols) if j not in pivots]
+            tails = []
+            for row, piv in zip(self.rows, self.pivots):
+                s = bisect.bisect_left(free, piv)
+                cells = [row[f] for f in free[s:]]
+                if any(cells):
+                    tails.append((piv, s, cells))
+            self._tails = free, tails
+        return self._tails
 
     @property
     def rank(self) -> int:
@@ -155,14 +183,15 @@ def _rref(field: FieldSpec, rows):
 
 
 def _reduce_rows(field: FieldSpec, vecs, basis: CoeffMatrix):
-    """Residuals of ``vecs`` modulo the row span of a reduced basis."""
+    """Residuals of ``vecs`` modulo the row span of a reduced basis.
+
+    Each residual is a list of its cells on the basis's free columns, in
+    column order; it is zero on the pivot columns.
+    """
+    free, tails = basis.tails()
     if field.is_prime_field:
-        return kernels.reduce_rows_fp(vecs, basis.rows, basis.pivots, field.characteristic)
-    return kernels.reduce_rows_qq(
-        [[x if type(x) is Fraction else Fraction(x) for x in v] for v in vecs],
-        basis.rows,
-        basis.pivots,
-    )
+        return kernels.reduce_rows_fp(vecs, free, tails, field.characteristic)
+    return kernels.reduce_rows_qq(vecs, free, tails)
 
 
 def reduce_echelon(m: CoeffMatrix) -> CoeffMatrix:
@@ -181,25 +210,14 @@ def member(v, basis: CoeffMatrix):
     if len(v) != basis.ncols:
         raise DimensionError(f"vector of length {len(v)} vs {basis.ncols} columns")
     field = basis.field
-    coords = []
     if field.is_prime_field:
         p = field.characteristic
         v = [x % p if type(x) is int else field.element(x) for x in v]
-        for row, col in zip(basis.rows, basis.pivots):
-            f = v[col]
-            coords.append(f)
-            if f:
-                v[col:] = [(a - f * b) % p for a, b in zip(v[col:], row[col:])]
     else:
         v = [x if type(x) is Fraction else Fraction(x) for x in v]
-        for row, col in zip(basis.rows, basis.pivots):
-            f = v[col]
-            coords.append(f)
-            if f:
-                v[col:] = [a - f * b if b else a for a, b in zip(v[col:], row[col:])]
-    if any(v):
+    if any(_reduce_rows(field, [v], basis)[0]):
         return False, None
-    return True, coords
+    return True, [v[col] for col in basis.pivots]
 
 
 def sum_spaces(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
@@ -212,9 +230,9 @@ def intersect(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
     """Reduced basis of the intersection of two row spaces.
 
     With A the operand of lower rank, x in A lies in B iff its residual
-    modulo B, which is zero on B's pivot columns, vanishes.  So reduce
-    [residual on B's non-pivot columns | A] for the rows of A: as with
-    Zassenhaus's [A | A; B | 0], the rows whose left half vanished have
+    modulo B vanishes.  ``_reduce_rows`` gives that residual on B's n free
+    columns, so reduce [residual | A] for the rows of A: as with
+    Zassenhaus's [A | A; B | 0], the rows whose left n cells vanished have
     right halves that form a reduced basis of the meet, since a reduced
     matrix clears each pivot column in every other row.
     """
@@ -222,11 +240,10 @@ def intersect(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
     if a.rank > b.rank:
         a, b = b, a
     field = a.field
-    free = sorted(set(range(a.ncols)) - set(b.pivots))
     residuals = _reduce_rows(field, a.rows, b)
-    stacked = [[r[j] for j in free] + list(x) for r, x in zip(residuals, a.rows)]
+    stacked = [r + list(x) for r, x in zip(residuals, a.rows)]
     reduced, pivots = _rref(field, stacked)
-    n = len(free)
+    n = b.ncols - b.rank
     k = bisect.bisect_left(pivots, n)
     return CoeffMatrix(
         field, a.ncols, [r[n:] for r in reduced[k:]], [piv - n for piv in pivots[k:]], reduced=True

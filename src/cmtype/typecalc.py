@@ -195,14 +195,18 @@ def is_ulrich_ideal(ideal) -> bool:
 
 
 def _is_ulrich_ideal(ideal) -> bool:
-    """is_ulrich_ideal for an ideal the caller knows to be proper."""
+    """is_ulrich_ideal for an ideal the caller knows to be proper.
+
+    I^2 = xI is decided by length too.  Such an x has order delta_I, and
+    any x in I of order delta_I has xI <= I^2 <= I and len(I/xI) = delta_I,
+    since v(xI) = delta_I + v(I).  So I^2 = xI for some x iff
+    len(I/I^2) = delta_I.
+    """
     if ideal.mu() < 2:
         return False
-    squared = ideal.multiply(ideal)
-    if ideal.find_reduction(squared) is None:
-        return False
+    length = ideal.quotient_length(ideal.multiply(ideal))
     R = ideal.unit_ideal()
-    return ideal.quotient_length(squared) == ideal.mu() * R.quotient_length(ideal)
+    return length == ideal.delta and length == ideal.mu() * R.quotient_length(ideal)
 
 
 def is_ulrich_module_wrt(module, ideal=None) -> bool:

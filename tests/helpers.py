@@ -92,3 +92,22 @@ def two_step_nullspace(field, ncols, rows):
                 v[piv] = (-row[f]) % p if p else -row[f]
         solutions.append(v)
     return CoeffMatrix(field, ncols, solutions)
+
+
+def full_width_residuals(field, vecs, basis):
+    """Residuals modulo a reduced basis on every column: the reference for _reduce_rows.
+
+    Eliminates each basis row from its pivot column on, over all ``basis.ncols``
+    cells; QQ cells are made Fractions first.
+    """
+    p = field.characteristic
+    out = []
+    for v in vecs:
+        r = list(v) if p else [Fraction(x) for x in v]
+        for row, col in zip(basis.rows, basis.pivots):
+            f = r[col] % p if p else r[col]
+            if f:
+                tail = zip(r[col:], row[col:])
+                r[col:] = [(a - f * b) % p for a, b in tail] if p else [a - f * b for a, b in tail]
+        out.append(r)
+    return out

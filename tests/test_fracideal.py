@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,6 +167,27 @@ class TestFromRelative:
             S = FractionalIdeal.from_relative(E, GF(3))
             assert S.support_ideal() == E
             assert FractionalIdeal.from_relative(S.support_ideal(), GF(3)).contains_ideal(S)
+
+    def test_monomial_basis_has_an_empty_cached_view(self):
+        # a span of unit vectors: reduction only picks each vector's gap cells
+        rng = random.Random(24)
+        for _ in range(40):
+            H = random_semigroup(rng)
+            field = rng.choice([QQ, GF(2), GF(5)])
+            E = random_relative_ideal(rng, H)
+            matrix = FractionalIdeal.from_relative(E, field).matrix
+            c = matrix.ncols
+            view = matrix.tails()
+            mask = E.members_mask(E.delta, c)
+            assert view == ([i for i in range(c) if not mask >> i & 1], [])
+            vecs = [[rng.choice([rng.randint(-9, 9), Fraction(rng.randint(1, 9), 7)])
+                     if field == QQ else rng.randint(-99, 99) for _ in range(c)]
+                    for _ in range(3)]
+            residuals = linalg._reduce_rows(field, vecs, matrix)
+            assert len(residuals) == len(vecs)
+            for r, v in zip(residuals, vecs):
+                assert len(r) == len(view[0]) and all(x is v[j] for x, j in zip(r, view[0]))
+            assert matrix.tails() is view
 
 
 class TestEngineAgreement:

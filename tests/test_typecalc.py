@@ -1,12 +1,15 @@
 """The type formulas and the work one report does, on both ideal engines."""
 
 import inspect
+import itertools
+import random
 import re
 from collections import Counter
 
 import pytest
 
 from cmtype import typecalc
+from cmtype.constructions import enumerate_monomial_ideals
 from cmtype.errors import ArgumentError, ConsistencyError
 from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import GF, QQ
@@ -51,6 +54,41 @@ def test_both_engines_define_the_contract_alike(name):
         assert name in vars(cls), f"{cls.__name__} lacks {name}"
         params.append(list(inspect.signature(vars(cls)[name]).parameters))
     assert params[0] == params[1]
+
+
+def proper_ideals(H, field, rng):
+    """Proper monomial ideals (enumerated, shifted into R) and random series ideals."""
+    R = RelativeIdeal.from_exponents(H, {0})
+    shifts = H.members(1, H.conductor + 1)
+    out = [E.shift(a) for E in enumerate_monomial_ideals(H, H.conductor) for a in shifts]
+    out = [E for E in out if R.contains_ideal(E) and E != R]
+    elements = H.members(1, H.conductor + 2 * H.multiplicity)
+    for _ in range(12):
+        exprs = [
+            " + ".join(f"{rng.randint(1, field.characteristic - 1)}*t^{x}"
+                       for x in rng.sample(elements, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        gens = [parse_series(s, field) for s in exprs]
+        out.append(FractionalIdeal.from_generators(H, field, gens))
+    return out
+
+
+def test_ulrich_by_length_matches_the_reduction_search():
+    # _is_ulrich_ideal decides I^2 = xI by len(I/I^2) = delta_I; find_reduction
+    # searches for such an x among candidates that include one of order delta_I
+    rng = random.Random(11)
+    outcomes = set()
+    for gens in ([3, 4, 5], [3, 5], [4, 5, 6], [3, 7]):
+        for I in proper_ideals(NumericalSemigroup(gens), GF(3), rng):
+            length = I.quotient_length(I.multiply(I))
+            reduced = I.find_reduction() is not None
+            assert (length == I.delta) == reduced, I.describe()
+            free = length == I.mu() * I.unit_ideal().quotient_length(I)
+            assert typecalc.is_ulrich_ideal(I) == (I.mu() >= 2 and reduced and free)
+            outcomes.add((I.engine, reduced, free))
+    engines, flags = ("monomial", "series"), (True, False)
+    assert outcomes == set(itertools.product(engines, flags, flags))
 
 
 @pytest.mark.parametrize("name, ideal", CASES, ids=[name for name, _ in CASES])
@@ -150,6 +188,23 @@ class TestWorkCounts:
         report = typecalc.classify(I)
         assert report.proper and report.consistent
         assert len(record) == 1
+
+    @pytest.mark.parametrize("gens, exprs, ulrich", [
+        ([3, 7], ("t^6 - t^7", "t^10"), True),
+        ([3, 4, 5], ("t^3 - t^4", "t^5"), False),  # I^2 = xI, but I/I^2 is not free
+    ])
+    def test_series_classify_decides_ulrich_without_a_reduction_search(
+        self, monkeypatch, gens, exprs, ulrich
+    ):
+        H, field = NumericalSemigroup(gens), GF(5)
+        I = FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
+        searches, products = [], []
+        count_calls(monkeypatch, FractionalIdeal, "find_reduction", searches)
+        count_calls(monkeypatch, FractionalIdeal, "multiply", products)
+        report = typecalc.classify(I)
+        assert report.consistent and report.flags["is_ulrich_ideal"] is ulrich
+        assert searches == []
+        assert sum(1 for a, b in products if a is I and b is I) <= 1
 
     @pytest.mark.parametrize("gens, exprs, colons", [
         ([3, 7], ("t^6 - t^7", "t^10"), 4),  # symmetric: R : I is the K : I already built
