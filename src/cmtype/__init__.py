@@ -22,7 +22,6 @@ from .errors import (
     DimensionError,
     ParseError,
     ResourceLimitError,
-    UndecidableError,
 )
 from .fracideal import FractionalIdeal
 from .linalg import GF, QQ, CoeffMatrix, FieldSpec, intersect, member, reduce_echelon
@@ -64,7 +63,6 @@ __all__ = [
     "ResourceLimitError",
     "SemigroupInvariants",
     "TruncatedSeries",
-    "UndecidableError",
     "blowup_ring",
     "classify",
     "cokernel_formula",

@@ -61,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sg_sub.add_parser("info", help="invariants of a numerical semigroup")
     p_info.add_argument("generators", help="comma-separated generators, e.g. 3,7")
     p_info.add_argument("--json", action="store_true")
+    p_info.set_defaults(run=_cmd_semigroup_info)
 
     p_ideal = sub.add_parser("ideal", help="fractional ideal analysis")
     ideal_sub = p_ideal.add_subparsers(dest="subcommand", required=True)
@@ -74,18 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
         f"SERIES_CONDUCTOR_LIMIT = {SERIES_CONDUCTOR_LIMIT}",
     )
     p_an.add_argument("--json", action="store_true")
+    p_an.set_defaults(run=_cmd_ideal_analyze)
 
     p_ver = sub.add_parser("verify", help="verification suites")
     ver_sub = p_ver.add_subparsers(dest="subcommand", required=True)
     p_paper = ver_sub.add_parser("paper", help="run the built-in example suite")
     p_paper.add_argument("--filter", default=None, help="substring of a group name")
     p_paper.add_argument("--json", action="store_true")
+    p_paper.set_defaults(run=_cmd_verify_paper)
 
     p_sup = sub.add_parser("sup-search", help="maximize the idealization type")
     p_sup.add_argument("--semigroup", required=True)
     p_sup.add_argument("--bound", type=int, required=True)
     p_sup.add_argument("--limit", type=int, default=200000, help="enumeration cap")
     p_sup.add_argument("--json", action="store_true")
+    p_sup.set_defaults(run=_cmd_sup_search)
 
     p_enum = sub.add_parser("enumerate", help="list shift-normalized monomial ideals")
     p_enum.add_argument("--semigroup", required=True)
@@ -94,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="keep only ideals with this flag")
     p_enum.add_argument("--limit", type=int, default=200000, help="enumeration cap")
     p_enum.add_argument("--json", action="store_true")
+    p_enum.set_defaults(run=_cmd_enumerate)
 
     return parser
 
@@ -311,20 +316,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "semigroup":
-            return _cmd_semigroup_info(args)
-        if args.command == "ideal":
-            return _cmd_ideal_analyze(args)
-        if args.command == "verify":
-            return _cmd_verify_paper(args)
-        if args.command == "sup-search":
-            return _cmd_sup_search(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except ParseError as exc:
         gens = getattr(args, "gens", "")
         print(f"error: {exc}", file=sys.stderr)
@@ -341,7 +335,6 @@ def main(argv=None) -> int:
     except CmtypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -34,9 +34,5 @@ class ConsistencyError(CmtypeError):
     """
 
 
-class UndecidableError(CmtypeError):
-    """A predicate could not be decided under the implemented search policy."""
-
-
 class ResourceLimitError(ArgumentError):
     """An enumeration would exceed the configured size cap."""

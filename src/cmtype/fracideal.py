@@ -356,31 +356,17 @@ class FractionalIdeal:
     def maximal_ideal(self):
         return _maximal(self.semigroup, self.field)
 
-    def find_reduction(self, squared=None):
-        """A principal (x) <= I with I^2 = xI, if the search finds one.
+    def find_reduction(self):
+        """(x) for an x in I of order delta if I^2 = xI, else None.
 
-        Candidates for x: the stored generators of order delta, then the
-        lowest basis row.  Absence of a reduction among these is reported
-        as None.  ``squared`` is I I when the caller has already computed it.
+        Whether I^2 = xI does not depend on the choice of x (the value
+        argument of typecalc.is_ulrich_module_wrt), so it is read off the
+        values: v(I^2) = delta + v(I).
         """
-        candidates = []
-        if self.generators:
-            candidates += [g for g in self.generators if g.order == self.delta]
-        if self.matrix.rows and self.matrix.pivots[0] == 0:
-            candidates.append(self._as_series(self.matrix.rows[0]))
-        if self.semigroup.conductor == 0:
-            candidates.append(TruncatedSeries.monomial(self.field, self.delta))
-        if squared is None:
-            squared = self.multiply(self)
-        seen = set()
-        for x in candidates:
-            if x in seen:
-                continue
-            seen.add(x)
-            principal = FractionalIdeal.from_generators(self.semigroup, self.field, [x])
-            if principal.multiply(self) == squared:
-                return principal
-        return None
+        if self.multiply(self).support_ideal() != self.support_ideal().shift(self.delta):
+            return None
+        x = self.module_generators()[0]  # the lowest basis row, of order delta
+        return FractionalIdeal.from_generators(self.semigroup, self.field, [x])
 
 
 def _shifted(row, a, zero):

@@ -228,16 +228,13 @@ class RelativeIdeal:
         """K - E, with K the canonical relative ideal."""
         return _canonical(self.semigroup).colon(self)
 
-    def find_reduction(self, squared=None):
-        """A principal (x) <= E with E^2 = x E, or None.
+    def find_reduction(self):
+        """(t^delta) if E^2 = t^delta E, else None.
 
-        For a monomial ideal the only candidate is x = t^delta: E + E and
-        x + E have the same exponent sets exactly when delta + E works.
-        ``squared`` is E E when the caller has already computed it.
+        Whether E^2 = x E does not depend on the choice of x in E of order
+        delta (the value argument of typecalc.is_ulrich_module_wrt).
         """
-        if squared is None:
-            squared = self.multiply(self)
-        if squared == self.shift(self.delta):
+        if self.multiply(self) == self.shift(self.delta):
             return self.unit_ideal().shift(self.delta)
         return None
 

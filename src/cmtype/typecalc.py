@@ -18,7 +18,7 @@ anything.
 import functools
 from dataclasses import dataclass
 
-from .errors import ArgumentError, ConsistencyError, UndecidableError
+from .errors import ArgumentError, ConsistencyError, ContainmentError
 
 
 def module_type(ideal) -> int:
@@ -186,8 +186,8 @@ def _is_residually_faithful(ideal, annihilator):
 def is_ulrich_ideal(ideal) -> bool:
     """Non-principal I <= R with I^2 = xI and I/I^2 free over R/I.
 
-    Freeness is decided by lengths: the natural surjection from a free
-    module of rank mu(I) is an isomorphism iff len(I/I^2) = mu(I) len(R/I).
+    That is, mu(I) >= 2 and I is an Ulrich module for itself, decided as
+    in is_ulrich_module_wrt.
     """
     if not _is_proper(ideal):
         raise ArgumentError("Ulrich ideals are proper ideals of R")
@@ -195,42 +195,38 @@ def is_ulrich_ideal(ideal) -> bool:
 
 
 def _is_ulrich_ideal(ideal) -> bool:
-    """is_ulrich_ideal for an ideal the caller knows to be proper.
-
-    I^2 = xI is decided by length too.  Such an x has order delta_I, and
-    any x in I of order delta_I has xI <= I^2 <= I and len(I/xI) = delta_I,
-    since v(xI) = delta_I + v(I).  So I^2 = xI for some x iff
-    len(I/I^2) = delta_I.
-    """
-    if ideal.mu() < 2:
-        return False
-    length = ideal.quotient_length(ideal.multiply(ideal))
-    R = ideal.unit_ideal()
-    return length == ideal.delta and length == ideal.mu() * R.quotient_length(ideal)
+    """is_ulrich_ideal for an ideal the caller knows to be proper: M = I in _is_ulrich."""
+    return ideal.mu() >= 2 and _is_ulrich(ideal, ideal)
 
 
 def is_ulrich_module_wrt(module, ideal=None) -> bool:
-    """Ulrich property of a rank-one module (fractional ideal).
+    """Ulrich property of a rank-one module M (fractional ideal) for an ideal I of R.
 
-    With respect to the maximal ideal (ideal=None): m M = t^e M, decided
-    as len(M/mM) = mu(M) = len(M/t^e M) since t^e M <= m M.  With
-    respect to an m-primary ideal I: I M = x M for a reduction x of I and
-    M/IM is free over R/I (length criterion).
+    M is Ulrich for I when IM = xM for a minimal reduction (x) of I and
+    M/IM is free over R/I.  In k[[t^H]] every x in I of order delta_I
+    generates a minimal reduction: v(I^n) - n delta_I grows with n and is
+    bounded, so I^(n+1) = xI^n for large n.  As v(xM) = delta_I + v(M),
+    xM <= IM <= M and len(M/xM) = delta_I, so IM = xM iff len(M/IM) =
+    delta_I, and x is never built.  Freeness is decided by lengths: the
+    surjection from a free module of rank mu(M) is an isomorphism iff
+    len(M/IM) = mu(M) len(R/I).  An I not contained in R raises
+    ContainmentError.
+
+    With respect to the maximal ideal (ideal=None), len(M/mM) = mu(M),
+    delta_m = e and len(R/m) = 1, so the test is mu(M) = e.
     """
     if ideal is None:
-        e = module.semigroup.multiplicity
-        return module.mu() == module.quotient_length(module.shift(e))
-    principal = ideal.find_reduction()
-    if principal is None:
-        raise UndecidableError(
-            f"no reduction found for {ideal.describe()}; the search tries the "
-            "given generators and the lowest basis row of minimal order"
-        )
-    IM = ideal.multiply(module)
-    if IM != principal.multiply(module):
-        return False
+        return module.mu() == module.semigroup.multiplicity
     R = module.unit_ideal()
-    return module.quotient_length(IM) == module.mu() * R.quotient_length(ideal)
+    if not R.contains_ideal(ideal):
+        raise ContainmentError(f"{ideal.describe()} is not contained in {R.describe()}")
+    return _is_ulrich(module, ideal)
+
+
+def _is_ulrich(module, ideal) -> bool:
+    """is_ulrich_module_wrt for an ideal I <= R: len(M/IM) = delta_I = mu(M) len(R/I)."""
+    length = module.quotient_length(ideal.multiply(module))
+    return length == ideal.delta == module.mu() * module.unit_ideal().quotient_length(ideal)
 
 
 # -- the full report ----------------------------------------------------------

@@ -3,9 +3,11 @@
 import math
 from fractions import Fraction
 
+from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import CoeffMatrix
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
+from cmtype.series import TruncatedSeries
 
 
 def random_semigroup(rng, lo=2, hi=16, max_gens=3):
@@ -111,3 +113,54 @@ def full_width_residuals(field, vecs, basis):
                 r[col:] = [(a - f * b) % p for a, b in tail] if p else [a - f * b for a, b in tail]
         out.append(r)
     return out
+
+
+def ulrich_module_reference(module, ideal):
+    """M Ulrich for an ideal I <= R by the definition: the reference for
+    typecalc.is_ulrich_module_wrt.
+
+    Takes x of order delta_I (t^delta on the monomial engine, the lowest
+    basis row on the series engine), confirms that (x) is a reduction of I
+    by iterating I^(n+1) = x I^n (v(I^n) - n delta_I can grow at most c
+    times), then tests IM = xM and len(M/IM) = mu(M) len(R/I).
+    """
+    if isinstance(ideal, RelativeIdeal):
+        x = ideal.unit_ideal().shift(ideal.delta)
+    else:
+        gen = ideal._as_series(ideal.matrix.rows[0])
+        x = FractionalIdeal.from_generators(ideal.semigroup, ideal.field, [gen])
+    power = ideal
+    for _ in range(ideal.semigroup.conductor + 1):
+        following = power.multiply(ideal)
+        if following == x.multiply(power):
+            break
+        power = following
+    else:
+        raise AssertionError(f"(x) is no reduction of {ideal.describe()} within c + 1 steps")
+    IM = ideal.multiply(module)
+    colength = module.unit_ideal().quotient_length(ideal)
+    return IM == x.multiply(module) and module.quotient_length(IM) == module.mu() * colength
+
+
+def reduction_search_reference(ideal):
+    """A principal (x) with I^2 = xI among a few candidates, or None: the
+    reference for find_reduction.
+
+    Monomial engine: x = t^delta.  Series engine: the stored generators of
+    order delta, then the lowest basis row, then t^delta when c = 0.
+    """
+    squared = ideal.multiply(ideal)
+    if isinstance(ideal, RelativeIdeal):
+        if squared == ideal.shift(ideal.delta):
+            return ideal.unit_ideal().shift(ideal.delta)
+        return None
+    candidates = [g for g in ideal.generators or () if g.order == ideal.delta]
+    if ideal.matrix.rows and ideal.matrix.pivots[0] == 0:
+        candidates.append(ideal._as_series(ideal.matrix.rows[0]))
+    if ideal.semigroup.conductor == 0:
+        candidates.append(TruncatedSeries.monomial(ideal.field, ideal.delta))
+    for x in dict.fromkeys(candidates):
+        principal = FractionalIdeal.from_generators(ideal.semigroup, ideal.field, [x])
+        if principal.multiply(ideal) == squared:
+            return principal
+    return None

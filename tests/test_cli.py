@@ -117,6 +117,13 @@ def test_enumerate_prints_only_shift_invariant_flags(capsys):
         assert set(entry["flags"]) <= KEPT_FLAGS
 
 
+def test_sup_search_json(capsys):
+    code, doc = run_json(capsys, ["sup-search", "--semigroup", "4,5,6", "--bound", "8"])
+    assert code == cli.EXIT_OK and doc["command"] == "sup-search"
+    assert doc["sup"] == doc["bound_r_plus_e"] == 5  # r(R) + e, reached at the blow-up
+    assert doc["witness"] == "(t^0, t^1, t^2, t^3) over <4,5,6>"
+
+
 def test_ideal_analyze_over_large_prime(capsys):
     argv = ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4 - t^5, t^6"]
     code, doc = run_json(capsys, argv + ["--field", "fp:65537"])

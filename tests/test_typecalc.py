@@ -10,15 +10,19 @@ import pytest
 
 from cmtype import typecalc
 from cmtype.constructions import enumerate_monomial_ideals
-from cmtype.errors import ArgumentError, ConsistencyError
+from cmtype.errors import ArgumentError, ConsistencyError, ContainmentError
 from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import GF, QQ
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import parse_series
+from helpers import random_relative_ideal, reduction_search_reference, ulrich_module_reference
 
 H345 = NumericalSemigroup([3, 4, 5])
 H37 = NumericalSemigroup([3, 7])
+H35 = NumericalSemigroup([3, 5])
+# semigroups with ideals I <= m whose I^2 is not xI, so (x) reduces only a higher power
+REDUCTION_POOL = ([3, 5], [3, 7], [4, 5, 6], [4, 6, 9], [5, 6, 7], [3, 4, 5])
 
 
 def ulrich_ideal(field=GF(5)):
@@ -89,6 +93,73 @@ def test_ulrich_by_length_matches_the_reduction_search():
             outcomes.add((I.engine, reduced, free))
     engines, flags = ("monomial", "series"), (True, False)
     assert outcomes == set(itertools.product(engines, flags, flags))
+
+
+def test_find_reduction_matches_the_candidate_search():
+    # the reference tries several candidates for x; find_reduction tests one by values
+    rng = random.Random(13)
+    outcomes = set()
+    for gens in REDUCTION_POOL + ([1],):
+        H = NumericalSemigroup(gens)
+        ideals = proper_ideals(H, GF(3), rng) if H.conductor else []
+        ideals += [random_relative_ideal(rng, H) for _ in range(6)]
+        ideals += [FractionalIdeal.from_relative(E, GF(3)) for E in ideals[-3:]]
+        ideals += [FractionalIdeal.from_generators(H, GF(3), [parse_series(s, GF(3))])
+                   for s in ("t^-2 + t^5", "t^2 + 2*t^3")]
+        for I in ideals:
+            P = I.find_reduction()
+            assert (P is None) == (reduction_search_reference(I) is None), I.describe()
+            if P is not None:
+                assert P.is_principal() and P.delta == I.delta
+                assert P.multiply(I) == I.multiply(I)
+            outcomes.add((I.engine, P is None))
+    assert outcomes == set(itertools.product(("monomial", "series"), (True, False)))
+
+
+def test_ulrich_module_test_matches_the_definition():
+    # 82 of these 271 ideals have I^2 != xI
+    rng = random.Random(12)
+    outcomes = set()
+    for gens in REDUCTION_POOL:
+        for I in proper_ideals(NumericalSemigroup(gens), GF(3), rng):
+            for M in (I.unit_ideal(), I, I.maximal_ideal(), I.canonical_ideal()):
+                ulrich = typecalc.is_ulrich_module_wrt(M, I)
+                assert ulrich == ulrich_module_reference(M, I), (M.describe(), I.describe())
+                outcomes.add((I.engine, ulrich))
+    assert outcomes == set(itertools.product(("monomial", "series"), (True, False)))
+
+
+@pytest.mark.parametrize("lift", [lambda E: E, lambda E: FractionalIdeal.from_relative(E, QQ)],
+                         ids=["monomial", "series"])
+def test_ulrich_module_pinned_cases(lift):
+    R, m, K = (lift(E) for E in (
+        RelativeIdeal.from_exponents(H35, {0}),
+        RelativeIdeal.from_exponents(H35, {3, 5}),
+        H35.canonical_relative_ideal(),
+    ))
+    assert typecalc.is_ulrich_module_wrt(R, m) is False  # mR = m is not t^3 R
+    for M in (R, m, K):
+        assert typecalc.is_ulrich_module_wrt(M, R) is True
+    # M = I = (t^4, t^5) has IM <= M and len(M/IM) = 3, not delta_I = 4
+    for exps in ({-1, 3}, {-3}, {1, 3}, {4, 5}):
+        I = lift(RelativeIdeal.from_exponents(H35, exps))
+        for M in (R, I):
+            with pytest.raises(ContainmentError):
+                typecalc.is_ulrich_module_wrt(M, I)
+
+
+def test_ulrich_wrt_m_is_the_length_formula():
+    # mu(M) = e, against len(M/mM) = mu(M) = len(M/t^e M) and the test with I = m
+    rng = random.Random(14)
+    outcomes = set()
+    for gens in REDUCTION_POOL:
+        H = NumericalSemigroup(gens)
+        for I in proper_ideals(H, GF(3), rng)[::4] + [random_relative_ideal(rng, H)]:
+            ulrich = typecalc.is_ulrich_module_wrt(I)
+            assert ulrich == (I.mu() == I.quotient_length(I.shift(H.multiplicity)))
+            assert ulrich == typecalc.is_ulrich_module_wrt(I, I.maximal_ideal())
+            outcomes.add(ulrich)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("name, ideal", CASES, ids=[name for name, _ in CASES])
@@ -205,6 +276,19 @@ class TestWorkCounts:
         assert report.consistent and report.flags["is_ulrich_ideal"] is ulrich
         assert searches == []
         assert sum(1 for a, b in products if a is I and b is I) <= 1
+
+    @pytest.mark.parametrize("cls", [RelativeIdeal, FractionalIdeal])
+    def test_ulrich_module_test_makes_no_reduction_search(self, monkeypatch, cls):
+        I = ulrich_ideal()
+        if cls is RelativeIdeal:
+            I = I.support_ideal()
+        searches, products = [], []
+        count_calls(monkeypatch, cls, "find_reduction", searches)
+        count_calls(monkeypatch, cls, "multiply", products)
+        for M in (I.unit_ideal(), I, I.canonical_ideal()):
+            typecalc.is_ulrich_module_wrt(M, I)
+            assert sum(1 for a, b in products if a is I and b is M) == 1
+        assert searches == []
 
     @pytest.mark.parametrize("gens, exprs, colons", [
         ([3, 7], ("t^6 - t^7", "t^10"), 4),  # symmetric: R : I is the K : I already built
