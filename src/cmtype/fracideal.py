@@ -229,28 +229,35 @@ class FractionalIdeal:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, other):
+        """I + J: the rows of the span of lower rank added to the other, on the
+        window from min(delta_I, delta_J), in one ``linalg.sum_spaces`` call.
+        """
         self._check_same(other)
         start = min(self.delta, other.delta)
         c = self.semigroup.conductor
-        rows = [
-            row
-            for ideal in (self, other)
-            for row in _reframe(ideal.matrix, start - ideal.delta, c).rows
-        ]
-        return FractionalIdeal._build(self.semigroup, start, CoeffMatrix(self.field, c, rows))
+        a, b = (_reframe(ideal.matrix, start - ideal.delta, c) for ideal in (self, other))
+        if a.rank < b.rank:
+            a, b = b, a
+        return FractionalIdeal._build(self.semigroup, start, linalg.sum_spaces(a, b.rows))
 
     def multiply(self, other):
         """Ideal product, spanned by (module generators) x (basis rows).
 
-        Each product row is a convolution of the generator's coefficients
-        with a basis row b on the window [delta_I + delta_J, delta_I + gamma_J).
-        The constructor's precision bound, g.precision >= gamma_I, makes
-        every cell exact: TruncatedSeries.mul knows g b below
-        g.precision + order(b) >= gamma_I + delta_J.
+        Each generator g gives a block of rows on the window
+        [delta_I + delta_J, delta_I + gamma_J).  A g with one term c t^u
+        there spans what t^u J does: J's reduced rows shifted u - delta_I
+        places, already reduced, with no arithmetic.  Any other g is
+        convolved with each basis row b.  The constructor's precision bound,
+        g.precision >= gamma_I, makes every cell exact: TruncatedSeries.mul
+        knows g b below g.precision + order(b) >= gamma_I + delta_J.
 
         g b leads at window cell (ord g - delta_I) + pivot(b) with a nonzero
         product, so the rows b whose cell lies past the window, a suffix of
         J's rows, are exactly those with g b = 0 there; they are skipped.
+
+        The lowest shifted block, or failing one the first block reduced, is
+        the basis that ``linalg.sum_spaces`` adds every other row to, so only
+        their residuals on its free columns are row-reduced.
         """
         self._check_same(other)
         gens = self.generators or self.module_generators()
@@ -259,19 +266,33 @@ class FractionalIdeal:
             raise ConsistencyError("stored generators miss the minimal order")
         start = self.delta + other.delta
         width = self.semigroup.conductor
-        rows = []
+        J = other.matrix
+        shifts, blocks = set(), []
         for g in gens:
             # term t^e of g moves a basis row e - delta_I places into the window
             terms = [(e - self.delta, v) for e, v in g.coeffs.items() if e - self.delta < width]
-            cut = bisect.bisect_left(other.matrix.pivots, width - (g.order - self.delta))
-            for b in other.matrix.rows[:cut]:
+            if len(terms) == 1:
+                shifts.add(terms[0][0])
+                continue
+            cut = bisect.bisect_left(J.pivots, width - (g.order - self.delta))
+            block = []
+            for b in J.rows[:cut]:
                 row = [0] * width
                 for d, v in terms:
                     row[d:] = [x + v * y if y else x for x, y in zip(row[d:], b)]
-                rows.append(row)
-        result = FractionalIdeal._build(
-            self.semigroup, start, CoeffMatrix(self.field, width, rows)
-        )
+                block.append(row)
+            blocks.append(block)
+        if shifts:
+            first, *rest = sorted(shifts)
+            basis = _reframe(J, -first, width)
+            zero = self.field.zero()
+            for d in rest:
+                cut = bisect.bisect_left(J.pivots, width - d)
+                blocks.append([(zero,) * d + b[:width - d] for b in J.rows[:cut]])
+        else:
+            basis = CoeffMatrix(self.field, width, blocks.pop(0))
+        matrix = linalg.sum_spaces(basis, [row for block in blocks for row in block])
+        result = FractionalIdeal._build(self.semigroup, start, matrix)
         if result.delta != self.delta + other.delta:
             raise ConsistencyError("product order differs from the sum of orders")
         return result
@@ -328,6 +349,9 @@ class FractionalIdeal:
         if sub.delta < self.delta:
             return None
         _, mine, theirs = self._align(sub)
+        # v(J) <= v(I) is necessary for J <= I; on the window the values are the pivots
+        if not set(theirs.pivots).issubset(mine.pivots):
+            return None
         if any(map(any, linalg._reduce_rows(self.field, theirs.rows, mine))):
             return None
         return mine, theirs
@@ -383,7 +407,9 @@ def _reframe(matrix, shift, width):
     whose pivot falls past it, and the columns past the old window's end
     get unit rows, since the tail beyond a window lies in the ideal.
     Nothing is reduced again: the kept rows keep their pivots, and the
-    unit rows sit on columns where every old row is zero.
+    unit rows sit on columns where every old row is zero.  So the free
+    columns are the padded ones and the old free columns kept, and a
+    computed ``tails()`` view carries over by index shifts and slices.
     """
     if shift == 0 and width == matrix.ncols:
         return matrix  # the same window: keep the matrix and its cached tails()
@@ -397,7 +423,21 @@ def _reframe(matrix, shift, width):
     for u in range(matrix.ncols - shift, width):
         rows.append((zero,) * u + (one,) + (zero,) * (width - u - 1))
         pivots.append(u)
-    return CoeffMatrix(matrix.field, width, rows, pivots, reduced=True)
+    out = CoeffMatrix(matrix.field, width, rows, pivots, reduced=True)
+    if matrix._tails is not None:
+        free, tails = matrix._tails
+        # the new free columns: the padded ones, then the old free[a:b]
+        padded = min(len(lead), width)
+        a, b = bisect.bisect_left(free, lo), bisect.bisect_left(free, hi)
+        moved = []
+        for piv, s, cells in tails:
+            if piv >= hi:
+                break
+            cells = cells[:b - s]
+            if any(cells):
+                moved.append((piv - shift, s - a + padded, cells))
+        out._tails = list(range(padded)) + [f - shift for f in free[a:b]], moved
+    return out
 
 
 @functools.cache

@@ -24,11 +24,18 @@ enters a row reduction:
     every cell they rewrite and zero the cells left of each pivot, so a
     reduced matrix comes out canonical.  ``_reduce_rows`` leaves the cells
     no basis row touches as given, so canonical vectors give canonical
-    residuals; ``member`` reduces its vector first.
+    residuals; ``member`` reduces its vector first, and ``sum_spaces`` its
+    residuals, which are only as wide as the basis's free columns.
 
 ``_reduce_rows`` returns each residual on the basis's free (non-pivot)
 columns only, in column order: modulo a reduced basis the residual is zero
-on every pivot column (see ``kernels``).
+on every pivot column (see ``kernels``).  ``sum_spaces`` builds on it to
+add rows to a reduced basis A: it row-reduces only the nonzero residuals,
+on A's free columns, then clears A's rows on the new pivots, again on the
+free columns alone, and merges the two sets of rows by pivot.  The result
+is the reduced row echelon form of the whole stack, which is unique, so
+it equals a full-width reduction of the stack row for row.  It is the one
+way the series engine adds row spaces (ideal sums and products).
 
 ``reduced=True`` skips the reduction and trusts the caller: the rows must
 already be canonical and in reduced row echelon form, with those pivots.
@@ -220,10 +227,52 @@ def member(v, basis: CoeffMatrix):
     return True, [v[col] for col in basis.pivots]
 
 
-def sum_spaces(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
-    """Reduced basis of the sum of two row spaces."""
-    _check_compatible(a, b)
-    return CoeffMatrix(a.field, a.ncols, list(a.rows) + list(b.rows))
+def sum_spaces(a: CoeffMatrix, rows) -> CoeffMatrix:
+    """Reduced basis of the span of a reduced basis ``a`` and ``rows``.
+
+    Only the residuals of ``rows`` modulo ``a`` are row-reduced, on a's free
+    columns F (``_reduce_rows``), zero residuals left out; each new row is
+    its reduced residual, 0 on a's pivots, with pivot q in F.  Then a's rows
+    are cleared on the new pivots, on F alone: a row's cells on F are
+    reduced modulo the new rows, and its pivot cells stay as they are, since
+    the new rows are 0 there.  The two sets of rows, merged by pivot, are 1
+    on their own pivot and 0 on every other, so they are the reduced row
+    echelon form of the stack, which is unique.  When every residual
+    vanishes, ``a`` itself is returned.
+    """
+    field, ncols = a.field, a.ncols
+    if any(len(r) != ncols for r in rows):
+        raise DimensionError(f"a row's length differs from the {ncols} columns")
+    residuals = _reduce_rows(field, rows, a)
+    if field.is_prime_field:
+        # rows may hold raw sums of products, which a cell no basis row
+        # touches keeps
+        p = field.characteristic
+        residuals = [[x % p for x in r] for r in residuals]
+    residuals = [r for r in residuals if any(r)]
+    if not residuals:
+        return a
+    free, tails = a.tails()
+    new = CoeffMatrix(field, len(free), residuals)  # on F: column k is free[k]
+    zero = field.zero()
+    out = dict(zip(a.pivots, a.rows))
+    on_free = [(piv, [zero] * s + cells) for piv, s, cells in tails]
+    hit = [(piv, v) for piv, v in on_free if any(v[q] for q in new.pivots)]
+    kept, _ = new.tails()
+    for (piv, _), cells in zip(hit, _reduce_rows(field, [v for _, v in hit], new)):
+        row = list(out[piv])
+        for q in new.pivots:
+            row[free[q]] = zero
+        for k, x in zip(kept, cells):
+            row[free[k]] = x or zero
+        out[piv] = tuple(row)
+    for cells, q in zip(new.rows, new.pivots):
+        row = [zero] * ncols
+        for f, x in zip(free, cells):
+            row[f] = x
+        out[free[q]] = tuple(row)
+    pivots = sorted(out)
+    return CoeffMatrix(field, ncols, [out[piv] for piv in pivots], pivots, reduced=True)
 
 
 def intersect(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:

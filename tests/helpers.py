@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from cmtype.fracideal import FractionalIdeal
+from cmtype.fracideal import FractionalIdeal, _reframe
 from cmtype.linalg import CoeffMatrix
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
@@ -113,6 +113,33 @@ def full_width_residuals(field, vecs, basis):
                 r[col:] = [(a - f * b) % p for a, b in tail] if p else [a - f * b for a, b in tail]
         out.append(r)
     return out
+
+
+def full_stack_multiply(I, J):
+    """I J from every (generator) x (basis row) product, the whole stack
+    reduced at full width: the reference for FractionalIdeal.multiply.
+    """
+    gens = I.generators or I.module_generators()
+    width = I.semigroup.conductor
+    rows = []
+    for g in gens:
+        terms = [(e - I.delta, v) for e, v in g.coeffs.items() if e - I.delta < width]
+        for b in J.matrix.rows:
+            row = [0] * width
+            for d, v in terms:
+                row[d:] = [x + v * y for x, y in zip(row[d:], b)]
+            rows.append(row)
+    return FractionalIdeal._build(I.semigroup, I.delta + J.delta, CoeffMatrix(I.field, width, rows))
+
+
+def full_stack_add(I, J):
+    """I + J from both bases stacked on the common window and reduced at
+    full width: the reference for FractionalIdeal.add.
+    """
+    start = min(I.delta, J.delta)
+    c = I.semigroup.conductor
+    rows = [row for X in (I, J) for row in _reframe(X.matrix, start - X.delta, c).rows]
+    return FractionalIdeal._build(I.semigroup, start, CoeffMatrix(I.field, c, rows))
 
 
 def ulrich_module_reference(module, ideal):

@@ -14,7 +14,13 @@ from cmtype.linalg import GF, QQ, CoeffMatrix, reduce_echelon
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import EXACT, TruncatedSeries, parse_series
-from helpers import SERIES_POOL, random_relative_ideal, random_semigroup
+from helpers import (
+    SERIES_POOL,
+    full_stack_add,
+    full_stack_multiply,
+    random_relative_ideal,
+    random_semigroup,
+)
 
 H345 = NumericalSemigroup([3, 4, 5])
 H37 = NumericalSemigroup([3, 7])
@@ -272,7 +278,7 @@ def greedy_module_generators(I):
     for row, wide in zip(I.matrix.rows, mine.rows):
         if not linalg.member(wide, span)[0]:
             picked.append(_as_series(I, row))
-            span = linalg.sum_spaces(span, CoeffMatrix(I.field, mine.ncols, [wide]))
+            span = linalg.sum_spaces(span, [wide])
     return picked
 
 
@@ -459,6 +465,78 @@ def test_build_marks_only_reduced_matrices_reduced(span):
     assert out == rereduced_window(H, start, matrix)
 
 
+@st.composite
+def reframings(draw):
+    """(matrix, shift, width) for _reframe: any shift up to the lowest pivot."""
+    _, _, matrix = draw(windowed_spans())
+    lowest = matrix.pivots[0] if matrix.rows else matrix.ncols
+    shift = draw(st.integers(min_value=-5, max_value=lowest))
+    return matrix, shift, draw(st.integers(min_value=1, max_value=matrix.ncols + 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reframings())
+# padded on the left, and on the right with unit rows
+@example((CoeffMatrix(QQ, 4, [[1, 2, 0, 0], [0, 0, 1, 3]]), -2, 7))
+# a right cut: the last row and the free cells past the cut go
+@example((CoeffMatrix(GF(7), 5, [[1, 0, 2, 0, 5], [0, 1, 3, 0, 0], [0, 0, 0, 1, 4]]), 0, 3))
+# a positive shift drops zero columns
+@example((CoeffMatrix(QQ, 5, [[0, 0, 1, 2, 0], [0, 0, 0, 0, 1]]), 2, 5))
+# a window left of the old one
+@example((CoeffMatrix(QQ, 1, []), -2, 1))
+def test_reframe_carries_the_free_column_view(case):
+    matrix, shift, width = case
+    matrix.tails()
+    out = fracideal._reframe(matrix, shift, width)
+    fresh = CoeffMatrix(out.field, width, out.rows, out.pivots, reduced=True)
+    assert out._tails is not None and out.tails() == fresh.tails()
+    bare = CoeffMatrix(matrix.field, matrix.ncols, matrix.rows, matrix.pivots, reduced=True)
+    assert fracideal._reframe(bare, shift, width)._tails is None
+
+
+def nonzero_coefficient(field):
+    if field.is_prime_field:
+        return st.integers(1, field.characteristic - 1)
+    return st.sampled_from([1, -1, 2, Fraction(-3, 2)])
+
+
+@st.composite
+def generated_ideals(draw, H, field, single_terms=True):
+    """An ideal from 1-3 generators; without single_terms, each has >= 2 terms."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.integers(-2, H.conductor + 1))
+        extra = st.sets(st.integers(1, H.conductor + 1), min_size=0 if single_terms else 1, max_size=3)
+        exponents = [order] + sorted(draw(extra))
+        gens.append(TruncatedSeries(field, {e: draw(nonzero_coefficient(field)) for e in exponents}))
+    return FractionalIdeal.from_generators(H, field, gens)
+
+
+@st.composite
+def ideal_pairs(draw):
+    H = NumericalSemigroup(draw(st.sampled_from(SERIES_POOL)))
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    single_terms = draw(st.booleans())
+    return draw(generated_ideals(H, field, single_terms)), draw(generated_ideals(H, field))
+
+
+@settings(max_examples=120, deadline=None)
+@given(ideal_pairs())
+# single-term generators with coefficient 2 and -3/2
+@example((series_ideal(H37, QQ, "2*t^6", "t^7 + t^8"), series_ideal(H37, QQ, "-3/2*t^3", "t^7")))
+@example((series_ideal(H345, GF(32003), "5*t^4", "7*t^3"), series_ideal(H345, GF(32003), "t^3 - t^4")))
+# no generator is a single term in the window
+@example((series_ideal(H37, GF(3), "t^3 + t^4", "t^7 - t^8"), series_ideal(H37, GF(3), "t^3 + 2*t^4")))
+@example((series_ideal(H456, QQ, "t^4 + t^5", "t^6 - 2*t^7"), series_ideal(H456, QQ, "t^4 + t^6")))
+def test_multiply_and_add_match_the_full_stack(pair):
+    I, J = pair
+    for a, b in ((I, J), (J, I), (I, I)):
+        product, expected = a.multiply(b), full_stack_multiply(a, b)
+        assert product == expected and product.matrix.pivots == expected.matrix.pivots
+        total, expected = a.add(b), full_stack_add(a, b)
+        assert total == expected and total.matrix.pivots == expected.matrix.pivots
+
+
 class TestWorkCounts:
     """Each ideal operation row-reduces once; no time is measured."""
 
@@ -466,18 +544,38 @@ class TestWorkCounts:
     def test_one_row_reduction_per_operation(self, monkeypatch, field):
         I = series_ideal(H37, field, "t^6 - t^7", "t^10")
         J = series_ideal(H37, field, "t^3 + 2*t^4", "t^7")
+        K = series_ideal(H37, field, "t^3 - t^4", "t^8")
+        assert J.contains_ideal(I) and not (J.contains_ideal(K) or K.contains_ideal(J))
         J.module_generators()  # colon reads them; built here, outside the count
-        calls = []
-        original = linalg._rref
-        monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or original(*args))
+        events = []
+        rref, sum_spaces = linalg._rref, linalg.sum_spaces
+        monkeypatch.setattr(
+            linalg, "_rref", lambda f, rows: events.append(len(rows[0])) or rref(f, rows)
+        )
+        monkeypatch.setattr(
+            linalg,
+            "sum_spaces",
+            lambda a, rows: events.append(("free", a.ncols - a.rank)) or sum_spaces(a, rows),
+        )
         counts = {}
-        for name in ("multiply", "add", "intersect", "colon"):
-            before = len(calls)
-            getattr(I, name)(J)
-            counts[name] = len(calls) - before
-        # the colon reduces its constraint with reversed columns, which leaves
-        # its solutions reduced
-        assert counts == {"multiply": 1, "add": 1, "intersect": 1, "colon": 1}
+        for label, name, x, y in (
+            ("multiply", "multiply", I, J),
+            ("add, I <= J", "add", I, J),
+            ("add", "add", J, K),
+            ("intersect", "intersect", I, J),
+            ("colon", "colon", I, J),
+        ):
+            before = len(events)
+            getattr(x, name)(y)
+            calls = events[before:]
+            if name in ("multiply", "add"):
+                # one sum, and it reduces only residuals on its basis's free columns
+                (free,) = [e[1] for e in calls if type(e) is tuple]
+                assert type(calls[0]) is tuple and all(width <= free for width in calls[1:])
+            counts[label] = sum(type(e) is int for e in calls)
+        # a sum containing the added span reduces nothing; the colon reduces its
+        # constraint with reversed columns, which leaves its solutions reduced
+        assert counts == {"multiply": 1, "add, I <= J": 0, "add": 1, "intersect": 1, "colon": 1}
 
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_intersect_reduces_the_lower_rank_only(self, monkeypatch, field):
@@ -564,3 +662,16 @@ def test_non_containment_with_equal_pivots(field):
         assert not I.contains_ideal(J)
         with pytest.raises(ContainmentError):
             I.quotient_length(J)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_non_containment_decided_by_the_values(monkeypatch, field):
+    # 4 is a value of J but not of m = (t^3, t^7): no residual is computed
+    m = series_ideal(H37, field, "t^3", "t^7")
+    J = series_ideal(H37, field, "t^4 + t^5", "t^8")
+    assert J.delta > m.delta
+    reductions = TestWorkCounts.count_calls(monkeypatch, linalg, "_reduce_rows")
+    assert not m.contains_ideal(J)
+    with pytest.raises(ContainmentError):
+        m.quotient_length(J)
+    assert reductions == []

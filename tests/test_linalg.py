@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmtype import kernels
 from cmtype.errors import ArgumentError, DimensionError
 from cmtype.linalg import (
     GF,
@@ -145,11 +147,64 @@ def random_rows(draw, ncols=4, max_rows=4):
 @given(random_rows(), random_rows(), st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
 def test_dimension_formula(rows_a, rows_b, field):
     a, b = mat(field, rows_a), mat(field, rows_b)
-    total = sum_spaces(a, b)
+    total = sum_spaces(a, b.rows)
     inter = intersect(a, b)
     assert a.rank + b.rank == total.rank + inter.rank
     for row in inter.rows:
         assert member(row, a)[0] and member(row, b)[0]
+
+
+@st.composite
+def sums(draw):
+    """(reduced basis, rows): random rows, zero rows and multiples of the basis rows.
+
+    F_p cells are ints of any size, as ``multiply``'s convolution emits them.
+    """
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    ncols = draw(st.integers(1, 7))
+    p = field.characteristic
+    cell = st.integers(-3 * p, 3 * p) if p else st.fractions(-3, 3, max_denominator=4)
+    row = st.lists(cell, min_size=ncols, max_size=ncols)
+    basis = CoeffMatrix(field, ncols, draw(st.lists(row, max_size=ncols)))
+    kinds = [row, st.just([0] * ncols)]
+    if basis.rows:
+        multiple = st.tuples(st.sampled_from(basis.rows), cell)
+        kinds.append(multiple.map(lambda m: [m[1] * x for x in m[0]]))
+    return basis, draw(st.lists(st.one_of(kinds), max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sums())
+# an empty basis
+@example((CoeffMatrix(QQ, 3, []), [[0, 2, 1], [1, 0, 0]]))
+# rows inside the span, one of them with raw cells
+@example((mat(GF(3), [[1, 0, 2], [0, 1, 1]]), [[2, 0, 4], [1, 1, 3]]))
+# zero rows, one of them only modulo p
+@example((mat(GF(32003), [[0, 1, 5]]), [[0, 0, 0], [0, 32003, -64006]]))
+# pivots left of the basis's
+@example((mat(QQ, [[0, 0, 1, 2]]), [[1, Fraction(1, 2), 3, 0], [0, 1, 0, 0]]))
+# a new pivot on a free column that a basis row must be cleared on
+@example((mat(QQ, [[1, 2, 0, 3]]), [[0, 1, 0, 0]]))
+def test_sum_spaces_matches_the_stacked_reduction(case):
+    basis, rows = case
+    before = copy.deepcopy((basis.rows, rows))
+    total = sum_spaces(basis, rows)
+    expected = reduce_echelon(CoeffMatrix(basis.field, basis.ncols, list(basis.rows) + rows))
+    assert total == expected and total.pivots == expected.pivots
+    assert (basis.rows, rows) == before
+    if expected.rank == basis.rank:
+        assert total is basis
+    p = basis.field.characteristic
+    cells = [x for r in total.rows for x in r]
+    if p:
+        assert all(type(x) is int and 0 <= x < p for x in cells)
+    else:
+        assert all(type(x) is Fraction and (x or x is kernels.ZERO) for x in cells)
+
+
+def test_sum_spaces_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(DimensionError):
+        sum_spaces(mat(QQ, [[1, 0]]), [[1, 0, 0]])
 
 
 @settings(max_examples=60, deadline=None)
