@@ -6,6 +6,15 @@ inconsistency (a disagreement between the two type formulas, or a failed
 built-in verification case), 2 input error.  With --json the output is a
 deterministic report document (sorted keys) that round-trips through the
 json module byte-identically.
+
+Each subcommand is a function ``run(args)`` of its parsed arguments that
+returns ``(input echo, body, text lines, consistent)``; it neither times,
+prints nor exits, and it raises ``ArgumentError`` on bad input and
+``ConsistencyError`` when two computations disagree.  ``main`` alone times
+the call, wraps the body in the document envelope (``schema_version``,
+``command`` from the parsed command and subcommand names, ``input``,
+``timing_ms``), prints the document or the text lines and maps
+``consistent`` and the exceptions to exit codes.
 """
 
 import argparse
@@ -60,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     sg_sub = p_sg.add_subparsers(dest="subcommand", required=True)
     p_info = sg_sub.add_parser("info", help="invariants of a numerical semigroup")
     p_info.add_argument("generators", help="comma-separated generators, e.g. 3,7")
-    p_info.add_argument("--json", action="store_true")
     p_info.set_defaults(run=_cmd_semigroup_info)
 
     p_ideal = sub.add_parser("ideal", help="fractional ideal analysis")
@@ -74,21 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="the series engine refuses conductors above "
         f"SERIES_CONDUCTOR_LIMIT = {SERIES_CONDUCTOR_LIMIT}",
     )
-    p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(run=_cmd_ideal_analyze)
 
     p_ver = sub.add_parser("verify", help="verification suites")
     ver_sub = p_ver.add_subparsers(dest="subcommand", required=True)
     p_paper = ver_sub.add_parser("paper", help="run the built-in example suite")
     p_paper.add_argument("--filter", default=None, help="substring of a group name")
-    p_paper.add_argument("--json", action="store_true")
     p_paper.set_defaults(run=_cmd_verify_paper)
 
     p_sup = sub.add_parser("sup-search", help="maximize the idealization type")
     p_sup.add_argument("--semigroup", required=True)
     p_sup.add_argument("--bound", type=int, required=True)
     p_sup.add_argument("--limit", type=int, default=200000, help="enumeration cap")
-    p_sup.add_argument("--json", action="store_true")
     p_sup.set_defaults(run=_cmd_sup_search)
 
     p_enum = sub.add_parser("enumerate", help="list shift-normalized monomial ideals")
@@ -97,9 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--filter", default=None, choices=sorted(_FILTER_FLAGS),
                         help="keep only ideals with this flag")
     p_enum.add_argument("--limit", type=int, default=200000, help="enumeration cap")
-    p_enum.add_argument("--json", action="store_true")
     p_enum.set_defaults(run=_cmd_enumerate)
 
+    for leaf in (p_info, p_an, p_paper, p_sup, p_enum):
+        leaf.add_argument("--json", action="store_true")
     return parser
 
 
@@ -149,26 +155,7 @@ def _build_ideal(H, field, gens, engine: str):
     return FractionalIdeal.from_generators(H, field, gens)
 
 
-def _document(command: str, input_echo: dict, body: dict, started: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input": input_echo,
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
-        **body,
-    }
-
-
-def _emit(doc: dict, as_json: bool, text_lines) -> None:
-    if as_json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_semigroup_info(args) -> int:
-    started = time.perf_counter()
+def _cmd_semigroup_info(args):
     H = _parse_semigroup(args.generators)
     inv = H.invariants()
     body = {
@@ -183,11 +170,9 @@ def _cmd_semigroup_info(args) -> int:
             ),
         }
     }
-    doc = _document("semigroup-info", {"generators": args.generators}, body, started)
     lines = [f"H = {H}"]
     lines += [f"  {k}: {v}" for k, v in body["semigroup"].items() if k != "generators"]
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    return {"generators": args.generators}, body, lines, True
 
 
 def _report_lines(rep) -> list:
@@ -206,30 +191,22 @@ def _report_lines(rep) -> list:
     return lines
 
 
-def _cmd_ideal_analyze(args) -> int:
-    started = time.perf_counter()
+def _cmd_ideal_analyze(args):
     H = _parse_semigroup(args.semigroup)
     field = _parse_field(args.field)
     gens = parse_generators(args.gens, field)
     ideal = _build_ideal(H, field, gens, args.engine)
     rep = classify(ideal)
-    doc = _document(
-        "ideal-analyze",
-        {
-            "semigroup": args.semigroup,
-            "gens": args.gens,
-            "field": str(field),
-            "engine": args.engine,
-        },
-        {"report": rep.to_dict()},
-        started,
-    )
-    _emit(doc, args.json, _report_lines(rep))
-    return EXIT_OK if rep.consistent else EXIT_INCONSISTENT
+    echo = {
+        "semigroup": args.semigroup,
+        "gens": args.gens,
+        "field": str(field),
+        "engine": args.engine,
+    }
+    return echo, {"report": rep.to_dict()}, _report_lines(rep), rep.consistent
 
 
-def _cmd_verify_paper(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify_paper(args):
     results = verify.run(args.filter)
     if not results:
         raise ArgumentError(
@@ -237,28 +214,21 @@ def _cmd_verify_paper(args) -> int:
             f"available: {', '.join(verify.available_groups())}"
         )
     failures = [r for r in results if not r.passed]
-    doc = _document(
-        "verify-paper",
-        {"filter": args.filter},
-        {
-            "cases": [r.to_dict() for r in results],
-            "total": len(results),
-            "failed": len(failures),
-        },
-        started,
-    )
+    body = {
+        "cases": [r.to_dict() for r in results],
+        "total": len(results),
+        "failed": len(failures),
+    }
     lines = [
         f"[{'ok' if r.passed else 'FAIL'}] {r.group} :: {r.case} "
         f"(expected {r.expected}, computed {r.computed})"
         for r in results
     ]
     lines.append(f"{len(results) - len(failures)}/{len(results)} cases passed")
-    _emit(doc, args.json, lines)
-    return EXIT_OK if not failures else EXIT_INCONSISTENT
+    return {"filter": args.filter}, body, lines, not failures
 
 
-def _cmd_sup_search(args) -> int:
-    started = time.perf_counter()
+def _cmd_sup_search(args):
     H = _parse_semigroup(args.semigroup)
     value, witness = sup_search(H, args.bound, max_count=args.limit)
     body = {
@@ -267,22 +237,14 @@ def _cmd_sup_search(args) -> int:
         "witness_mu": witness.mu() if witness else None,
         "bound_r_plus_e": H.type() + H.multiplicity,
     }
-    doc = _document(
-        "sup-search", {"semigroup": args.semigroup, "bound": args.bound}, body, started
-    )
-    _emit(
-        doc,
-        args.json,
-        [
-            f"sup r(R x I) over {H} (span bound {args.bound}) = {value}",
-            f"witness: {body['witness']} with mu = {body['witness_mu']}",
-        ],
-    )
-    return EXIT_OK
+    lines = [
+        f"sup r(R x I) over {H} (span bound {args.bound}) = {value}",
+        f"witness: {body['witness']} with mu = {body['witness_mu']}",
+    ]
+    return {"semigroup": args.semigroup, "bound": args.bound}, body, lines, True
 
 
-def _cmd_enumerate(args) -> int:
-    started = time.perf_counter()
+def _cmd_enumerate(args):
     H = _parse_semigroup(args.semigroup)
     flag = _FILTER_FLAGS[args.filter] if args.filter else None
     entries = []
@@ -299,26 +261,21 @@ def _cmd_enumerate(args) -> int:
                           if v and k in _FILTER_FLAGS.values()},
             }
         )
-    doc = _document(
-        "enumerate",
-        {"semigroup": args.semigroup, "bound": args.bound, "filter": args.filter},
-        {"count": len(entries), "ideals": entries},
-        started,
-    )
     lines = [
         f"(t^{', t^'.join(map(str, e['generators']))})  mu={e['mu']}  "
         f"r(RxI)={e['r_idealization']}  {','.join(sorted(e['flags']))}"
         for e in entries
     ]
     lines.append(f"{len(entries)} ideals")
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    echo = {"semigroup": args.semigroup, "bound": args.bound, "filter": args.filter}
+    return echo, {"count": len(entries), "ideals": entries}, lines, True
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.run(args)
+        echo, body, lines, consistent = args.run(args)
     except ParseError as exc:
         gens = getattr(args, "gens", "")
         print(f"error: {exc}", file=sys.stderr)
@@ -326,15 +283,25 @@ def main(argv=None) -> int:
             print(f"  {gens}", file=sys.stderr)
             print("  " + " " * exc.position + "^", file=sys.stderr)
         return EXIT_INPUT
-    except ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ConsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except CmtypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.json:
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "-".join(filter(None, [args.command, getattr(args, "subcommand", None)])),
+            "input": echo,
+            "timing_ms": round((time.perf_counter() - started) * 1000, 3),
+            **body,
+        }
+        print(json.dumps(doc, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return EXIT_OK if consistent else EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

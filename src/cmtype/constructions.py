@@ -99,13 +99,11 @@ def enumerate_monomial_ideals(H: NumericalSemigroup, span_bound: int, max_count:
     """
     if span_bound < 1:
         raise ArgumentError("span bound must be at least 1")
-    gaps = [g for g in H.gaps() if g > 0]
-    gaps_desc = sorted(gaps, reverse=True)
-    gap_set = set(gaps)
-    needed = {
-        g: [g + a for a in H.generators if g + a in gap_set] for g in gaps
-    }
     base_mask = H._member_mask
+    gap_mask = ((1 << H.conductor) - 1) & ~base_mask
+    gaps_desc = H.gaps()[::-1]
+    # the gaps g + a (a a generator) that choosing gap g forces in as well
+    needed = [sum(1 << (g + a) for a in H.generators) & gap_mask for g in gaps_desc]
     count = 0
 
     def emit(chosen_mask):
@@ -117,16 +115,16 @@ def enumerate_monomial_ideals(H: NumericalSemigroup, span_bound: int, max_count:
             )
         return RelativeIdeal(H, 0, base_mask | chosen_mask)
 
-    def walk(i, chosen, chosen_mask):
+    def walk(i, chosen_mask):
         if i == len(gaps_desc):
             yield emit(chosen_mask)
             return
         g = gaps_desc[i]
-        yield from walk(i + 1, chosen, chosen_mask)
-        if g <= span_bound and all(s in chosen for s in needed[g]):
-            yield from walk(i + 1, chosen | {g}, chosen_mask | (1 << g))
+        yield from walk(i + 1, chosen_mask)
+        if g <= span_bound and not needed[i] & ~chosen_mask:
+            yield from walk(i + 1, chosen_mask | 1 << g)
 
-    yield from walk(0, frozenset(), 0)
+    yield from walk(0, 0)
 
 
 def sup_search(H: NumericalSemigroup, span_bound: int, max_count: int = 200000):

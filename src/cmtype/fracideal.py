@@ -367,7 +367,8 @@ class FractionalIdeal:
         )
 
     def __hash__(self):
-        return hash((self.semigroup, self.field, self.delta, self.matrix.rows))
+        # equal ideals have equal rows, hence equal pivots (their value set)
+        return hash((self.semigroup, self.field, self.delta, self.matrix.pivots))
 
     # -- companions ----------------------------------------------------------
 

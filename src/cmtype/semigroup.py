@@ -61,18 +61,13 @@ class NumericalSemigroup:
                 mask |= stride << w
         self._member_mask = mask & ((1 << c) - 1)
 
-        self.generators = tuple(g for g in gens if self._is_minimal_generator(g))
+        # g is redundant iff g = a + h with a < g a given generator, h in H
+        self.generators = tuple(
+            g for g in gens if not any(a < g and self.contains(g - a) for a in gens)
+        )
         self.embedding_dimension = len(self.generators)
         self._apery_cache = {}
         self._pseudo_frobenius = self._maximal_apery_pf()
-
-    def _is_minimal_generator(self, x: int) -> bool:
-        # x is redundant iff x = y + z with y, z nonzero members.
-        e = self.multiplicity
-        for y in range(e, x - e + 1):
-            if self.contains(y) and self.contains(x - y):
-                return False
-        return True
 
     def contains(self, z: int) -> bool:
         if z < 0:

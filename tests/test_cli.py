@@ -1,5 +1,6 @@
 """The command-line contract: exit codes, JSON documents, error carets."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +85,42 @@ def test_shared_parser_carries_no_state_between_calls(capsys):
     _, doc = run_json(capsys, analyze)
     assert without_timing(doc) == without_timing(fresh_doc)
     assert cli.build_parser.cache_info().misses == 1
+
+
+# sha256 of stdout with the "timing_ms" line dropped, text mode then --json.
+# Any change to an output byte must update these on purpose.
+BYTE_STABLE = [
+    (["semigroup", "info", "4,5,6"],
+     "808dbd7bb19fe8928cadc1ae8fe0b472756f06450ddd275793ccb279665517de",
+     "64e45400fa1cdad5f2535c6a3dfffcb1dc1dd7d5bf4c831019a09685d533b463"),
+    (["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4 - t^5, t^6"],
+     "bc6bc0d5e0346da3e82b2ebc93f6cc12e4050356e200d41f57336a52dfea9fc8",
+     "20df5feeb73baff4e19d28766b492b79f287cdb171d4c8830e15226f0ac153f9"),
+    (["ideal", "analyze", "--semigroup", "3,7", "--gens", "t^6, t^10"],
+     "d717095c4cd23de60919756a6d95244cc06a29e06fcc2ae12ade1cdb6b2f4ce9",
+     "49c73a7514cdf53e020c08b468eeb804dde0ea861e68cc9c68b642fcce4794fc"),
+    (["verify", "paper", "--filter", "remark"],
+     "97b07572bddf9c4eed5d0ac43fd1ad76438d9527667590b43877c1f611c15d04",
+     "aac34c5f87b39c5161170ef3f184bc9524d000c96ac34c7ee3662d8812b552b7"),
+    (["sup-search", "--semigroup", "4,5,6", "--bound", "8"],
+     "c276939342848f41c31348d92f5b8ba95139756a24b46700be58e6f8429ae8e8",
+     "95e068650c2fe9c92990bea14c4ce177b97889eb637c291ad22be385ab7b7dcf"),
+    (["enumerate", "--semigroup", "4,5,6", "--bound", "8", "--filter", "closed"],
+     "1672ac31ec328c98433b308fa45361e955e07f58730ff2e1fbe238cb918d4242",
+     "17334d8bad6aca6fc8f3eda63af3a4b6a64a6f1c69a8cd34ea8493e49d6a7f62"),
+]
+
+
+@pytest.mark.parametrize("argv, text_sha, json_sha", BYTE_STABLE, ids=[
+    "semigroup-info", "ideal-analyze-series", "ideal-analyze-monomial",
+    "verify-paper", "sup-search", "enumerate",
+])
+def test_documents_are_byte_stable(capsys, argv, text_sha, json_sha):
+    for extra, expected in (([], text_sha), (["--json"], json_sha)):
+        assert cli.main(argv + extra) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines(keepends=True)
+        kept = "".join(line for line in out if '"timing_ms"' not in line)
+        assert hashlib.sha256(kept.encode()).hexdigest() == expected, extra
 
 
 def test_parse_error_caret(capsys):

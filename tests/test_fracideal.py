@@ -116,7 +116,9 @@ class TestArithmetic:
     def test_sum(self):
         a = series_ideal(H345, QQ, "t^3")
         b = series_ideal(H345, QQ, "t^4")
-        assert a.add(b) == series_ideal(H345, QQ, "t^3", "t^4")
+        total = a.add(b)
+        expected = series_ideal(H345, QQ, "t^3", "t^4")
+        assert total == expected and hash(total) == hash(expected)
 
     def test_intersect_monomials(self):
         a = series_ideal(H345, QQ, "t^3")
@@ -128,7 +130,8 @@ class TestArithmetic:
 
     def test_shift_round_trip(self):
         I = series_ideal(H37, QQ, "t^6 - t^7", "t^10")
-        assert I.shift(5).shift(-5) == I
+        back = I.shift(5).shift(-5)
+        assert back == I and hash(back) == hash(I)
         assert I.shift(3).mu() == I.mu()
 
 

@@ -128,3 +128,15 @@ def test_apery_invariants_against_scans(case):
     K = H.canonical_relative_ideal()
     assert K == RelativeIdeal.from_exponents(H, set(dual) | {c})
     assert K.minimal_generators() == tuple(sorted(F - x for x in pf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(semigroups())
+def test_minimal_generators_against_sums(case):
+    gens, H = case
+    oracle = Oracle(gens)
+    # every x >= c + e is e plus a member, so the atoms of H lie below c + e
+    nonzero = [z for z in range(1, H.conductor + H.multiplicity) if oracle.in_h(z)]
+    atoms = tuple(x for x in nonzero if not any(oracle.in_h(x - y) for y in nonzero if y < x))
+    assert H.generators == atoms
+    assert H.embedding_dimension == len(atoms)
