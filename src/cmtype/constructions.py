@@ -105,26 +105,23 @@ def enumerate_monomial_ideals(H: NumericalSemigroup, span_bound: int, max_count:
     # the gaps g + a (a a generator) that choosing gap g forces in as well
     needed = [sum(1 << (g + a) for a in H.generators) & gap_mask for g in gaps_desc]
     count = 0
-
-    def emit(chosen_mask):
-        nonlocal count
-        count += 1
-        if count > max_count:
-            raise ResourceLimitError(
-                f"more than {max_count} ideals below span bound {span_bound}"
-            )
-        return RelativeIdeal(H, 0, base_mask | chosen_mask)
-
-    def walk(i, chosen_mask):
+    # depth first on a stack, as recursion overflows near a thousand gaps;
+    # "choose" is pushed before "skip", so the ideal without gap g comes first
+    stack = [(0, 0)]
+    while stack:
+        i, chosen_mask = stack.pop()
         if i == len(gaps_desc):
-            yield emit(chosen_mask)
-            return
+            count += 1
+            if count > max_count:
+                raise ResourceLimitError(
+                    f"more than {max_count} ideals below span bound {span_bound}"
+                )
+            yield RelativeIdeal(H, 0, base_mask | chosen_mask)
+            continue
         g = gaps_desc[i]
-        yield from walk(i + 1, chosen_mask)
         if g <= span_bound and not needed[i] & ~chosen_mask:
-            yield from walk(i + 1, chosen_mask | 1 << g)
-
-    yield from walk(0, 0)
+            stack.append((i + 1, chosen_mask | 1 << g))
+        stack.append((i + 1, chosen_mask))
 
 
 def sup_search(H: NumericalSemigroup, span_bound: int, max_count: int = 200000):

@@ -10,9 +10,10 @@ gamma = delta + c, stored as a reduced CoeffMatrix on the exponent window
 That window is the only one an ideal has.  ``FractionalIdeal.__init__``
 derives gamma from delta and c, and raises ConsistencyError if the matrix
 width is not c or a stored generator is known only below gamma.  So equal
-ideals have equal (delta, rows), and an operation that needs another
-window (a product, a colon solve, the common window of two ideals) moves
-rows there and back with ``_reframe``.
+ideals have equal (delta, rows).  A binary operation moves one operand,
+with ``_reframe``, onto a c-wide window that already exists (the other
+operand's, or the product's) and reduces against that window's own matrix
+and its cached free-column view.
 
 Because the tail t^gamma k[[t]] lies inside I, every truncated basis row,
 read as a Laurent polynomial, is itself a genuine element of I.  That
@@ -84,12 +85,11 @@ class FractionalIdeal:
                 raise ArgumentError(f"generator field {g.field} != ideal field {field}")
         c = semigroup.conductor
         delta = min(g.order for g in gens)
-        zero = field.zero()
         rows = []
         for g in gens:
-            vec = g.window_vector(delta, c)  # raises the precision-naming error
+            g.window_vector(delta, c)  # raises the precision-naming error
             for h in semigroup.members(0, delta + c - g.order):
-                rows.append(_shifted(vec, h, zero))
+                rows.append(g.window_vector(delta - h, c))
         ideal = cls(semigroup, field, delta, CoeffMatrix(field, c, rows), generators=gens)
         ideal.validate()
         return ideal
@@ -107,7 +107,7 @@ class FractionalIdeal:
             row = [zero] * c
             row[i] = one
             rows.append(row)
-        matrix = CoeffMatrix(field, c, rows, pivots=positions, reduced=True)
+        matrix = CoeffMatrix(field, c, rows, positions)
         gens = [TruncatedSeries.monomial(field, g) for g in ideal.minimal_generators()]
         return cls(H, field, ideal.delta, matrix, generators=gens)
 
@@ -132,9 +132,8 @@ class FractionalIdeal:
                 raise ConsistencyError("lowest basis order differs from delta")
         elif self.gamma > self.delta:
             raise ConsistencyError("empty basis on a nonempty window")
-        zero = self.field.zero()
         for a in self.semigroup.generators:
-            shifted = [_shifted(r, a, zero) for r in self.matrix.rows]
+            shifted = _reframe(self.matrix, -a, self.semigroup.conductor).rows
             if any(map(any, linalg._reduce_rows(self.field, shifted, self.matrix))):
                 raise ConsistencyError(f"span is not stable under multiplication by t^{a}")
 
@@ -164,18 +163,6 @@ class FractionalIdeal:
     def __repr__(self):
         return f"FractionalIdeal({self.describe()})"
 
-    # -- alignment helpers ---------------------------------------------------
-
-    def _align(self, other):
-        """Both ideals on the common window [min delta, max gamma)."""
-        start = min(self.delta, other.delta)
-        width = max(self.gamma, other.gamma) - start
-        return (
-            start,
-            _reframe(self.matrix, start - self.delta, width),
-            _reframe(other.matrix, start - other.delta, width),
-        )
-
     def _check_same(self, other):
         if not isinstance(other, FractionalIdeal):
             raise ArgumentError("expected a series-engine ideal")
@@ -192,17 +179,19 @@ class FractionalIdeal:
         Basis row i is picked iff it is not in m I plus the rows picked
         before it, that is, iff its residual modulo m I is not in the span
         of the earlier rows' residuals: iff column i is a pivot column of
-        the matrix whose columns are the residuals.
+        the matrix whose columns are the residuals.  For c >= 1, m I holds
+        t^gamma k[[t]]: for x >= gamma, t^(x - delta) is in m, so m I has an
+        element of order x.  So m I is moved onto I's window.
         """
         if self._modgens is not None:
             return self._modgens
         if self.semigroup.conductor == 0:
             self._modgens = [TruncatedSeries.monomial(self.field, self.delta)]
             return self._modgens
-        _, mine, span = self._align(self._maximal_product())
-        rank = self.matrix.rank
-        residuals = linalg._reduce_rows(self.field, mine.rows[:rank], span)
-        columns = CoeffMatrix(self.field, rank, list(zip(*residuals)))
+        mI = self._maximal_product()
+        span = _reframe(mI.matrix, self.delta - mI.delta, self.semigroup.conductor)
+        residuals = linalg._reduce_rows(self.field, self.matrix.rows, span)
+        columns = CoeffMatrix(self.field, self.matrix.rank, list(zip(*residuals)))
         picked = [self._as_series(self.matrix.rows[i]) for i in columns.pivots]
         if len(picked) != self.mu():
             raise ConsistencyError("generator extraction disagrees with mu")
@@ -285,10 +274,7 @@ class FractionalIdeal:
         if shifts:
             first, *rest = sorted(shifts)
             basis = _reframe(J, -first, width)
-            zero = self.field.zero()
-            for d in rest:
-                cut = bisect.bisect_left(J.pivots, width - d)
-                blocks.append([(zero,) * d + b[:width - d] for b in J.rows[:cut]])
+            blocks += [_reframe(J, -d, width).rows for d in rest]
         else:
             basis = CoeffMatrix(self.field, width, blocks.pop(0))
         matrix = linalg.sum_spaces(basis, [row for block in blocks for row in block])
@@ -323,9 +309,13 @@ class FractionalIdeal:
         return FractionalIdeal._build(self.semigroup, start, solutions)
 
     def intersect(self, other):
+        """I cap J on the window of the operand with the larger delta, where
+        the meet lies and past which both ideals hold the tail."""
         self._check_same(other)
-        start, a, b = self._align(other)
-        return FractionalIdeal._build(self.semigroup, start, linalg.intersect(a, b))
+        base, moved = (self, other) if self.delta >= other.delta else (other, self)
+        theirs = _reframe(moved.matrix, base.delta - moved.delta, self.semigroup.conductor)
+        meet = linalg.intersect(base.matrix, theirs)
+        return FractionalIdeal._build(self.semigroup, base.delta, meet)
 
     def shift(self, s: int):
         """Multiplication by t^s."""
@@ -333,28 +323,26 @@ class FractionalIdeal:
         return FractionalIdeal(self.semigroup, self.field, self.delta + s, self.matrix, gens)
 
     def contains_ideal(self, sub) -> bool:
-        return self._aligned_if_contains(sub) is not None
+        return self._contains(sub)
 
     def quotient_length(self, sub) -> int:
-        """dim_k(I/J) for J <= I; both contain the common window tail."""
-        aligned = self._aligned_if_contains(sub)
-        if aligned is None:
+        """dim_k(I/J) for J <= I, off the ranks: I holds the tail from gamma_I
+        and J from gamma_J, so l(I/J) = rank_I + (gamma_J - gamma_I) - rank_J."""
+        if not self._contains(sub):
             raise ContainmentError(f"{sub.describe()} is not contained in {self.describe()}")
-        mine, theirs = aligned
-        return mine.rank - theirs.rank
+        return self.matrix.rank + sub.gamma - self.gamma - sub.matrix.rank
 
-    def _aligned_if_contains(self, sub):
-        """Both ideals on one common window if sub <= self, else None."""
+    def _contains(self, sub) -> bool:
+        """J <= I, for delta_J >= delta_I, iff J's rows cut to I's window lie
+        in I's span: their cells past it form an element of I's tail."""
         self._check_same(sub)
         if sub.delta < self.delta:
-            return None
-        _, mine, theirs = self._align(sub)
+            return False
+        theirs = _reframe(sub.matrix, self.delta - sub.delta, self.semigroup.conductor)
         # v(J) <= v(I) is necessary for J <= I; on the window the values are the pivots
-        if not set(theirs.pivots).issubset(mine.pivots):
-            return None
-        if any(map(any, linalg._reduce_rows(self.field, theirs.rows, mine))):
-            return None
-        return mine, theirs
+        if not set(theirs.pivots).issubset(self.matrix.pivots):
+            return False
+        return not any(map(any, linalg._reduce_rows(self.field, theirs.rows, self.matrix)))
 
     def __eq__(self, other):
         if not isinstance(other, FractionalIdeal):
@@ -394,37 +382,34 @@ class FractionalIdeal:
         return FractionalIdeal.from_generators(self.semigroup, self.field, [x])
 
 
-def _shifted(row, a, zero):
-    """The window row of t^a times the polynomial ``row``; cells past the window drop."""
-    return ([zero] * a + list(row))[:len(row)]
-
-
 def _reframe(matrix, shift, width):
     """A reduced windowed span moved to a window ``width`` columns wide.
 
-    New column j is old column j + shift.  Columns before the old window
-    are zero (shift < 0 pads on the left); a positive shift drops columns
-    that must be zero in every row.  A cut on the right drops the rows
-    whose pivot falls past it, and the columns past the old window's end
-    get unit rows, since the tail beyond a window lies in the ideal.
-    Nothing is reduced again: the kept rows keep their pivots, and the
-    unit rows sit on columns where every old row is zero.  So the free
-    columns are the padded ones and the old free columns kept, and a
-    computed ``tails()`` view carries over by index shifts and slices.
+    New column j is old column j + shift.  The span plus the tail past the
+    old window is cut to the vectors that vanish before the new start, and
+    truncated at the new end.  So a shift < 0 pads on the left, a shift > 0
+    keeps only the rows whose pivot is at or past it (in reduced echelon
+    form they span the vectors that vanish before it), a cut on the right
+    drops the rows whose pivot falls past it, and the columns past the old
+    window's end get unit rows.  Nothing is reduced again: the kept rows
+    keep their pivots, and the unit rows sit on columns where every kept
+    row is zero.  So the free columns are the padded ones and the old free
+    columns kept, and a computed ``tails()`` view carries over by index
+    shifts and slices.
     """
     if shift == 0 and width == matrix.ncols:
         return matrix  # the same window: keep the matrix and its cached tails()
     zero, one = matrix.field.zero(), matrix.field.one()
-    hi = shift + width  # the new window's end, in old columns
+    lo, hi = max(shift, 0), shift + width  # the new window, in old columns
+    first = bisect.bisect_left(matrix.pivots, lo)
     keep = bisect.bisect_left(matrix.pivots, hi)
-    lead, pad = (zero,) * -shift, (zero,) * (hi - matrix.ncols)
-    lo = max(shift, 0)
-    rows = [lead + r[lo:hi] + pad for r in matrix.rows[:keep]]
-    pivots = [piv - shift for piv in matrix.pivots[:keep]]
-    for u in range(matrix.ncols - shift, width):
+    lead, pad = (zero,) * -shift, (zero,) * (hi - max(matrix.ncols, lo))
+    rows = [lead + r[lo:hi] + pad for r in matrix.rows[first:keep]]
+    pivots = [piv - shift for piv in matrix.pivots[first:keep]]
+    for u in range(max(matrix.ncols - shift, 0), width):
         rows.append((zero,) * u + (one,) + (zero,) * (width - u - 1))
         pivots.append(u)
-    out = CoeffMatrix(matrix.field, width, rows, pivots, reduced=True)
+    out = CoeffMatrix(matrix.field, width, rows, pivots)
     if matrix._tails is not None:
         free, tails = matrix._tails
         # the new free columns: the padded ones, then the old free[a:b]
@@ -435,7 +420,7 @@ def _reframe(matrix, shift, width):
             if piv >= hi:
                 break
             cells = cells[:b - s]
-            if any(cells):
+            if piv >= lo and any(cells):
                 moved.append((piv - shift, s - a + padded, cells))
         out._tails = list(range(padded)) + [f - shift for f in free[a:b]], moved
     return out

@@ -37,8 +37,8 @@ is the reduced row echelon form of the whole stack, which is unique, so
 it equals a full-width reduction of the stack row for row.  It is the one
 way the series engine adds row spaces (ideal sums and products).
 
-``reduced=True`` skips the reduction and trusts the caller: the rows must
-already be canonical and in reduced row echelon form, with those pivots.
+A CoeffMatrix given its ``pivots`` trusts the caller and skips the reduction:
+the rows must already be canonical and reduced, with those pivots.
 """
 
 import bisect
@@ -118,25 +118,22 @@ def GF(p: int) -> FieldSpec:
 class CoeffMatrix:
     """A row space over a FieldSpec, kept in reduced row echelon form.
 
-    ``rows`` are tuples of field elements, all of length ``ncols``.
-    Construct through :func:`reduce_echelon` (or the ``reduced=True``
-    fast path when the rows are already reduced).  ``tails()`` is the view
-    that reductions modulo the matrix read, computed on first use and kept.
+    ``rows`` are tuples of field elements, all of length ``ncols``, reduced
+    on construction unless their ``pivots`` are given.  ``tails()`` is the
+    view that reductions modulo the matrix read, computed on first use and kept.
     """
 
     __slots__ = ("field", "ncols", "rows", "pivots", "_tails")
 
-    def __init__(self, field: FieldSpec, ncols: int, rows, pivots=None, reduced=False):
+    def __init__(self, field: FieldSpec, ncols: int, rows, pivots=None):
         self.field = field
         self.ncols = ncols
-        if not reduced:
+        if pivots is None:
             rows, pivots = _rref(field, rows)
         # tuple() of a list, not of a generator: CPython builds the latter at a
         # guessed size and resizes it, so the tuples it frees pile up on the
         # interpreter's per-size free lists until a full garbage collection.
         self.rows = tuple([tuple(r) for r in rows])
-        if pivots is None:
-            pivots = [next(i for i, x in enumerate(r) if x) for r in self.rows]
         self.pivots = tuple(pivots)
         for r in self.rows:
             if len(r) != ncols:
@@ -204,7 +201,7 @@ def _reduce_rows(field: FieldSpec, vecs, basis: CoeffMatrix):
 def reduce_echelon(m: CoeffMatrix) -> CoeffMatrix:
     """The unique reduced row echelon form of the row space of ``m``."""
     rows, pivots = _rref(m.field, m.rows)
-    return CoeffMatrix(m.field, m.ncols, rows, pivots, reduced=True)
+    return CoeffMatrix(m.field, m.ncols, rows, pivots)
 
 
 def member(v, basis: CoeffMatrix):
@@ -272,7 +269,7 @@ def sum_spaces(a: CoeffMatrix, rows) -> CoeffMatrix:
             row[f] = x
         out[free[q]] = tuple(row)
     pivots = sorted(out)
-    return CoeffMatrix(field, ncols, [out[piv] for piv in pivots], pivots, reduced=True)
+    return CoeffMatrix(field, ncols, [out[piv] for piv in pivots], pivots)
 
 
 def intersect(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
@@ -295,7 +292,7 @@ def intersect(a: CoeffMatrix, b: CoeffMatrix) -> CoeffMatrix:
     n = b.ncols - b.rank
     k = bisect.bisect_left(pivots, n)
     return CoeffMatrix(
-        field, a.ncols, [r[n:] for r in reduced[k:]], [piv - n for piv in pivots[k:]], reduced=True
+        field, a.ncols, [r[n:] for r in reduced[k:]], [piv - n for piv in pivots[k:]]
     )
 
 
@@ -322,7 +319,7 @@ def nullspace(field: FieldSpec, ncols: int, rows) -> CoeffMatrix:
             if x:
                 v[ncols - 1 - piv] = (-x) % p if p else -x
         basis.append(v)
-    return CoeffMatrix(field, ncols, basis, free, reduced=True)
+    return CoeffMatrix(field, ncols, basis, free)
 
 
 def _check_compatible(a: CoeffMatrix, b: CoeffMatrix):

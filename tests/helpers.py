@@ -115,6 +115,37 @@ def full_width_residuals(field, vecs, basis):
     return out
 
 
+def common_window(I, J):
+    """``(start, a, b)``: both ideals on the window [min delta, max gamma).
+
+    The reference that the one-operand moves of FractionalIdeal's
+    containment, length, intersection and generator extraction replace.
+    """
+    start = min(I.delta, J.delta)
+    width = max(I.gamma, J.gamma) - start
+    return start, *(_reframe(X.matrix, start - X.delta, width) for X in (I, J))
+
+
+def recursive_monomial_ideals(H, span_bound):
+    """The delta-0 monomial ideals by one recursive call per gap: the
+    reference for the order in which enumerate_monomial_ideals yields them.
+    """
+    gap_mask = ((1 << H.conductor) - 1) & ~H._member_mask
+    gaps_desc = H.gaps()[::-1]
+    needed = [sum(1 << (g + a) for a in H.generators) & gap_mask for g in gaps_desc]
+
+    def walk(i, chosen_mask):
+        if i == len(gaps_desc):
+            yield RelativeIdeal(H, 0, H._member_mask | chosen_mask)
+            return
+        g = gaps_desc[i]
+        yield from walk(i + 1, chosen_mask)
+        if g <= span_bound and not needed[i] & ~chosen_mask:
+            yield from walk(i + 1, chosen_mask | 1 << g)
+
+    yield from walk(0, 0)
+
+
 def full_stack_multiply(I, J):
     """I J from every (generator) x (basis row) product, the whole stack
     reduced at full width: the reference for FractionalIdeal.multiply.

@@ -154,6 +154,12 @@ def test_enumerate_prints_only_shift_invariant_flags(capsys):
         assert set(entry["flags"]) <= KEPT_FLAGS
 
 
+def test_enumerate_walks_a_thousand_gaps(capsys):
+    # <2,2001> has 1,000 gaps, one enumeration level each, past Python's recursion limit
+    code, doc = run_json(capsys, ["enumerate", "--semigroup", "2,2001", "--bound", "1"])
+    assert code == cli.EXIT_OK and doc["count"] == 1
+
+
 def test_sup_search_json(capsys):
     code, doc = run_json(capsys, ["sup-search", "--semigroup", "4,5,6", "--bound", "8"])
     assert code == cli.EXIT_OK and doc["command"] == "sup-search"

@@ -1,6 +1,7 @@
 """The families, the blow-up ring, the enumeration and sup_search, against brute force."""
 
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from cmtype.constructions import (
 from cmtype.errors import ArgumentError, ConsistencyError, ResourceLimitError
 from cmtype.semigroup import NumericalSemigroup
 from cmtype.typecalc import idealization_type
-from helpers import SERIES_POOL
+from helpers import SERIES_POOL, random_semigroup, recursive_monomial_ideals
 
 POOL = [NumericalSemigroup(gens) for gens in SERIES_POOL]
 
@@ -49,6 +50,17 @@ def test_enumeration_matches_brute_force(H):
         got = [frozenset(window_set(I, 0, c)) for I in ideals]
         assert len(got) == len(set(got))  # each ideal once
         assert set(got) == set(brute_force_ideals(H, span_bound))
+
+
+def test_enumeration_order_matches_the_recursive_walk():
+    rng = random.Random(15)
+    for _ in range(40):
+        H = random_semigroup(rng, hi=11)
+        # only a bound of at least the Frobenius number c - 1 lets a gap in
+        bound = rng.randint(H.conductor - 1, H.conductor + 2)
+        got = [I.members_mask(0, H.conductor) for I in enumerate_monomial_ideals(H, bound)]
+        expected = [I.members_mask(0, H.conductor) for I in recursive_monomial_ideals(H, bound)]
+        assert got == expected
 
 
 @pytest.mark.parametrize("H", POOL, ids=str)

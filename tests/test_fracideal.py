@@ -16,15 +16,18 @@ from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import EXACT, TruncatedSeries, parse_series
 from helpers import (
     SERIES_POOL,
+    common_window,
     full_stack_add,
     full_stack_multiply,
     random_relative_ideal,
     random_semigroup,
+    zassenhaus_intersect,
 )
 
 H345 = NumericalSemigroup([3, 4, 5])
 H37 = NumericalSemigroup([3, 7])
 H456 = NumericalSemigroup([4, 5, 6])
+R34 = fracideal._unit(NumericalSemigroup([3, 4]), GF(3))
 
 
 def series_ideal(H, field, *exprs):
@@ -276,7 +279,7 @@ def series_stable(I):
 
 def greedy_module_generators(I):
     """Row by row: keep a basis row iff it is not in m I plus the rows kept before it."""
-    _, mine, span = I._align(I._maximal_product())
+    _, mine, span = common_window(I, I._maximal_product())
     picked = []
     for row, wide in zip(I.matrix.rows, mine.rows):
         if not linalg.member(wide, span)[0]:
@@ -330,7 +333,7 @@ class TestRowLayerReference:
                 del rows[k], pivots[k]
                 broken = FractionalIdeal(
                     H, field, X.delta,
-                    CoeffMatrix(field, H.conductor, rows, pivots=pivots, reduced=True),
+                    CoeffMatrix(field, H.conductor, rows, pivots),
                 )
                 if series_stable(broken):
                     broken.validate()
@@ -470,14 +473,32 @@ def test_build_marks_only_reduced_matrices_reduced(span):
 
 @st.composite
 def reframings(draw):
-    """(matrix, shift, width) for _reframe: any shift up to the lowest pivot."""
+    """(matrix, shift, width) for _reframe: shifts up to past the whole old window."""
     _, _, matrix = draw(windowed_spans())
-    lowest = matrix.pivots[0] if matrix.rows else matrix.ncols
-    shift = draw(st.integers(min_value=-5, max_value=lowest))
+    shift = draw(st.integers(min_value=-5, max_value=matrix.ncols + 6))
     return matrix, shift, draw(st.integers(min_value=1, max_value=matrix.ncols + 6))
 
 
-@settings(max_examples=150, deadline=None)
+def reframed_span(matrix, shift, width):
+    """_reframe's result by a meet and a cut: the span plus the tail past its
+    window, met with the vectors that are zero before ``shift``, cut to
+    [shift, shift + width) and reduced again.
+    """
+    field, n = matrix.field, matrix.ncols
+    lo, hi = min(shift, 0), max(n, shift + width)
+    zero, one = field.zero(), field.one()
+
+    def unit(u):
+        return [one if i == u - lo else zero for i in range(hi - lo)]
+
+    span = [[zero] * -lo + list(r) + [zero] * (hi - n) for r in matrix.rows]
+    span = CoeffMatrix(field, hi - lo, span + [unit(u) for u in range(n, hi)])
+    after = CoeffMatrix(field, hi - lo, [unit(u) for u in range(shift, hi)])
+    meet = zassenhaus_intersect(span, after)
+    return CoeffMatrix(field, width, [r[shift - lo:shift - lo + width] for r in meet.rows])
+
+
+@settings(max_examples=200, deadline=None)
 @given(reframings())
 # padded on the left, and on the right with unit rows
 @example((CoeffMatrix(QQ, 4, [[1, 2, 0, 0], [0, 0, 1, 3]]), -2, 7))
@@ -487,13 +508,18 @@ def reframings(draw):
 @example((CoeffMatrix(QQ, 5, [[0, 0, 1, 2, 0], [0, 0, 0, 0, 1]]), 2, 5))
 # a window left of the old one
 @example((CoeffMatrix(QQ, 1, []), -2, 1))
+# a shift past the lowest pivot keeps only the rows whose pivot is at or past it
+@example((CoeffMatrix(GF(7), 5, [[1, 0, 2, 0, 5], [0, 1, 3, 0, 0], [0, 0, 0, 1, 4]]), 1, 6))
+# a shift past the whole old window: no row is kept, every column is a unit row
+@example((CoeffMatrix(QQ, 3, [[1, 0, 2], [0, 1, 4]]), 5, 4))
 def test_reframe_carries_the_free_column_view(case):
     matrix, shift, width = case
     matrix.tails()
     out = fracideal._reframe(matrix, shift, width)
-    fresh = CoeffMatrix(out.field, width, out.rows, out.pivots, reduced=True)
+    assert out == reframed_span(matrix, shift, width)
+    fresh = CoeffMatrix(out.field, width, out.rows, out.pivots)
     assert out._tails is not None and out.tails() == fresh.tails()
-    bare = CoeffMatrix(matrix.field, matrix.ncols, matrix.rows, matrix.pivots, reduced=True)
+    bare = CoeffMatrix(matrix.field, matrix.ncols, matrix.rows, matrix.pivots)
     assert fracideal._reframe(bare, shift, width)._tails is None
 
 
@@ -540,6 +566,56 @@ def test_multiply_and_add_match_the_full_stack(pair):
         assert total == expected and total.matrix.pivots == expected.matrix.pivots
 
 
+@st.composite
+def window_pairs(draw):
+    """Two ideals over one semigroup, often one inside the other, with deltas
+    that may differ by more than c (t^a R : m against R, as in the socle of a
+    parameter).
+    """
+    H = NumericalSemigroup(draw(st.sampled_from(SERIES_POOL)))
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(7)]))
+    I, J = draw(generated_ideals(H, field)), draw(generated_ideals(H, field))
+    R, a = I.unit_ideal(), draw(st.integers(0, 3 * H.conductor))
+    pairs = {
+        "any": lambda: (I, J),
+        "product": lambda: (I, I.multiply(J)),
+        "sum": lambda: (I.add(J), J),
+        "meet": lambda: (I.intersect(J), J),
+        "maximal": lambda: (I, I._maximal_product()),
+        "socle": lambda: (R.shift(a).colon(I.maximal_ideal()), R),
+    }
+    return pairs[draw(st.sampled_from(sorted(pairs)))]()
+
+
+def common_window_contains(I, J):
+    """J <= I on the common window: the old containment test."""
+    if J.delta < I.delta:
+        return False
+    _, mine, theirs = common_window(I, J)
+    return not any(map(any, linalg._reduce_rows(I.field, theirs.rows, mine)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(window_pairs())
+@example((series_ideal(H37, GF(2), "t^3 + t^4", "t^7"), series_ideal(H37, GF(2), "t^6 + t^8")))
+# deltas 14 and 0 with c = 6: the meet moves R past its whole window
+@example((R34.shift(14).colon(R34.maximal_ideal()), R34))
+def test_own_window_operations_match_the_common_window(pair):
+    for I, J in (pair, pair[::-1]):
+        start, a, b = common_window(I, J)
+        contained = common_window_contains(I, J)
+        assert I.contains_ideal(J) == contained
+        if contained:
+            assert I.quotient_length(J) == a.rank - b.rank
+        else:
+            with pytest.raises(ContainmentError):
+                I.quotient_length(J)
+        meet = I.intersect(J)
+        expected = FractionalIdeal._build(I.semigroup, start, linalg.intersect(a, b))
+        assert meet == expected and meet.matrix.pivots == expected.matrix.pivots
+        assert I.module_generators() == greedy_module_generators(I)
+
+
 class TestWorkCounts:
     """Each ideal operation row-reduces once; no time is measured."""
 
@@ -584,7 +660,7 @@ class TestWorkCounts:
     def test_intersect_reduces_the_lower_rank_only(self, monkeypatch, field):
         I = series_ideal(H37, field, "t^6 - t^7", "t^10")
         J = series_ideal(H37, field, "t^3 + 2*t^4", "t^7")
-        _, a, b = I._align(J)
+        _, a, b = common_window(I, J)
         assert a.rank != b.rank
         calls = self.count_calls(monkeypatch, linalg, "_rref")
         I.intersect(J)
@@ -612,18 +688,21 @@ class TestWorkCounts:
     def test_predicates_reduce_once_without_member(self, monkeypatch, field):
         I = series_ideal(H37, field, "t^6 - t^7", "t^10")
         R = I.unit_ideal()
-        I.mu()  # builds m I, which module_generators reads
+        I._maximal_product()  # m I, which mu and module_generators read
         members = self.count_calls(monkeypatch, linalg, "member")
         reductions = self.count_calls(monkeypatch, linalg, "_reduce_rows")
         counts = {}
-        for name, call in (
-            ("contains_ideal", lambda: R.contains_ideal(I)),
-            ("quotient_length", lambda: R.quotient_length(I)),
-            ("module_generators", I.module_generators),
+        for name, call, own in (
+            ("contains_ideal", lambda: R.contains_ideal(I), R.matrix),
+            ("quotient_length", lambda: R.quotient_length(I), R.matrix),
+            ("mu", I.mu, I.matrix),
+            ("module_generators", I.module_generators, None),
         ):
             before = len(reductions)
             call()
             counts[name] = len(reductions) - before
+            # the containing ideal's own matrix is the basis, never a moved copy
+            assert own is None or reductions[-1][2] is own
         assert counts == dict.fromkeys(counts, 1)
         assert members == []
 
@@ -652,7 +731,8 @@ class TestWorkCounts:
             fracideal, "_reframe", lambda *args: calls.append(args) or original(*args)
         )
         assert R.quotient_length(I) == 3
-        assert len(calls) == 2
+        # only the contained ideal moves, onto R's window
+        assert len(calls) == 1 and calls[0][0] is I.matrix
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])

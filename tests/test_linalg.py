@@ -271,8 +271,8 @@ FIELDS = [QQ, GF(2), GF(3), GF(7)]
 @example([[1, 2, 0, 0, 1], [0, 1, 1, 0, 0]], [[1, 0, 0, 2, 0], [0, 1, 1, 0, 3]], QQ)
 @example([[1, 2, 0, 0, 1], [0, 1, 1, 0, 0]], [[1, 0, 0, 2, 0], [0, 1, 1, 0, 3]], GF(7))
 def test_intersection_matches_zassenhaus(rows_a, rows_b, field):
-    # intersect puts the operand of lower rank first and marks its right
-    # halves reduced=True without reducing them again
+    # intersect puts the operand of lower rank first and passes the pivots
+    # of its right halves, so they are not reduced again
     a, b = CoeffMatrix(field, 5, rows_a), CoeffMatrix(field, 5, rows_b)
     expected = zassenhaus_intersect(a, b)
     for inter in (intersect(a, b), intersect(b, a)):
