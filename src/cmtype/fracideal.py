@@ -188,7 +188,7 @@ class FractionalIdeal:
         if self.semigroup.conductor == 0:
             self._modgens = [TruncatedSeries.monomial(self.field, self.delta)]
             return self._modgens
-        mI = self._maximal_product()
+        mI = self.maximal_product()
         span = _reframe(mI.matrix, self.delta - mI.delta, self.semigroup.conductor)
         residuals = linalg._reduce_rows(self.field, self.matrix.rows, span)
         columns = CoeffMatrix(self.field, self.matrix.rank, list(zip(*residuals)))
@@ -203,11 +203,11 @@ class FractionalIdeal:
             if self.semigroup.conductor == 0:
                 self._mu = 1
             else:
-                self._mu = self.quotient_length(self._maximal_product())
+                self._mu = self.quotient_length(self.maximal_product())
         return self._mu
 
-    def _maximal_product(self):
-        """m I, built once and shared by mu and module_generators."""
+    def maximal_product(self):
+        """m I, built once and shared by mu, module_generators and typecalc."""
         if self._mI is None:
             self._mI = _maximal(self.semigroup, self.field).multiply(self)
         return self._mI

@@ -13,6 +13,16 @@ computed by two independent routes:
 
 Both must agree; a mismatch raises ConsistencyError rather than returning
 anything.
+
+The ideals derived from I live in one record, ``_Derived``, which builds
+each at most once, so a report makes only the colons K:I and I:I (and R:I
+when K != R), by two exact identities:
+
+  * the annihilator (t^a I : I) meet R is t^a (I:I) meet R, since
+    (xI : I) = x (I:I) for a nonzerodivisor x;
+  * for a proper ideal I of R, r(R/I) = len((K:I) / (m(K:I) + K)), since
+    the canonical module of R/I is Ext^1(R/I, K) = (K:I)/K (Bruns-Herzog,
+    Cohen-Macaulay Rings, 3.3) and its generator count is the type of R/I.
 """
 
 import functools
@@ -28,10 +38,12 @@ def module_type(ideal) -> int:
 
 
 def quotient_type(ideal) -> int:
-    """r(R/I): socle dimension of R/I, for a proper nonzero ideal I of R."""
+    """r(R/I): socle dimension of R/I, for a proper nonzero ideal I of R,
+    by its definition len(((I:m) meet R)/I)."""
     if not _is_proper(ideal):
         raise ArgumentError("quotient type needs a proper ideal contained in R")
-    return _quotient_type(ideal)
+    socle = ideal.colon(ideal.maximal_ideal()).intersect(ideal.unit_ideal())
+    return socle.quotient_length(ideal)
 
 
 def _is_proper(ideal) -> bool:
@@ -39,34 +51,96 @@ def _is_proper(ideal) -> bool:
     return R.contains_ideal(ideal) and ideal != R
 
 
-def _quotient_type(ideal) -> int:
-    """quotient_type for an ideal the caller knows to be proper."""
-    socle = ideal.colon(ideal.maximal_ideal()).intersect(ideal.unit_ideal())
-    return socle.quotient_length(ideal)
+class _Derived:
+    """The ideals derived from one ideal I, each built at most once, on first
+    use: dual() = K : I, endo() = I : I and annihilator(a), that of I/t^a I.
+    The methods assume the preconditions the public functions test.  The
+    fields are plain slots: with functools.cached_property, which takes a
+    lock on Python 3.11, monomial idealization_type ran about 10% slower.
+    """
+
+    __slots__ = ("ideal", "R", "K", "_dual", "_endo", "_annihilator")
+
+    def __init__(self, ideal):
+        self.ideal = ideal
+        self.R = ideal.unit_ideal()
+        self.K = ideal.canonical_ideal()
+        self._dual = self._endo = self._annihilator = None
+
+    def dual(self):
+        if self._dual is None:
+            self._dual = self.K.colon(self.ideal)
+        return self._dual
+
+    def endo(self):
+        if self._endo is None:
+            self._endo = self.ideal.colon(self.ideal)
+        return self._endo
+
+    def annihilator(self, a):
+        """(t^a I : I) meet R = t^a (I : I) meet R, for a positive a in H; the
+        last one asked for is kept."""
+        if self._annihilator is None or self._annihilator[0] != a:
+            H = self.ideal.semigroup
+            if a <= 0 or not H.contains(a):
+                raise ArgumentError(f"parameter exponent must be a positive member of {H}, got {a}")
+            self._annihilator = a, self.endo().shift(a).intersect(self.R)
+        return self._annihilator[1]
+
+    def quotient_type(self):
+        """r(R/I) = len((K:I) / (m(K:I) + K)) for a proper ideal I; the engine
+        keeps the m(K:I) that dual().mu() builds."""
+        return self.dual().quotient_length(self.dual().maximal_product().add(self.K))
+
+    def is_trace(self):
+        """R : I = I : I for I <= R; R : I is K : I when K = R."""
+        dual = self.dual() if self.K == self.R else self.R.colon(self.ideal)
+        return dual == self.endo()
+
+    def idealization_type(self, a):
+        ideal = self.ideal
+        # r_R(I) = mu(K:I) is shared; the two routes' own terms are not.
+        r_mod = self.dual().mu()
+        excess = _socle_excess(self, a)
+        mu_coker = _cokernel_mu(self)
+        socle_value, coker_value = excess + r_mod, mu_coker + r_mod
+        if socle_value != coker_value:
+            raise ConsistencyError(
+                f"socle formula gives {socle_value} but cokernel formula gives "
+                f"{coker_value} for {ideal.describe()}"
+            )
+        r_ring = ideal.semigroup.type()
+        if not r_mod <= socle_value <= r_ring + r_mod:
+            raise ConsistencyError(
+                f"type {socle_value} escapes [{r_mod}, {r_ring + r_mod}] for {ideal.describe()}"
+            )
+        return IdealizationType(
+            value=socle_value,
+            module_type=r_mod,
+            socle_excess=excess,
+            cokernel_mu=mu_coker,
+            socle_value=socle_value,
+            cokernel_value=coker_value,
+        )
 
 
 def socle_formula(ideal, a: int):
     """(excess, type of idealization) with the parameter (t^a), a in H.
 
     excess = length of [ (t^a : m) meet R ] meet [ (t^a I : I) meet R ]
-    modulo (t^a); the idealization type is excess + r_R(I).
+    modulo (t^a); the idealization type is excess + r_R(I).  The
+    annihilator (t^a I : I) meet R is computed as t^a (I:I) meet R, by
+    (xI : I) = x (I:I) for the nonzerodivisor x = t^a.
     """
-    R = ideal.unit_ideal()
-    excess = _socle_excess(R, a, _annihilator(ideal, a, R))
-    return excess, excess + module_type(ideal)
+    facts = _Derived(ideal)
+    excess = _socle_excess(facts, a)
+    return excess, excess + facts.dual().mu()
 
 
-def _annihilator(ideal, a, R):
-    """(t^a I : I) meet R, the annihilator of I/t^a I, for a positive a in H."""
-    H = ideal.semigroup
-    if a <= 0 or not H.contains(a):
-        raise ArgumentError(f"parameter exponent must be a positive member of {H}, got {a}")
-    return ideal.shift(a).colon(ideal).intersect(R)
-
-
-def _socle_excess(R, a, annihilator):
-    socle = _parameter_socle(R, a)
-    return socle.intersect(annihilator).quotient_length(R.shift(a))
+def _socle_excess(facts, a):
+    annihilator = facts.annihilator(a)
+    R = facts.R
+    return _parameter_socle(R, a).intersect(annihilator).quotient_length(R.shift(a))
 
 
 @functools.cache
@@ -81,15 +155,14 @@ def cokernel_formula(ideal):
     The evaluation image of Hom(I, K) x I in K is (K:I)I, so the cokernel
     needs mu(K / (K:I)I) = dim K / ((K:I)I + mK) generators.
     """
-    dual = ideal.canonical_ideal().colon(ideal)
-    mu_coker = _cokernel_mu(ideal, dual)
-    return mu_coker, mu_coker + dual.mu()
+    facts = _Derived(ideal)
+    mu_coker = _cokernel_mu(facts)
+    return mu_coker, mu_coker + facts.dual().mu()
 
 
-def _cokernel_mu(ideal, dual):
-    K = ideal.canonical_ideal()
-    image = dual.multiply(ideal)
-    return K.quotient_length(image.add(_maximal_canonical(K)))
+def _cokernel_mu(facts):
+    image = facts.dual().multiply(facts.ideal)
+    return facts.K.quotient_length(image.add(_maximal_canonical(facts.K)))
 
 
 @functools.cache
@@ -112,37 +185,7 @@ def idealization_type(ideal, a: int | None = None) -> IdealizationType:
     """Both formulas, cross-checked, with the general bounds asserted."""
     if a is None:
         a = ideal.semigroup.multiplicity
-    return _idealization_type(ideal, a, ideal.canonical_ideal().colon(ideal))
-
-
-def _idealization_type(ideal, a, dual, annihilator=None):
-    """idealization_type from K:I; classify also hands in (t^a I : I) meet R."""
-    R = ideal.unit_ideal()
-    if annihilator is None:
-        annihilator = _annihilator(ideal, a, R)
-    # r_R(I) = mu(K:I) is shared; the two routes' own terms are not.
-    r_mod = dual.mu()
-    excess = _socle_excess(R, a, annihilator)
-    mu_coker = _cokernel_mu(ideal, dual)
-    socle_value, coker_value = excess + r_mod, mu_coker + r_mod
-    if socle_value != coker_value:
-        raise ConsistencyError(
-            f"socle formula gives {socle_value} but cokernel formula gives "
-            f"{coker_value} for {ideal.describe()}"
-        )
-    r_ring = ideal.semigroup.type()
-    if not r_mod <= socle_value <= r_ring + r_mod:
-        raise ConsistencyError(
-            f"type {socle_value} escapes [{r_mod}, {r_ring + r_mod}] for {ideal.describe()}"
-        )
-    return IdealizationType(
-        value=socle_value,
-        module_type=r_mod,
-        socle_excess=excess,
-        cokernel_mu=mu_coker,
-        socle_value=socle_value,
-        cokernel_value=coker_value,
-    )
+    return _Derived(ideal).idealization_type(a)
 
 
 # -- predicates ---------------------------------------------------------------
@@ -155,32 +198,15 @@ def is_closed(ideal) -> bool:
 
 def is_trace(ideal) -> bool:
     """I is an ideal of R with R : I = I : I."""
-    R = ideal.unit_ideal()
-    if not R.contains_ideal(ideal):
-        return False
-    return _is_trace(ideal, ideal.colon(ideal))
-
-
-def _is_trace(ideal, endo, dual=None):
-    """R : I = I : I for I <= R, given endo = I : I.
-
-    ``dual`` is K : I when the caller has it; it is R : I when K = R.
-    """
-    R = ideal.unit_ideal()
-    if dual is None or ideal.canonical_ideal() != R:
-        dual = R.colon(ideal)
-    return dual == endo
+    return ideal.unit_ideal().contains_ideal(ideal) and _Derived(ideal).is_trace()
 
 
 def is_residually_faithful(ideal) -> bool:
-    """I/t^e I is faithful over R/(t^e): the annihilator is exactly (t^e)."""
+    """I/t^e I is faithful over R/(t^e): the annihilator (t^e I : I) meet R
+    is exactly (t^e), computed by this definition."""
     e = ideal.semigroup.multiplicity
-    return _is_residually_faithful(ideal, _annihilator(ideal, e, ideal.unit_ideal()))
-
-
-def _is_residually_faithful(ideal, annihilator):
-    """The annihilator (t^e I : I) meet R is exactly (t^e)."""
-    return annihilator == ideal.unit_ideal().shift(ideal.semigroup.multiplicity)
+    R = ideal.unit_ideal()
+    return ideal.shift(e).colon(ideal).intersect(R) == R.shift(e)
 
 
 def is_ulrich_ideal(ideal) -> bool:
@@ -191,11 +217,6 @@ def is_ulrich_ideal(ideal) -> bool:
     """
     if not _is_proper(ideal):
         raise ArgumentError("Ulrich ideals are proper ideals of R")
-    return _is_ulrich_ideal(ideal)
-
-
-def _is_ulrich_ideal(ideal) -> bool:
-    """is_ulrich_ideal for an ideal the caller knows to be proper: M = I in _is_ulrich."""
     return ideal.mu() >= 2 and _is_ulrich(ideal, ideal)
 
 
@@ -288,28 +309,25 @@ def classify(ideal) -> IdealReport:
     every applicable identity recorded as a named verdict."""
     H = ideal.semigroup
     inv = H.invariants()
-    R = ideal.unit_ideal()
+    facts = _Derived(ideal)
+    R = facts.R
     m = ideal.maximal_ideal()
-    # R >= I is tested once; the private forms below skip the public precondition.
+    # R >= I is tested once; the record's methods skip the public precondition.
     in_ring = R.contains_ideal(ideal)
     proper = in_ring and ideal != R
 
     mu = ideal.mu()
-    # K:I, (t^e I : I) meet R and I:I are each computed once for the report.
     e = H.multiplicity
-    dual = ideal.canonical_ideal().colon(ideal)
-    annihilator = _annihilator(ideal, e, R)
-    itype = _idealization_type(ideal, e, dual, annihilator)
+    itype = facts.idealization_type(e)
     r_mod = itype.module_type
     value = itype.value
-    r_quot = _quotient_type(ideal) if proper else None
+    r_quot = facts.quotient_type() if proper else None
     r_ring = inv.type
 
-    endo = ideal.colon(ideal)
-    closed = endo == R
-    faithful = _is_residually_faithful(ideal, annihilator)
-    trace = in_ring and _is_trace(ideal, endo, dual)
-    ulrich_ideal = _is_ulrich_ideal(ideal) if proper else False
+    closed = facts.endo() == R
+    faithful = facts.annihilator(e) == R.shift(e)
+    trace = in_ring and facts.is_trace()
+    ulrich_ideal = proper and mu >= 2 and _is_ulrich(ideal, ideal)
     ulrich_wrt_m = is_ulrich_module_wrt(ideal)
     principal = ideal.is_principal()
     canonical = value == 1  # Reiten: the idealization is Gorenstein iff I = K up to units

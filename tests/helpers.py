@@ -3,6 +3,9 @@
 import math
 from fractions import Fraction
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from cmtype.fracideal import FractionalIdeal, _reframe
 from cmtype.linalg import CoeffMatrix
 from cmtype.relideal import RelativeIdeal
@@ -37,6 +40,38 @@ SERIES_POOL = [
     [5, 6, 7],
     [3, 7],
 ]
+
+
+# hypothesis semigroups: at most four generators up to 24, conductor up to 80
+MAX_CONDUCTOR = 80
+MAX_GENERATOR = 24
+
+
+@st.composite
+def semigroups(draw):
+    gens = draw(st.lists(st.integers(2, MAX_GENERATOR), min_size=2, max_size=4, unique=True))
+    assume(math.gcd(*gens) == 1)
+    H = NumericalSemigroup(gens)
+    assume(H.conductor <= MAX_CONDUCTOR)
+    return gens, H
+
+
+def nonzero_coefficient(field):
+    if field.is_prime_field:
+        return st.integers(1, field.characteristic - 1)
+    return st.sampled_from([1, -1, 2, Fraction(-3, 2)])
+
+
+@st.composite
+def generated_ideals(draw, H, field, single_terms=True):
+    """An ideal from 1-3 generators; without single_terms, each has >= 2 terms."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.integers(-2, H.conductor + 1))
+        extra = st.sets(st.integers(1, H.conductor + 1), min_size=0 if single_terms else 1, max_size=3)
+        exponents = [order] + sorted(draw(extra))
+        gens.append(TruncatedSeries(field, {e: draw(nonzero_coefficient(field)) for e in exponents}))
+    return FractionalIdeal.from_generators(H, field, gens)
 
 
 def rref_qq_reference(rows):

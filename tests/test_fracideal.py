@@ -19,6 +19,7 @@ from helpers import (
     common_window,
     full_stack_add,
     full_stack_multiply,
+    generated_ideals,
     random_relative_ideal,
     random_semigroup,
     zassenhaus_intersect,
@@ -279,7 +280,7 @@ def series_stable(I):
 
 def greedy_module_generators(I):
     """Row by row: keep a basis row iff it is not in m I plus the rows kept before it."""
-    _, mine, span = common_window(I, I._maximal_product())
+    _, mine, span = common_window(I, I.maximal_product())
     picked = []
     for row, wide in zip(I.matrix.rows, mine.rows):
         if not linalg.member(wide, span)[0]:
@@ -523,24 +524,6 @@ def test_reframe_carries_the_free_column_view(case):
     assert fracideal._reframe(bare, shift, width)._tails is None
 
 
-def nonzero_coefficient(field):
-    if field.is_prime_field:
-        return st.integers(1, field.characteristic - 1)
-    return st.sampled_from([1, -1, 2, Fraction(-3, 2)])
-
-
-@st.composite
-def generated_ideals(draw, H, field, single_terms=True):
-    """An ideal from 1-3 generators; without single_terms, each has >= 2 terms."""
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        order = draw(st.integers(-2, H.conductor + 1))
-        extra = st.sets(st.integers(1, H.conductor + 1), min_size=0 if single_terms else 1, max_size=3)
-        exponents = [order] + sorted(draw(extra))
-        gens.append(TruncatedSeries(field, {e: draw(nonzero_coefficient(field)) for e in exponents}))
-    return FractionalIdeal.from_generators(H, field, gens)
-
-
 @st.composite
 def ideal_pairs(draw):
     H = NumericalSemigroup(draw(st.sampled_from(SERIES_POOL)))
@@ -581,7 +564,7 @@ def window_pairs(draw):
         "product": lambda: (I, I.multiply(J)),
         "sum": lambda: (I.add(J), J),
         "meet": lambda: (I.intersect(J), J),
-        "maximal": lambda: (I, I._maximal_product()),
+        "maximal": lambda: (I, I.maximal_product()),
         "socle": lambda: (R.shift(a).colon(I.maximal_ideal()), R),
     }
     return pairs[draw(st.sampled_from(sorted(pairs)))]()
@@ -688,7 +671,7 @@ class TestWorkCounts:
     def test_predicates_reduce_once_without_member(self, monkeypatch, field):
         I = series_ideal(H37, field, "t^6 - t^7", "t^10")
         R = I.unit_ideal()
-        I._maximal_product()  # m I, which mu and module_generators read
+        I.maximal_product()  # m I, which mu and module_generators read
         members = self.count_calls(monkeypatch, linalg, "member")
         reductions = self.count_calls(monkeypatch, linalg, "_reduce_rows")
         counts = {}

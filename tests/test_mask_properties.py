@@ -6,16 +6,12 @@ and an ideal only through its given generators, so they share nothing with
 the member mask, the Apery set or the minimal generators they check.
 """
 
-import math
-
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtype.relideal import RelativeIdeal
-from cmtype.semigroup import NumericalSemigroup
+from helpers import MAX_GENERATOR, semigroups
 
-MAX_CONDUCTOR = 80
-MAX_GENERATOR = 24
 # The Frobenius number is below a_1 a_2 <= 24 * 24, so every larger
 # integer is in H and the brute-force table need not reach further.
 TABLE = MAX_GENERATOR * MAX_GENERATOR
@@ -44,15 +40,6 @@ class Oracle:
     def in_ideal(self, gens, z):
         """z in the union of the g + H."""
         return any(self.in_h(z - g) for g in gens)
-
-
-@st.composite
-def semigroups(draw):
-    gens = draw(st.lists(st.integers(2, MAX_GENERATOR), min_size=2, max_size=4, unique=True))
-    assume(math.gcd(*gens) == 1)
-    H = NumericalSemigroup(gens)
-    assume(H.conductor <= MAX_CONDUCTOR)
-    return gens, H
 
 
 @st.composite

@@ -7,6 +7,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtype import typecalc
 from cmtype.constructions import enumerate_monomial_ideals
@@ -16,7 +18,14 @@ from cmtype.linalg import GF, QQ
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import parse_series
-from helpers import random_relative_ideal, reduction_search_reference, ulrich_module_reference
+from helpers import (
+    SERIES_POOL,
+    generated_ideals,
+    random_relative_ideal,
+    reduction_search_reference,
+    semigroups,
+    ulrich_module_reference,
+)
 
 H345 = NumericalSemigroup([3, 4, 5])
 H37 = NumericalSemigroup([3, 7])
@@ -46,8 +55,8 @@ CASES = cases()
 # Every operation typecalc and constructions call on an ideal, whichever the engine.
 ENGINE_CONTRACT = (
     "add", "multiply", "colon", "intersect", "shift", "contains_ideal", "quotient_length",
-    "mu", "is_principal", "find_reduction", "unit_ideal", "canonical_ideal", "maximal_ideal",
-    "describe",
+    "mu", "is_principal", "maximal_product", "find_reduction", "unit_ideal", "canonical_ideal",
+    "maximal_ideal", "describe",
 )
 
 
@@ -208,6 +217,82 @@ class TestFormulas:
             typecalc.idealization_type(ideal)
 
 
+# -- the two identities classify computes by -----------------------------------
+
+
+def check_identities(I, J, a):
+    """(t^a L : L) meet R = t^a (L:L) meet R for the ideals L = I, J, and for
+    the proper ideal J, r(R/J) by its definition = len((K:J) / (m(K:J) + K))."""
+    R = I.unit_ideal()
+    for L in (I, J):
+        assert typecalc._Derived(L).annihilator(a) == L.shift(a).colon(L).intersect(R)
+    assert typecalc._Derived(J).quotient_type() == typecalc.quotient_type(J)
+
+
+@st.composite
+def monomial_identity_cases(draw):
+    """An enumerated ideal shifted anywhere, and one shifted into m."""
+    _, H = draw(semigroups())
+    c = H.conductor
+    stream = enumerate_monomial_ideals(H, draw(st.integers(1, c)))
+    E = draw(st.sampled_from(list(itertools.islice(stream, 64))))
+    J = E.shift(draw(st.integers(1, c))).intersect(E.unit_ideal())
+    a = draw(st.sampled_from(H.members(1, 2 * c + 1)))
+    return E.shift(draw(st.integers(-c, 2 * c))), J, a
+
+
+@st.composite
+def series_identity_cases(draw):
+    """A generated ideal, and its shift to order >= 1 cut down to R."""
+    H = NumericalSemigroup(draw(st.sampled_from(SERIES_POOL)))
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    I = draw(generated_ideals(H, field))
+    J = I.shift(draw(st.integers(1, H.conductor + 1)) - I.delta).intersect(I.unit_ideal())
+    a = draw(st.sampled_from(H.members(1, 2 * H.conductor + 1)))
+    return I, J, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_identity_cases())
+def test_monomial_colon_identities(case):
+    check_identities(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_identity_cases())
+def test_series_colon_identities(case):
+    check_identities(*case)
+
+
+@pytest.mark.parametrize("lift", [lambda E: E, lambda E: FractionalIdeal.from_relative(E, QQ)],
+                         ids=["monomial", "series"])
+def test_classify_flags_match_the_definitions(lift):
+    # classify reads the annihilator and r(R/I) off I:I and K:I; the public
+    # functions compute them by their definitions
+    outcomes = set()
+    for gens in ([3, 7], [4, 6, 9], [5, 6, 7]):
+        H = NumericalSemigroup(gens)
+        R, c = RelativeIdeal.from_exponents(H, {0}), H.conductor
+        for E in enumerate_monomial_ideals(H, c):
+            a = next(a for a in H.members(1, c + 1) if R.contains_ideal(E.shift(a)))
+            for I in (lift(E), lift(E.shift(a))):
+                report = typecalc.classify(I)
+                expected = {
+                    "is_closed": typecalc.is_closed(I),
+                    "is_trace": typecalc.is_trace(I),
+                    "is_residually_faithful": typecalc.is_residually_faithful(I),
+                    "is_ulrich_ideal": report.proper and typecalc.is_ulrich_ideal(I),
+                    "is_ulrich_module_wrt_m": typecalc.is_ulrich_module_wrt(I),
+                    "is_principal": I.is_principal(),
+                }
+                assert {k: report.flags[k] for k in expected} == expected, I.describe()
+                r_quot = typecalc.quotient_type(I) if report.proper else None
+                assert report.quotient_type == r_quot, I.describe()
+                outcomes.add((report.flags["is_residually_faithful"], r_quot))
+    assert {faithful for faithful, _ in outcomes} == {True, False}
+    assert len({r for _, r in outcomes if r is not None}) > 2
+
+
 def count_calls(monkeypatch, cls, name, record):
     """Wrap cls.name so each call appends its arguments to ``record``."""
     original = getattr(cls, name)
@@ -291,8 +376,8 @@ class TestWorkCounts:
         assert searches == []
 
     @pytest.mark.parametrize("gens, exprs, colons", [
-        ([3, 7], ("t^6 - t^7", "t^10"), 4),  # symmetric: R : I is the K : I already built
-        ([3, 4, 5], ("t^3 - t^4", "t^5"), 5),
+        ([3, 7], ("t^6 - t^7", "t^10"), 2),  # symmetric: R : I is the K : I already built
+        ([3, 4, 5], ("t^3 - t^4", "t^5"), 3),
     ])
     def test_series_classify_computes_each_colon_once(self, monkeypatch, gens, exprs, colons):
         H, field = NumericalSemigroup(gens), GF(5)
@@ -301,7 +386,18 @@ class TestWorkCounts:
         record = []
         count_calls(monkeypatch, FractionalIdeal, "colon", record)
         assert typecalc.classify(I).consistent
-        # K:I, (t^e I):I, I:m, I:I, and R:I unless K = R; none of them twice
+        # K:I, I:I, and R:I unless K = R; none of them twice
+        assert len(record) == colons
+        assert max(Counter(record).values()) == 1
+
+    @pytest.mark.parametrize("gens, exps, colons", [([3, 7], {6, 10}, 2), ([3, 4, 5], {3, 5}, 3)])
+    def test_monomial_classify_computes_each_colon_once(self, monkeypatch, gens, exps, colons):
+        H = NumericalSemigroup(gens)
+        I = RelativeIdeal.from_exponents(H, exps)
+        typecalc._parameter_socle(I.unit_ideal(), H.multiplicity)
+        record = []
+        count_calls(monkeypatch, RelativeIdeal, "colon", record)
+        assert typecalc.classify(I).consistent
         assert len(record) == colons
         assert max(Counter(record).values()) == 1
 
