@@ -12,8 +12,7 @@ derives gamma from delta and c, and raises ConsistencyError if the matrix
 width is not c or a stored generator is known only below gamma.  So equal
 ideals have equal (delta, rows).  A binary operation moves one operand,
 with ``_reframe``, onto a c-wide window that already exists (the other
-operand's, or the product's) and reduces against that window's own matrix
-and its cached free-column view.
+operand's, or the product's) and reduces against that window's own matrix.
 
 Because the tail t^gamma k[[t]] lies inside I, every truncated basis row,
 read as a Laurent polynomial, is itself a genuine element of I.  That
@@ -148,8 +147,6 @@ class FractionalIdeal:
         mask = 0
         for p in self.matrix.pivots:
             mask |= 1 << p
-        if self.semigroup.conductor == 0:
-            mask = 0
         return RelativeIdeal(self.semigroup, self.delta, mask)
 
     def is_monomial(self) -> bool:
@@ -200,10 +197,7 @@ class FractionalIdeal:
 
     def mu(self) -> int:
         if self._mu is None:
-            if self.semigroup.conductor == 0:
-                self._mu = 1
-            else:
-                self._mu = self.quotient_length(self.maximal_product())
+            self._mu = self.quotient_length(self.maximal_product())
         return self._mu
 
     def maximal_product(self):
@@ -393,12 +387,10 @@ def _reframe(matrix, shift, width):
     drops the rows whose pivot falls past it, and the columns past the old
     window's end get unit rows.  Nothing is reduced again: the kept rows
     keep their pivots, and the unit rows sit on columns where every kept
-    row is zero.  So the free columns are the padded ones and the old free
-    columns kept, and a computed ``tails()`` view carries over by index
-    shifts and slices.
+    row is zero.
     """
     if shift == 0 and width == matrix.ncols:
-        return matrix  # the same window: keep the matrix and its cached tails()
+        return matrix  # the same window: the matrix itself
     zero, one = matrix.field.zero(), matrix.field.one()
     lo, hi = max(shift, 0), shift + width  # the new window, in old columns
     first = bisect.bisect_left(matrix.pivots, lo)
@@ -409,21 +401,7 @@ def _reframe(matrix, shift, width):
     for u in range(max(matrix.ncols - shift, 0), width):
         rows.append((zero,) * u + (one,) + (zero,) * (width - u - 1))
         pivots.append(u)
-    out = CoeffMatrix(matrix.field, width, rows, pivots)
-    if matrix._tails is not None:
-        free, tails = matrix._tails
-        # the new free columns: the padded ones, then the old free[a:b]
-        padded = min(len(lead), width)
-        a, b = bisect.bisect_left(free, lo), bisect.bisect_left(free, hi)
-        moved = []
-        for piv, s, cells in tails:
-            if piv >= hi:
-                break
-            cells = cells[:b - s]
-            if piv >= lo and any(cells):
-                moved.append((piv - shift, s - a + padded, cells))
-        out._tails = list(range(padded)) + [f - shift for f in free[a:b]], moved
-    return out
+    return CoeffMatrix(matrix.field, width, rows, pivots)
 
 
 @functools.cache

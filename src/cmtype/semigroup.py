@@ -33,7 +33,6 @@ class NumericalSemigroup:
         "frobenius",
         "conductor",
         "_apery_mod_e",
-        "_apery_cache",
         "_member_mask",
         "_pseudo_frobenius",
     )
@@ -66,7 +65,6 @@ class NumericalSemigroup:
             g for g in gens if not any(a < g and self.contains(g - a) for a in gens)
         )
         self.embedding_dimension = len(self.generators)
-        self._apery_cache = {}
         self._pseudo_frobenius = self._maximal_apery_pf()
 
     def contains(self, z: int) -> bool:
@@ -88,18 +86,15 @@ class NumericalSemigroup:
         """Ap(H, n): for each residue class mod n, the least member of H."""
         if n <= 0 or not self.contains(n):
             raise ArgumentError(f"Apery set needs a positive member of H, got {n}")
-        if n not in self._apery_cache:
-            if n == self.multiplicity:
-                out = self._apery_mod_e
-            else:
-                out = []
-                for r in range(n):
-                    x = r
-                    while not self.contains(x):
-                        x += n
-                    out.append(x)
-            self._apery_cache[n] = tuple(sorted(out))
-        return self._apery_cache[n]
+        if n == self.multiplicity:
+            return tuple(sorted(self._apery_mod_e))
+        out = []
+        for r in range(n):
+            x = r
+            while not self.contains(x):
+                x += n
+            out.append(x)
+        return tuple(sorted(out))
 
     def _maximal_apery_pf(self):
         # w in Ap(H, e) is maximal under <=_H iff no w + a (a a minimal

@@ -26,19 +26,15 @@ EXACT = math.inf
 class TruncatedSeries:
     __slots__ = ("field", "coeffs", "order", "precision")
 
-    def __init__(self, field: FieldSpec, coeffs, precision=EXACT, *, coerced=False):
-        """``coerced=True`` promises nonzero field elements below ``precision``."""
+    def __init__(self, field: FieldSpec, coeffs, precision=EXACT):
         self.field = field
-        if coerced:
-            clean = coeffs
-        else:
-            clean = {}
-            for e, v in coeffs.items():
-                if e >= precision:
-                    continue
-                v = field.element(v)
-                if v:
-                    clean[e] = v
+        clean = {}
+        for e, v in coeffs.items():
+            if e >= precision:
+                continue
+            v = field.element(v)
+            if v:
+                clean[e] = v
         self.coeffs = clean
         self.order = min(clean) if clean else None
         self.precision = precision
@@ -64,9 +60,6 @@ class TruncatedSeries:
     def valuation_bound(self):
         """order when a nonzero term is known, else the precision."""
         return self.order if self.order is not None else self.precision
-
-    def coefficient(self, e: int):
-        return self.coeffs.get(e, self.field.zero())
 
     def window_vector(self, start: int, length: int):
         end = start + length
@@ -95,8 +88,7 @@ class TruncatedSeries:
     def shift(self, s: int) -> "TruncatedSeries":
         """Multiplication by t^s."""
         return TruncatedSeries(
-            self.field, {e + s: v for e, v in self.coeffs.items()}, self.precision + s,
-            coerced=True,
+            self.field, {e + s: v for e, v in self.coeffs.items()}, self.precision + s
         )
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":

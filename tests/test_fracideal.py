@@ -53,6 +53,12 @@ class TestConstruction:
         I = series_ideal(H1, QQ, "1")
         assert (I.delta, I.gamma) == (0, 0)
         assert I.mu() == 1 and I.is_principal()
+        assert I.support_ideal() == RelativeIdeal(H1, 0, 0)
+        # over the DVR every nonzero ideal is principal: (t^2 + t^3) = (t^2)
+        J = series_ideal(H1, QQ, "t^2 + t^3")
+        assert (J.delta, J.mu()) == (2, 1)
+        assert J.support_ideal() == RelativeIdeal(H1, 2, 0)
+        assert typecalc.classify(J).consistent
 
     def test_all_zero_generators_rejected(self):
         with pytest.raises(ArgumentError):
@@ -513,15 +519,13 @@ def reframed_span(matrix, shift, width):
 @example((CoeffMatrix(GF(7), 5, [[1, 0, 2, 0, 5], [0, 1, 3, 0, 0], [0, 0, 0, 1, 4]]), 1, 6))
 # a shift past the whole old window: no row is kept, every column is a unit row
 @example((CoeffMatrix(QQ, 3, [[1, 0, 2], [0, 1, 4]]), 5, 4))
-def test_reframe_carries_the_free_column_view(case):
+def test_reframe_matches_the_meet_and_cut(case):
     matrix, shift, width = case
     matrix.tails()
     out = fracideal._reframe(matrix, shift, width)
     assert out == reframed_span(matrix, shift, width)
     fresh = CoeffMatrix(out.field, width, out.rows, out.pivots)
-    assert out._tails is not None and out.tails() == fresh.tails()
-    bare = CoeffMatrix(matrix.field, matrix.ncols, matrix.rows, matrix.pivots)
-    assert fracideal._reframe(bare, shift, width)._tails is None
+    assert out.tails() == fresh.tails()
 
 
 @st.composite
