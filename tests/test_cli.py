@@ -1,5 +1,6 @@
 """The command-line contract: exit codes, JSON documents, error carets."""
 
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cmtype
 from cmtype import cli
@@ -111,16 +114,87 @@ BYTE_STABLE = [
 ]
 
 
-@pytest.mark.parametrize("argv, text_sha, json_sha", BYTE_STABLE, ids=[
+COMMAND_IDS = [
     "semigroup-info", "ideal-analyze-series", "ideal-analyze-monomial",
     "verify-paper", "sup-search", "enumerate",
-])
+]
+COMMANDS = [argv for argv, _, _ in BYTE_STABLE]
+
+
+@pytest.mark.parametrize("argv, text_sha, json_sha", BYTE_STABLE, ids=COMMAND_IDS)
 def test_documents_are_byte_stable(capsys, argv, text_sha, json_sha):
     for extra, expected in (([], text_sha), (["--json"], json_sha)):
         assert cli.main(argv + extra) == cli.EXIT_OK
         out = capsys.readouterr().out.splitlines(keepends=True)
         kept = "".join(line for line in out if '"timing_ms"' not in line)
         assert hashlib.sha256(kept.encode()).hexdigest() == expected, extra
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=COMMAND_IDS)
+def test_documents_round_trip_through_the_json_module(capsys, argv):
+    # timing_ms included: the float is written as json writes it
+    assert cli.main(argv + ["--json"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_commands_leave_no_reference_cycles(capsys):
+    for argv in COMMANDS:  # warm-up: the parser and the companion caches
+        cli.main(argv + ["--json"])
+    capsys.readouterr()
+    gc.collect()
+    seen = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            for argv in COMMANDS:
+                assert cli.main(argv + ["--json"]) == cli.EXIT_OK
+                capsys.readouterr()
+        gc.collect()
+        kinds = sorted(type(o).__name__ for o in gc.garbage[seen:])
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[seen:]
+    assert not {"JSONEncoder", "function", "cell"} & set(kinds), kinds
+
+
+# text with quotes, backslashes, control and non-ASCII characters
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028'))
+JSON_SCALARS = [
+    st.none(),
+    st.booleans(),
+    st.integers() | st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    JSON_TEXT,
+]
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS),
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.one_of([st.lists(scalar, min_size=1) for scalar in JSON_SCALARS]),
+        st.dictionaries(JSON_TEXT, kids),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"a": [True, 1, None, 1.5, "a"], "": {}, "b": [], "c": (), "d": [[], {}]})
+@example([-0.0, 1e300, -(2**70), 2**64 + 1, -1])
+@example(["\"\\\n\x00", "\u00e9\U0001f600"])
+@example([float("nan"), float("inf"), -float("inf")])
+def test_writer_matches_the_json_module(value):
+    assert cli._to_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, object(), [1, {2}], {"a": object()}, b"bytes", {1: "int key"},
+])
+def test_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._to_json(value)
 
 
 def test_parse_error_caret(capsys):

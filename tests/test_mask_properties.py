@@ -6,10 +6,11 @@ and an ideal only through its given generators, so they share nothing with
 the member mask, the Apery set or the minimal generators they check.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmtype.relideal import RelativeIdeal
+from cmtype.semigroup import _set_bits
 from helpers import MAX_GENERATOR, semigroups
 
 # The Frobenius number is below a_1 a_2 <= 24 * 24, so every larger
@@ -127,3 +128,16 @@ def test_minimal_generators_against_sums(case):
     atoms = tuple(x for x in nonzero if not any(oracle.in_h(x - y) for y in nonzero if y < x))
     assert H.generators == atoms
     assert H.embedding_dimension == len(atoms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**4000 - 1)
+    | st.sets(st.integers(min_value=0, max_value=3999)).map(lambda bits: sum(1 << i for i in bits))
+)
+@example(0)
+@example(1)
+@example(2**64 - 1)
+@example(2**4000 - 1)
+def test_set_bits_against_shifts(mask):
+    assert _set_bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]

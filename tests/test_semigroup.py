@@ -145,6 +145,18 @@ class TestCanonicalIdeal:
         with pytest.raises(ConsistencyError, match=r"<9,10,11,12,15>.*gap-dual set .* at 1$"):
             H.canonical_relative_ideal()
 
+    @pytest.mark.parametrize("pf, wrong", [
+        ((13, 16, 17), 3),  # loses generator F - 14 = 3; the lowest gap 1 stays in K
+        ((14, 16, 17), 4),  # loses generator F - 13 = 4
+        ((12, 13, 14, 16, 17), 5),  # 12 is in H, so K gains 5 = F - 12
+        ((13, 14, 16), 0),  # max PF below F: K starts at 1, not 0
+    ])
+    def test_gap_dual_check_names_the_first_wrong_exponent(self, monkeypatch, pf, wrong):
+        monkeypatch.setattr(NumericalSemigroup, "_maximal_apery_pf", lambda self: pf)
+        H = NumericalSemigroup([9, 10, 11, 12, 15])
+        with pytest.raises(ConsistencyError, match=rf"gap-dual set .* at {wrong}$"):
+            H.canonical_relative_ideal()
+
 
 def test_random_invariant_properties():
     rng = random.Random(42)
