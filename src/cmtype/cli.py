@@ -69,24 +69,51 @@ _FILTER_FLAGS = {
 }
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, with its sections unlinked once the text is built.
+
+    A section refers to the formatter and to its parent section, and a
+    parent's items hold the bound ``format_help`` of its children, so every
+    usage error and ``--help`` would leave a reference cycle for the cyclic
+    collector.
+    """
+
+    def format_help(self):
+        text = super().format_help()
+        sections = [self._root_section]
+        while sections:
+            section = sections.pop()
+            for func, _ in section.items:
+                if isinstance(func.__self__, argparse.HelpFormatter._Section):
+                    sections.append(func.__self__)
+            section.items.clear()
+            section.formatter = section.parent = None
+        self._root_section = self._current_section = None
+        return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="cmtype",
         description="Cohen-Macaulay types of idealizations over numerical semigroup rings",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sg = sub.add_parser("semigroup", help="numerical semigroup queries")
+    def add(subparsers, name, help_text):  # a subparser does not inherit formatter_class
+        return subparsers.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
+
+    p_sg = add(sub, "semigroup", "numerical semigroup queries")
     sg_sub = p_sg.add_subparsers(dest="subcommand", required=True)
-    p_info = sg_sub.add_parser("info", help="invariants of a numerical semigroup")
+    p_info = add(sg_sub, "info", "invariants of a numerical semigroup")
     p_info.add_argument("generators", help="comma-separated generators, e.g. 3,7")
     p_info.set_defaults(run=_cmd_semigroup_info)
 
-    p_ideal = sub.add_parser("ideal", help="fractional ideal analysis")
+    p_ideal = add(sub, "ideal", "fractional ideal analysis")
     ideal_sub = p_ideal.add_subparsers(dest="subcommand", required=True)
-    p_an = ideal_sub.add_parser("analyze", help="classify an ideal and compute its types")
+    p_an = add(ideal_sub, "analyze", "classify an ideal and compute its types")
     p_an.add_argument("--semigroup", required=True, help="comma-separated generators")
     p_an.add_argument("--gens", required=True, help="comma-separated series expressions")
     p_an.add_argument("--field", default="qq", help="qq or fp:<prime> (default qq)")
@@ -97,19 +124,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.set_defaults(run=_cmd_ideal_analyze)
 
-    p_ver = sub.add_parser("verify", help="verification suites")
+    p_ver = add(sub, "verify", "verification suites")
     ver_sub = p_ver.add_subparsers(dest="subcommand", required=True)
-    p_paper = ver_sub.add_parser("paper", help="run the built-in example suite")
+    p_paper = add(ver_sub, "paper", "run the built-in example suite")
     p_paper.add_argument("--filter", default=None, help="substring of a group name")
     p_paper.set_defaults(run=_cmd_verify_paper)
 
-    p_sup = sub.add_parser("sup-search", help="maximize the idealization type")
+    p_sup = add(sub, "sup-search", "maximize the idealization type")
     p_sup.add_argument("--semigroup", required=True)
     p_sup.add_argument("--bound", type=int, required=True)
     p_sup.add_argument("--limit", type=int, default=200000, help="enumeration cap")
     p_sup.set_defaults(run=_cmd_sup_search)
 
-    p_enum = sub.add_parser("enumerate", help="list shift-normalized monomial ideals")
+    p_enum = add(sub, "enumerate", "list shift-normalized monomial ideals")
     p_enum.add_argument("--semigroup", required=True)
     p_enum.add_argument("--bound", type=int, required=True)
     p_enum.add_argument("--filter", default=None, choices=sorted(_FILTER_FLAGS),

@@ -74,7 +74,9 @@ class FractionalIdeal:
         """Ideal generated over R by Laurent series.
 
         Rows t^h * g for h in H span the ideal modulo t^gamma; the
-        R-stability of the span is verified, not trusted.
+        R-stability of the span is verified, not trusted.  g has no term
+        below delta, so the row of t^h g is g's one coefficient list on the
+        window moved h cells right.
         """
         gens = [g for g in gens if g.order is not None]
         if not gens:
@@ -84,11 +86,11 @@ class FractionalIdeal:
                 raise ArgumentError(f"generator field {g.field} != ideal field {field}")
         c = semigroup.conductor
         delta = min(g.order for g in gens)
-        rows = []
+        zero, rows = field.zero(), []
         for g in gens:
-            g.window_vector(delta, c)  # raises the precision-naming error
-            for h in semigroup.members(0, delta + c - g.order):
-                rows.append(g.window_vector(delta - h, c))
+            coeffs = g.window_vector(delta, c)  # raises the precision-naming error
+            shifts = semigroup.members(0, delta + c - g.order)
+            rows += [[zero] * h + coeffs[:c - h] for h in shifts]
         ideal = cls(semigroup, field, delta, CoeffMatrix(field, c, rows), generators=gens)
         ideal.validate()
         return ideal

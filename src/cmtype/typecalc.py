@@ -15,8 +15,9 @@ Both must agree; a mismatch raises ConsistencyError rather than returning
 anything.
 
 The ideals derived from I live in one record, ``_Derived``, which builds
-each at most once, so a report makes only the colons K:I and I:I (and R:I
-when K != R), by two exact identities:
+each at most once, so a report makes only the colons K:I and I:I, plus R:I
+when K != R and R:m <= I:I (see ``_Derived.is_trace``), by two exact
+identities:
 
   * the annihilator (t^a I : I) meet R is t^a (I:I) meet R, since
     (xI : I) = x (I:I) for a nonzerodivisor x;
@@ -93,9 +94,21 @@ class _Derived:
         return self.dual().quotient_length(self.dual().maximal_product().add(self.K))
 
     def is_trace(self):
-        """R : I = I : I for I <= R; R : I is K : I when K = R."""
-        dual = self.dual() if self.K == self.R else self.R.colon(self.ideal)
-        return dual == self.endo()
+        """R : I = I : I for I <= R; R : I is K : I when K = R.
+
+        Otherwise a proper I lies in m, so R : I contains R : m, and
+        R : I = I : I forces R : m <= I : I.  That containment is tested
+        first, pivots (values) before residuals, and R : I is built only if
+        it holds.  R : m is the cached parameter socle moved back by t^e:
+        t^e in m gives (t^e R : m) = t^e (R : m) <= R.
+        """
+        if self.K == self.R:
+            return self.dual() == self.endo()
+        if self.ideal != self.R:
+            e = self.ideal.semigroup.multiplicity
+            if not self.endo().contains_ideal(_parameter_socle(self.R, e).shift(-e)):
+                return False
+        return self.R.colon(self.ideal) == self.endo()
 
     def idealization_type(self, a):
         ideal = self.ideal
@@ -230,7 +243,9 @@ def is_ulrich_module_wrt(module, ideal=None) -> bool:
     xM <= IM <= M and len(M/xM) = delta_I, so IM = xM iff len(M/IM) =
     delta_I, and x is never built.  Freeness is decided by lengths: the
     surjection from a free module of rank mu(M) is an isomorphism iff
-    len(M/IM) = mu(M) len(R/I).  An I not contained in R raises
+    len(M/IM) = mu(M) len(R/I).  That second equation needs no product, so
+    it is tested first and IM is built only when it holds; as both must
+    hold, the answer is the same.  An I not contained in R raises
     ContainmentError.
 
     With respect to the maximal ideal (ideal=None), len(M/mM) = mu(M),
@@ -245,9 +260,15 @@ def is_ulrich_module_wrt(module, ideal=None) -> bool:
 
 
 def _is_ulrich(module, ideal) -> bool:
-    """is_ulrich_module_wrt for an ideal I <= R: len(M/IM) = delta_I = mu(M) len(R/I)."""
-    length = module.quotient_length(ideal.multiply(module))
-    return length == ideal.delta == module.mu() * module.unit_ideal().quotient_length(ideal)
+    """is_ulrich_module_wrt for an ideal I <= R: len(M/IM) = delta_I = mu(M) len(R/I).
+
+    The second equation reads cached generator counts and ranks, so it is
+    tested first; the product IM is built only if it holds.  Both equations
+    must hold, so the order does not change the answer.
+    """
+    if ideal.delta != module.mu() * module.unit_ideal().quotient_length(ideal):
+        return False
+    return module.quotient_length(ideal.multiply(module)) == ideal.delta
 
 
 # -- the full report ----------------------------------------------------------

@@ -158,6 +158,31 @@ def test_json_commands_leave_no_reference_cycles(capsys):
     assert not {"JSONEncoder", "function", "cell"} & set(kinds), kinds
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["ideal", "analyze", "--semigroup", "4,5,6"], cli.EXIT_INPUT),  # no --gens
+    (["ideal", "analyze", "--help"], cli.EXIT_OK),
+])
+def test_usage_errors_and_help_leave_no_formatter_cycles(capsys, argv, code):
+    def run():
+        with pytest.raises(SystemExit) as caught:
+            cli.main(argv)
+        capsys.readouterr()
+        assert caught.value.code == code
+
+    run()  # warm-up: the parser
+    gc.collect()
+    seen = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        kinds = sorted(type(o).__name__ for o in gc.garbage[seen:])
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[seen:]
+    assert not {"HelpFormatter", "_HelpFormatter", "_Section"} & set(kinds), kinds
+
+
 # text with quotes, backslashes, control and non-ASCII characters
 JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028'))
 JSON_SCALARS = [

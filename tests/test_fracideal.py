@@ -73,6 +73,18 @@ class TestConstruction:
         with pytest.raises(ArgumentError, match="precision"):
             FractionalIdeal.from_generators(H345, QQ, [short])
 
+    @pytest.mark.parametrize("gens, message", [
+        ([TruncatedSeries(QQ, {3: 1}, precision=4)],
+         "series t^3 + O(t^4) has precision 4; window [3, 6) needs precision 6"),
+        # the short generator is not the one of order delta
+        ([TruncatedSeries(QQ, {3: 1}), TruncatedSeries(QQ, {4: 2, 5: 1}, precision=5)],
+         "series 2*t^4 + O(t^5) has precision 5; window [3, 6) needs precision 6"),
+    ])
+    def test_insufficient_precision_message(self, gens, message):
+        with pytest.raises(ArgumentError) as caught:
+            FractionalIdeal.from_generators(H345, QQ, gens)
+        assert str(caught.value) == message
+
     def test_constructor_allows_only_the_conductor_window(self):
         I = series_ideal(H345, QQ, "t^3", "t^4")
         assert (I.gamma - I.delta, I.matrix.ncols) == (3, 3)

@@ -7,7 +7,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmtype import typecalc
@@ -264,6 +264,58 @@ def test_series_colon_identities(case):
     check_identities(*case)
 
 
+# -- the two tests classify makes before it builds an ideal --------------------
+
+
+def ulrich_by_the_old_chain(M, I):
+    """len(M/IM) = delta_I = mu(M) len(R/I), with the product IM built first."""
+    length = M.quotient_length(I.multiply(M))
+    return length == I.delta == M.mu() * M.unit_ideal().quotient_length(I)
+
+
+def check_decisions(J):
+    """For J, R and m: _is_ulrich against the old chain for M in R, I, K, m, and
+    is_trace against R : I = I : I."""
+    R, m = J.unit_ideal(), J.maximal_ideal()
+    for I in (J, R, m):
+        for M in (R, I, I.canonical_ideal(), m):
+            assert typecalc._is_ulrich(M, I) == ulrich_by_the_old_chain(M, I), M.describe()
+        assert typecalc.is_trace(I) == (R.colon(I) == I.colon(I)), I.describe()
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_identity_cases())
+def test_monomial_decisions_match_their_definitions(case):
+    check_decisions(case[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_identity_cases())
+def test_series_decisions_match_their_definitions(case):
+    check_decisions(case[1])
+
+
+def check_maximal_colon(R):
+    """R : m is the parameter socle (t^e R : m) meet R moved back by t^e."""
+    e = R.semigroup.multiplicity
+    assert R.colon(R.maximal_ideal()) == typecalc._parameter_socle(R, e).shift(-e)
+
+
+DVR = ([1], NumericalSemigroup([1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroups(), st.sampled_from([None, QQ, GF(2), GF(3)]))
+@example(DVR, None)
+@example(DVR, QQ)
+@example(DVR, GF(2))
+@example(DVR, GF(3))
+def test_maximal_colon_is_the_parameter_socle_moved_back(drawn, field):
+    """field None is the monomial engine."""
+    R = RelativeIdeal.from_exponents(drawn[1], {0})
+    check_maximal_colon(R if field is None else FractionalIdeal.from_relative(R, field))
+
+
 @pytest.mark.parametrize("lift", [lambda E: E, lambda E: FractionalIdeal.from_relative(E, QQ)],
                          ids=["monomial", "series"])
 def test_classify_flags_match_the_definitions(lift):
@@ -343,7 +395,8 @@ class TestWorkCounts:
         count_calls(monkeypatch, FractionalIdeal, "contains_ideal", record)
         report = typecalc.classify(I)
         assert report.proper and report.consistent
-        assert len(record) == 1
+        # R >= I once; the trace test's R:m <= I:I is a containment of R:m
+        assert sum(1 for _, sub in record if sub is I) == 1
 
     @pytest.mark.parametrize("gens, exprs, ulrich", [
         ([3, 7], ("t^6 - t^7", "t^10"), True),
@@ -364,20 +417,24 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("cls", [RelativeIdeal, FractionalIdeal])
     def test_ulrich_module_test_makes_no_reduction_search(self, monkeypatch, cls):
-        I = ulrich_ideal()
-        if cls is RelativeIdeal:
-            I = I.support_ideal()
+        I, square = ulrich_ideal(), True
+        if cls is RelativeIdeal:  # its value set (t^6, t^10, t^14) needs three generators
+            I, square = I.support_ideal(), False
         searches, products = [], []
         count_calls(monkeypatch, cls, "find_reduction", searches)
         count_calls(monkeypatch, cls, "multiply", products)
-        for M in (I.unit_ideal(), I, I.canonical_ideal()):
+        R = I.unit_ideal()
+        for M, built in ((R, False), (I, square), (I.canonical_ideal(), False)):
             typecalc.is_ulrich_module_wrt(M, I)
-            assert sum(1 for a, b in products if a is I and b is M) == 1
+            # I M is built exactly when delta_I = mu(M) len(R/I) allows it
+            assert built == (I.delta == M.mu() * R.quotient_length(I))
+            assert sum(1 for a, b in products if a is I and b is M) == built
         assert searches == []
 
     @pytest.mark.parametrize("gens, exprs, colons", [
         ([3, 7], ("t^6 - t^7", "t^10"), 2),  # symmetric: R : I is the K : I already built
-        ([3, 4, 5], ("t^3 - t^4", "t^5"), 3),
+        ([3, 4, 5], ("t^3", "t^4", "t^5"), 3),  # I = m: R : m <= m : m, so R : I is built
+        ([3, 4, 5], ("t^3 - t^4", "t^5"), 2),  # R : m is not in I : I, so no R : I
     ])
     def test_series_classify_computes_each_colon_once(self, monkeypatch, gens, exprs, colons):
         H, field = NumericalSemigroup(gens), GF(5)
@@ -386,11 +443,13 @@ class TestWorkCounts:
         record = []
         count_calls(monkeypatch, FractionalIdeal, "colon", record)
         assert typecalc.classify(I).consistent
-        # K:I, I:I, and R:I unless K = R; none of them twice
+        # K:I, I:I, and R:I only when K != R and R:m <= I:I; none of them twice
         assert len(record) == colons
         assert max(Counter(record).values()) == 1
 
-    @pytest.mark.parametrize("gens, exps, colons", [([3, 7], {6, 10}, 2), ([3, 4, 5], {3, 5}, 3)])
+    @pytest.mark.parametrize("gens, exps, colons", [
+        ([3, 7], {6, 10}, 2), ([3, 4, 5], {3, 4, 5}, 3), ([3, 4, 5], {3, 5}, 2),
+    ])
     def test_monomial_classify_computes_each_colon_once(self, monkeypatch, gens, exps, colons):
         H = NumericalSemigroup(gens)
         I = RelativeIdeal.from_exponents(H, exps)
