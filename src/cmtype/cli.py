@@ -24,6 +24,12 @@ the call, wraps the body in the document envelope (``schema_version``,
 ``command`` from the parsed command and subcommand names, ``input``,
 ``timing_ms``), prints the document or the text lines and maps
 ``consistent`` and the exceptions to exit codes.
+
+``build_parser`` declares the whole grammar.  ``main`` hands argv straight
+to the leaf parser its command words name (``semigroup info``,
+``sup-search``, ...), since the outer parsers would only pick that leaf;
+every other argv, and a leaf parse with arguments left over, goes to the
+full parser, so help and error text stay argparse's own.
 """
 
 import argparse
@@ -144,9 +150,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--limit", type=int, default=200000, help="enumeration cap")
     p_enum.set_defaults(run=_cmd_enumerate)
 
-    for leaf in (p_info, p_an, p_paper, p_sup, p_enum):
+    leaves = (p_info, p_an, p_paper, p_sup, p_enum)
+    for leaf in leaves:
         leaf.add_argument("--json", action="store_true")
+    # the command words that select each leaf, read off its prog "cmtype semigroup info"
+    parser.leaves = {tuple(leaf.prog.split()[1:]): leaf for leaf in leaves}
     return parser
+
+
+def _parse_args(parser, argv):
+    """``parser.parse_args(argv)``, with argv handed straight to the leaf parser
+    its command words name.
+
+    The outer parsers only pick the leaf, so skipping them gives the same
+    namespace once ``command`` (and ``subcommand``) are set as argparse sets
+    them.  Any other argv, and a leaf parse that leaves arguments over, goes
+    to the full parser, which reports errors with its own usage line.
+    """
+    for n in (1, 2):
+        leaf = parser.leaves.get(tuple(argv[:n]))
+        if leaf is not None:
+            args, extras = leaf.parse_known_args(argv[n:])
+            if extras:
+                break
+            args.command = argv[0]
+            if n == 2:
+                args.subcommand = argv[1]
+            return args
+    return parser.parse_args(argv)
 
 
 def _parse_semigroup(text: str) -> NumericalSemigroup:
@@ -354,7 +385,7 @@ def _to_json(x, indent="") -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(build_parser(), sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
         echo, body, lines, consistent = args.run(args)

@@ -9,7 +9,8 @@ Semigroups, 2009, ch. 1-4):
 
   * the Frobenius number F = max Ap(H, e) - e and the conductor c = F + 1;
   * the pseudo-Frobenius numbers PF(H) = {w - e : w maximal in Ap(H, e)
-    under <=_H}, whose count is the Cohen-Macaulay type of R;
+    under <=_H}, whose count is the Cohen-Macaulay type of R, found with
+    one mask AND per minimal generator;
   * symmetry (the Gorenstein property): the mask of H on [0, F] is the
     complement of its own bit reversal;
   * maximal embedding dimension, and the gap-dual set K = {x : F - x not
@@ -53,8 +54,10 @@ class NumericalSemigroup:
         self.frobenius = max(self._apery_mod_e) - e
         c = self.conductor = self.frobenius + 1
 
-        # H on [0, c) is w, w + e, w + 2e, ... for each Apery element w.
-        stride = int(("0" * (e - 1) + "1") * (c // e + 1), 2)
+        # H on [0, c) is w, w + e, w + 2e, ... for each Apery element w;
+        # the stride sets bits 0, e, ..., (n - 1)e, a geometric series in 2^e.
+        n = c // e + 1
+        stride = ((1 << e * n) - 1) // ((1 << e) - 1)
         mask = 0
         for w in self._apery_mod_e:
             if w < c:
@@ -100,22 +103,26 @@ class NumericalSemigroup:
     def _maximal_apery_pf(self):
         # w in Ap(H, e) is maximal under <=_H iff no w + a (a a minimal
         # generator) is in Ap(H, e), i.e. iff every w + a - e lies in H.
+        # With h the mask of H (its tail set to infinity), bit w of
+        # h >> (a - e) says whether w + a - e is in H, so one AND per
+        # generator marks every such w at once.
         e = self.multiplicity
         if e == 1:
             return (-1,)
-        return tuple(sorted(
-            w - e
-            for w in self._apery_mod_e
-            if w and all(self.contains(w + a - e) for a in self.generators)
-        ))
+        h = self._member_mask | -(1 << self.conductor)
+        keep = -1
+        for a in self.generators:
+            keep &= h >> (a - e)
+        return tuple(sorted(w - e for w in self._apery_mod_e if w and keep >> w & 1))
 
     def pseudo_frobenius(self):
         """PF(H): gaps x with x + h in H for every nonzero h in H.
 
         Computed once, at construction, as {w - e : w in Ap(H, e) maximal
-        under <=_H} (Rosales & Garcia-Sanchez, ch. 2): O(e l) instead
-        of a scan of the gaps.  For H equal to the whole of Z>=0 this is
-        {-1} (= Frobenius number), giving type 1 for the DVR.  An error
+        under <=_H} (Rosales & Garcia-Sanchez, ch. 2): one mask AND per
+        minimal generator, then one bit test per Apery element.  For H
+        equal to the whole of Z>=0 this is {-1} (= Frobenius number),
+        giving type 1 for the DVR.  An error
         here is caught by canonical_relative_ideal, which checks the ideal
         generated by F - PF(H) against the gap-dual set.
         """
@@ -254,14 +261,15 @@ def _set_bits(mask: int):
 
 def _apery_by_shortest_path(gens, e):
     """Least member of H in each residue class mod e, via Dijkstra on Z/e."""
+    steps = [a for a in gens if a % e]  # a multiple of e stays in its class
     dist = [None] * e
     dist[0] = 0
     heap = [(0, 0)]
     while heap:
         d, r = heapq.heappop(heap)
-        if dist[r] is not None and d > dist[r]:
+        if d > dist[r]:  # a popped class has a distance
             continue
-        for a in gens:
+        for a in steps:
             nd = d + a
             nr = nd % e
             if dist[nr] is None or nd < dist[nr]:

@@ -207,7 +207,7 @@ def parse_series(text: str, field: FieldSpec) -> TruncatedSeries:
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
     if not coeffs:
         raise ParseError("empty expression", 0)
-    return TruncatedSeries(field, {e: field.element(v) for e, v in coeffs.items()})
+    return TruncatedSeries(field, coeffs)  # which coerces each coefficient
 
 
 def _parse_term(sc: _Scanner, field: FieldSpec):

@@ -90,6 +90,73 @@ def test_shared_parser_carries_no_state_between_calls(capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
+# argv that parse: the leaf parser alone must give the full parser's namespace
+PARSED_ARGV = [
+    ["semigroup", "info", "4,5,6"],
+    ["semigroup", "info", "4,5,6", "--json"],
+    ["semigroup", "info", "--json", "4,5,6"],
+    ["semigroup", "info", "4,5,6", "--json", "--json"],
+    ["semigroup", "info", "4,5,6", "--js"],
+    ["semigroup", "info", "--", "4,5,6"],
+    ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4 - t^5, t^6"],
+    ["ideal", "analyze", "--sem", "4,5,6", "--gens=t^6", "--field", "fp:5", "--engine", "series"],
+    ["ideal", "analyze", "--semigroup=3,7", "--gens", "t^4 +", "--engine=monomial", "--json"],
+    ["verify", "paper"],
+    ["verify", "paper", "--filter=remark", "--json"],
+    ["sup-search", "--semigroup", "4,5,6", "--bound", "8"],
+    ["sup-search", "--bound=8", "--semigroup", "4,5,6", "--lim", "10", "--json"],
+    ["enumerate", "--semigroup", "4,5,6", "--bound", "8", "--filter", "closed"],
+    ["enumerate", "--json", "--semigroup=4,5,6", "--bound", "8", "--limit", "5"],
+]
+
+# argv that exit in argparse: usage errors and --help at every level
+EXITING_ARGV = [
+    [], ["-h"], ["--help"], ["nope"], ["--json", "semigroup", "info", "4,5,6"],
+    ["semigroup"], ["semigroup", "-h"], ["semigroup", "nope"],
+    ["semigroup", "--json", "info", "4,5,6"], ["semigroup", "--", "info", "4,5,6"],
+    ["semigroup", "info"], ["semigroup", "info", "-h"], ["semigroup", "info", "--help"],
+    ["semigroup", "info", "-3,5"],
+    ["ideal"], ["ideal", "-h"], ["ideal", "analyze", "-h"],
+    ["ideal", "analyze", "--semigroup", "4,5,6"],
+    ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4", "--engine", "fast"],
+    ["verify", "-h"], ["verify", "paper", "--filter"],
+    ["sup-search"], ["sup-search", "-h"],
+    ["sup-search", "--semigroup", "4,5,6", "--bound", "x"],
+    ["enumerate", "--help"],
+    ["enumerate", "--semigroup", "4,5,6", "--bound", "8", "--filter", "trace"],
+    # one unrecognised argument per leaf: the root parser's usage line, not the leaf's
+    ["semigroup", "info", "4,5,6", "extra"],
+    ["semigroup", "info", "4,5,6", "-j"],
+    ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4", "--bogus", "1"],
+    ["verify", "paper", "extra"],
+    ["sup-search", "--semigroup", "4,5,6", "--bound", "8", "--nope"],
+    ["enumerate", "--semigroup", "4,5,6", "--bound", "8", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGV, ids=" ".join)
+def test_dispatch_parses_as_the_full_parser(argv):
+    parser = cli.build_parser.__wrapped__()  # uncached, so it may be patched
+    expected = vars(parser.parse_args(argv))
+
+    def refuse(*_):
+        raise AssertionError("the root parser ran")
+
+    parser.parse_known_args = refuse
+    assert vars(cli._parse_args(parser, argv)) == expected
+
+
+@pytest.mark.parametrize("argv", EXITING_ARGV, ids=" ".join)
+def test_dispatch_fails_as_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as dispatched:
+        cli.main(argv)
+    assert dispatched.value.code == full.value.code
+    assert capsys.readouterr() == expected
+
+
 # sha256 of stdout with the "timing_ms" line dropped, text mode then --json.
 # Any change to an output byte must update these on purpose.
 BYTE_STABLE = [
@@ -318,12 +385,36 @@ def test_series_engine_refuses_conductors_above_the_cap(capsys):
     assert f"SERIES_CONDUCTOR_LIMIT = {cli.SERIES_CONDUCTOR_LIMIT}" in capsys.readouterr().out
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*argv):
+    """``python -m cmtype *argv``: main reads sys.argv itself."""
     path = [str(Path(cmtype.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cmtype", "verify", "paper", "--json"],
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, "-m", "cmtype", *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("verify", "paper", "--json")
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["command"] == "verify-paper"
+
+
+def test_python_dash_m_output_matches_the_in_process_call(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    argv = ["semigroup", "info", "4,5,6", "--json"]
+    proc = run_module(*argv)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert cli.main(argv) == cli.EXIT_OK
+
+    def drop_timing(out):
+        return [line for line in out.splitlines(keepends=True) if '"timing_ms"' not in line]
+
+    assert drop_timing(proc.stdout) == drop_timing(capsys.readouterr().out)
+
+    proc = run_module("ideal", "--help")
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["ideal", "--help"])
+    assert proc.returncode == caught.value.code == cli.EXIT_OK
+    assert proc.stdout == capsys.readouterr().out

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cmtype.errors import ArgumentError, ConsistencyError
-from cmtype.semigroup import NumericalSemigroup
+from cmtype.semigroup import NumericalSemigroup, _apery_by_shortest_path
 from helpers import random_semigroup
 
 
@@ -176,3 +176,37 @@ def test_random_invariant_properties():
         assert K.colon(K) == K.unit_ideal()  # K : K = R
         assert K.mu() == len(pf)
         assert (K == K.unit_ideal()) == H.is_symmetric()
+
+
+class TestLargeConductor:
+    """The mask-built semigroup at the conductors `semigroup info` scans (hundreds
+    to thousands), where the set oracles of test_mask_properties do not reach."""
+
+    @pytest.mark.parametrize("a, b", [(17, 29), (31, 45), (47, 61), (50, 73)])
+    def test_two_generators(self, a, b):
+        H = NumericalSemigroup([a, b])
+        F = a * b - a - b
+        assert H.frobenius == F and H.conductor == F + 1
+        assert H.pseudo_frobenius() == (F,)
+        assert H.is_symmetric()
+        assert len(H.gaps()) == (a - 1) * (b - 1) // 2
+
+    @pytest.mark.parametrize("e", [64, 300])
+    def test_maximal_embedding_dimension(self, e):
+        H = NumericalSemigroup(range(e, 2 * e))
+        assert H.conductor == e
+        assert H.pseudo_frobenius() == tuple(range(1, e))
+        assert H.type() == e - 1
+
+    @pytest.mark.parametrize("gens", [(29, 47, 83), (53, 59, 61), (40, 57, 91),
+                                      (61, 67, 101), (47, 58, 87), (101, 203, 261)])
+    def test_three_generators_against_definitions(self, gens):
+        H = NumericalSemigroup(gens)
+        e, c = H.multiplicity, H.conductor
+        assert 700 <= c <= 4200
+        # the mask, residue by residue: z in H iff z >= the Apery element of its class
+        ap = _apery_by_shortest_path(sorted(gens), e)
+        assert all(H.contains(z) == (z >= ap[z % e]) for z in range(c + e))
+        # PF(H) by its definition: gaps x with x + a in H for every generator a
+        pf = tuple(x for x in H.gaps() if all(H.contains(x + a) for a in gens))
+        assert H.pseudo_frobenius() == pf
