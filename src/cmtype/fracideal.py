@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import CoeffMatrix, FieldSpec
 from .relideal import RelativeIdeal
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _set_bits
 from .series import EXACT, TruncatedSeries
 
 
@@ -100,8 +100,7 @@ class FractionalIdeal:
         """The monomial fractional ideal with the given exponent set."""
         H = ideal.semigroup
         c = H.conductor
-        mask = ideal.members_mask(ideal.delta, c)
-        positions = [i for i in range(c) if mask >> i & 1]
+        positions = _set_bits(ideal.members_mask(ideal.delta, c))
         one, zero = field.one(), field.zero()
         rows = []
         for i in positions:

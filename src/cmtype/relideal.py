@@ -2,24 +2,26 @@
 
 A relative ideal is a set E of integers, bounded below, with E + H <= E.
 It models the monomial fractional ideal spanned by {t^x : x in E}.  The
-representation is canonical: delta = min(E) plus a membership bitmask on
-the window [delta, delta + c) where c is the conductor of H; every integer
->= delta + c belongs to E automatically (delta + c - delta >= c lies in H).
-Two relative ideals are equal iff their (delta, mask) pairs coincide.
+representation is canonical: delta = min(E) plus one int whose bit i says
+whether delta + i is in E, for every i >= 0.  Every integer >= delta + c
+belongs to E (c the conductor of H), so all bits from c on are set: the
+int is negative in two's complement, ``window | -1 << c``.  Two relative
+ideals are equal iff their (delta, mask) pairs coincide.
 
-Every operation is whole-mask integer arithmetic, with full = 2**c - 1,
-h the mask of H on [0, c) and W(s) = members_mask(s, c) the window of an
-ideal starting at s:
+Every operation is whole-int arithmetic on these infinite-tail ints, with
+h the mask of H (tail included) and _at(s) the mask of an ideal shifted to
+origin s (a left or an arithmetic right shift):
 
-  * H-stability: (mask << a) & ~mask & full == 0 for each generator a;
+  * H-stability: (mask << a) & ~mask == 0 for each generator a;
   * the ideal generated by g_1 < ... < g_k: OR of h << (g_i - g_1);
-  * E + F, E meet F: OR, AND of both windows at min, max of the deltas;
-  * E F: OR of W_F(delta_E + delta_F - g) over the generators g of E;
-  * E - F: AND of W_E(delta_E - delta_F + g) over the generators g of F;
+  * E + F, E meet F: OR, AND of both masks at min, max of the deltas;
+  * E F: OR of F._at(delta_E + delta_F - g) over the generators g of E;
+  * E - F: AND of E._at(delta_E - delta_F + g) over the generators g of F;
+  * F <= E: F's mask AND NOT E._at(delta_F) is zero, and the length of
+    E/F counts the bits of E's mask AND NOT F._at(delta_E);
   * minimal generators: mask & ~OR of mask << a over the generators a of
     H, read off the set bits;
-  * normalization to the least member j of a window: mask >> j with the
-    tail past the window filled in.
+  * normalization to the least member j of a mask: mask >> j.
 """
 
 import functools
@@ -34,25 +36,30 @@ class RelativeIdeal:
     engine = "monomial"
 
     def __init__(self, semigroup: NumericalSemigroup, delta: int, mask: int):
-        """Internal; use from_exponents.  ``mask`` bit i <-> delta + i."""
+        """Internal; use from_exponents.  ``mask`` bit i <-> delta + i.
+
+        ``mask`` is either a window on [0, c) or an int whose bits from c
+        on are all set; it is stored as ``mask | -1 << c``.
+        """
         self.semigroup = semigroup
         self.delta = delta
-        self._mask = mask
         c = semigroup.conductor
-        if c > 0 and not mask & 1:
+        bits = mask | -1 << c
+        self._mask = bits
+        if not bits & 1:
             raise ConsistencyError(
                 f"ideal over {semigroup} with delta {delta} does not contain {delta}: "
                 f"mask {mask:#x} does not start at its minimum"
             )
-        if mask >> c:
+        stray = (mask if mask >= 0 else ~mask) >> c
+        if stray:
+            x = delta + c + (stray & -stray).bit_length() - 1
             raise ConsistencyError(
-                f"ideal over {semigroup} with delta {delta} has exponent "
-                f"{delta + mask.bit_length() - 1} in its mask, past the window "
-                f"[{delta}, {delta + c})"
+                f"ideal over {semigroup} with delta {delta} {'has' if mask >= 0 else 'lacks'} "
+                f"exponent {x} in its mask, past the window [{delta}, {delta + c})"
             )
-        full = (1 << c) - 1
         for a in semigroup.generators:
-            escaped = (mask << a) & ~mask & full
+            escaped = (bits << a) & ~bits
             if escaped:
                 x = delta + (escaped & -escaped).bit_length() - 1 - a
                 raise ConsistencyError(
@@ -68,52 +75,44 @@ class RelativeIdeal:
             raise ArgumentError("a relative ideal needs at least one generator")
         delta = gens[0]
         c = semigroup.conductor
-        h = semigroup._member_mask
+        h = semigroup._member_mask | -1 << c
         mask = 0
         for g in gens:
             if g - delta < c:
                 mask |= h << (g - delta)
-        return cls(semigroup, delta, mask & ((1 << c) - 1))
+        return cls(semigroup, delta, mask)
 
     @classmethod
-    def _normalized(cls, semigroup, start, mask, width) -> "RelativeIdeal":
-        """Build from any window [start, start+width) whose complement is
-        guaranteed to be a subset of [start, start+width) (tail implied)."""
-        j = (mask & -mask).bit_length() - 1 if mask else width
-        tail = -(1 << (width - j))
-        return cls(semigroup, start + j, ((mask >> j) | tail) & ((1 << semigroup.conductor) - 1))
+    def _normalized(cls, semigroup, start, bits) -> "RelativeIdeal":
+        """Build from the mask ``bits`` of an ideal at origin ``start``."""
+        j = (bits & -bits).bit_length() - 1
+        return cls(semigroup, start + j, bits >> j)
+
+    def _at(self, start: int) -> int:
+        """The mask shifted to origin ``start``: bit i <-> start + i."""
+        s = self.delta - start
+        return self._mask << s if s >= 0 else self._mask >> -s
 
     # -- queries ----------------------------------------------------------
 
     def contains(self, x: int) -> bool:
-        if x < self.delta:
-            return False
-        if x >= self.delta + self.semigroup.conductor:
-            return True
-        return bool(self._mask >> (x - self.delta) & 1)
+        return x >= self.delta and bool(self._mask >> (x - self.delta) & 1)
 
     def members_mask(self, start: int, length: int) -> int:
         """Membership bitmask over [start, start + length)."""
         if length <= 0:
             return 0
-        s = self.delta - start
-        window = self._mask << s if s >= 0 else self._mask >> -s
-        t = s + self.semigroup.conductor
-        tail = -(1 << t) if t > 0 else -1
-        return (window | tail) & ((1 << length) - 1)
+        return self._at(start) & ((1 << length) - 1)
 
     def minimal_generators(self):
         """E \\ (E + M) with M = H \\ {0}; always inside [delta, delta + c).
 
         E + M is the union of the E + a over the generators a of H, whose
-        window part is mask << a.
+        mask is mask << a.
         """
-        H = self.semigroup
-        if H.conductor == 0:
-            return (self.delta,)
         mask = self._mask
         covered = 0
-        for a in H.generators:
+        for a in self.semigroup.generators:
             covered |= mask << a
         free = mask & ~covered
         out = []
@@ -144,40 +143,38 @@ class RelativeIdeal:
     def add(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Set union: the fractional ideal sum E + F (as R-modules)."""
         self._check_same(other)
-        c = self.semigroup.conductor
         start = min(self.delta, other.delta)
-        mask = self.members_mask(start, c) | other.members_mask(start, c)
-        return RelativeIdeal._normalized(self.semigroup, start, mask, c)
+        return RelativeIdeal(self.semigroup, start, self._at(start) | other._at(start))
 
     def multiply(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Minkowski sum {x + y}: the ideal product."""
         self._check_same(other)
-        c = self.semigroup.conductor
         start = self.delta + other.delta
-        mask = 0
+        bits = 0
         for g in self.minimal_generators():
-            mask |= other.members_mask(start - g, c)
-        return RelativeIdeal._normalized(self.semigroup, start, mask, c)
+            bits |= other._at(start - g)
+        return RelativeIdeal(self.semigroup, start, bits)
 
     def colon(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """E - F = {z : z + F <= E}.
 
         Testing z against the minimal generators of F suffices (H-stability
-        of E covers the rest), so the mask is the AND of the windows of E at
+        of E covers the rest), so the mask is the AND of the masks of E at
         start + g, start = delta_E - delta_F.  No z < start can pass, and
-        every z >= start + c must: the two z just past the window, whose
-        bits the mask carries, are spot-checked.
+        every z >= start + c must: the bound check covers each of them, and
+        names the least z that fails and a generator g of F it fails on.
         """
         self._check_same(other)
         H = self.semigroup
         c = H.conductor
         gens = other.minimal_generators()
         start = self.delta - other.delta
-        mask = (1 << (c + 2)) - 1
+        bits = -1
         for g in gens:
-            mask &= self.members_mask(start + g, c + 2)
-        if mask >> c != 0b11:
-            z = start + c + (mask >> c & 1)
+            bits &= self._at(start + g)
+        missing = ~bits >> c
+        if missing:
+            z = start + c + (missing & -missing).bit_length() - 1
             g = next(g for g in gens if not self.contains(z + g))
             raise ConsistencyError(
                 f"colon window bound violated over {H}: E has delta {self.delta}, "
@@ -185,14 +182,14 @@ class RelativeIdeal:
                 f"z = {z} lies past the window [{start}, {start + c}) of E - F "
                 f"but z + {g} = {z + g} is not in E"
             )
-        return RelativeIdeal._normalized(H, start, mask, c + 2)
+        return RelativeIdeal._normalized(H, start, bits)
 
     def intersect(self, other: "RelativeIdeal") -> "RelativeIdeal":
         self._check_same(other)
-        c = self.semigroup.conductor
         start = max(self.delta, other.delta)
-        mask = self.members_mask(start, c) & other.members_mask(start, c)
-        return RelativeIdeal._normalized(self.semigroup, start, mask, c)
+        return RelativeIdeal._normalized(
+            self.semigroup, start, self._at(start) & other._at(start)
+        )
 
     def shift(self, s: int) -> "RelativeIdeal":
         """Multiplication by t^s: E + s."""
@@ -202,20 +199,11 @@ class RelativeIdeal:
         """The k-dimension of E/F for F <= E (finite: they share a tail)."""
         if not self.contains_ideal(sub):
             raise ContainmentError(f"{sub.describe()} is not contained in {self.describe()}")
-        c = self.semigroup.conductor
-        length = sub.delta + c - self.delta
-        diff = self.members_mask(self.delta, length) & ~sub.members_mask(self.delta, length)
-        return diff.bit_count()
+        return (self._mask & ~sub._at(self.delta)).bit_count()
 
     def contains_ideal(self, sub: "RelativeIdeal") -> bool:
         self._check_same(sub)
-        if sub.delta < self.delta:
-            return False
-        c = self.semigroup.conductor
-        length = max(sub.delta + c, self.delta + c) - sub.delta
-        a = sub.members_mask(sub.delta, length)
-        b = self.members_mask(sub.delta, length)
-        return not a & ~b
+        return sub._mask & ~self._at(sub.delta) == 0
 
     # -- companions in the same engine --------------------------------------
 

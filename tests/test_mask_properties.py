@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmtype.relideal import RelativeIdeal
-from cmtype.semigroup import _set_bits
+from cmtype.semigroup import NumericalSemigroup, _set_bits
 from helpers import MAX_GENERATOR, semigroups
 
 # The Frobenius number is below a_1 a_2 <= 24 * 24, so every larger
@@ -57,6 +57,8 @@ def members(E, lo, hi):
 
 @settings(max_examples=100, deadline=None)
 @given(ideal_pairs())
+@example(([1], NumericalSemigroup([1]), [-1, 1], [0]))  # the DVR <1>: c = 0
+@example(([1], NumericalSemigroup([1]), [1], [0, -1]))
 def test_ideal_operations_against_sets(case):
     gens, H, ge, gf = case
     oracle = Oracle(gens)
@@ -77,6 +79,11 @@ def test_ideal_operations_against_sets(case):
     # z + F <= E iff z + g in E for each given generator g of F
     colon = {z for z in window if all(oracle.in_ideal(ge, z + g) for g in gf)}
     assert members(E.colon(F), lo, hi) == colon
+    # every ideal here holds all of [hi, oo) and nothing below lo, so the
+    # window decides containment and holds all of E / (E meet F)
+    assert E.contains_ideal(F) == (expect(gf) <= expect(ge))
+    assert F.contains_ideal(E) == (expect(ge) <= expect(gf))
+    assert E.quotient_length(E.intersect(F)) == len(expect(ge) - expect(gf))
 
     # minimal generators: members of E that are no member of E plus a nonzero
     # element of H; none lies at or past delta + c

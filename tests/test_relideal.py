@@ -113,6 +113,7 @@ class TestMalformedMasks:
             (0, H456._member_mask | 0b10, "1 + 6 = 7 escapes"),  # 7 is a gap of H
             (2, 0b1110000, "does not contain 2"),
             (0, H456._member_mask | 1 << 8, "exponent 8"),
+            (0, H456._member_mask | -1 << 9, "lacks exponent 8"),  # a hole past the window
         ],
     )
     def test_message_names_input(self, delta, mask, named):
@@ -120,6 +121,16 @@ class TestMalformedMasks:
             RelativeIdeal(H456, delta, mask)
         assert f"delta {delta}" in str(err.value)
         assert named in str(err.value)
+
+    def test_colon_names_a_hole_past_the_window(self):
+        # H456 without 13 = 8 + 5 is not an ideal, so it is built without __init__
+        E = object.__new__(RelativeIdeal)
+        E.semigroup, E.delta, E._mask = H456, 0, (H456._member_mask | -1 << 8) & ~(1 << 13)
+        F = RelativeIdeal.from_exponents(H456, {2})
+        # E - F starts at -2, so its window is [-2, 6) and 13 - 2 = 11 lies 5 past it
+        with pytest.raises(ConsistencyError, match="z = 11 lies past the window") as err:
+            E.colon(F)
+        assert "z + 2 = 13 is not in E" in str(err.value)
 
 
 class TestCanonicalDual:
