@@ -22,6 +22,14 @@ origin s (a left or an arithmetic right shift):
   * minimal generators: mask & ~OR of mask << a over the generators a of
     H, read off the set bits;
   * normalization to the least member j of a mask: mask >> j.
+
+A RelativeIdeal is immutable, so it keeps its minimal generators in a slot
+once they are read off, and every later ``mu``, ``multiply`` or ``colon``
+reuses them.  ``__init__`` checks every mask it is given: the bit of delta
+is set, the bits past the window match the tail, and the mask is H-stable.
+Those three checks read the mask alone, never delta, so ``shift`` copies a
+checked mask to a new delta without running them again (and moves the
+kept generators along); every other construction runs them.
 """
 
 import functools
@@ -31,7 +39,7 @@ from .semigroup import NumericalSemigroup
 
 
 class RelativeIdeal:
-    __slots__ = ("semigroup", "delta", "_mask")
+    __slots__ = ("semigroup", "delta", "_mask", "_gens")
 
     engine = "monomial"
 
@@ -46,6 +54,7 @@ class RelativeIdeal:
         c = semigroup.conductor
         bits = mask | -1 << c
         self._mask = bits
+        self._gens = None
         if not bits & 1:
             raise ConsistencyError(
                 f"ideal over {semigroup} with delta {delta} does not contain {delta}: "
@@ -108,19 +117,21 @@ class RelativeIdeal:
         """E \\ (E + M) with M = H \\ {0}; always inside [delta, delta + c).
 
         E + M is the union of the E + a over the generators a of H, whose
-        mask is mask << a.
+        mask is mask << a.  Computed on the first call and kept.
         """
-        mask = self._mask
-        covered = 0
-        for a in self.semigroup.generators:
-            covered |= mask << a
-        free = mask & ~covered
-        out = []
-        while free:
-            low = free & -free
-            out.append(self.delta + low.bit_length() - 1)
-            free ^= low
-        return tuple(out)
+        if self._gens is None:
+            mask = self._mask
+            covered = 0
+            for a in self.semigroup.generators:
+                covered |= mask << a
+            free = mask & ~covered
+            out = []
+            while free:
+                low = free & -free
+                out.append(self.delta + low.bit_length() - 1)
+                free ^= low
+            self._gens = tuple(out)
+        return self._gens
 
     def mu(self) -> int:
         return len(self.minimal_generators())
@@ -192,8 +203,15 @@ class RelativeIdeal:
         )
 
     def shift(self, s: int) -> "RelativeIdeal":
-        """Multiplication by t^s: E + s."""
-        return RelativeIdeal(self.semigroup, self.delta + s, self._mask)
+        """Multiplication by t^s: E + s, the same mask at delta + s.
+
+        The checks of ``__init__`` read only the mask, which passed them
+        when E was built, so the copy skips them.
+        """
+        out = object.__new__(RelativeIdeal)
+        out.semigroup, out.delta, out._mask = self.semigroup, self.delta + s, self._mask
+        out._gens = None if self._gens is None else tuple(g + s for g in self._gens)
+        return out
 
     def quotient_length(self, sub: "RelativeIdeal") -> int:
         """The k-dimension of E/F for F <= E (finite: they share a tail)."""

@@ -24,6 +24,12 @@ identities:
   * for a proper ideal I of R, r(R/I) = len((K:I) / (m(K:I) + K)), since
     the canonical module of R/I is Ext^1(R/I, K) = (K:I)/K (Bruns-Herzog,
     Cohen-Macaulay Rings, 3.3) and its generator count is the type of R/I.
+
+The socle route needs no annihilator of its own: the parameter socle
+Soc = (t^a R : m) meet R lies in R, so Soc meet (t^a (I:I) meet R) is
+Soc meet t^a (I:I), one intersection with the cached Soc.  It contains
+t^a R, as Soc does and R <= I:I.  ``_Derived.annihilator`` builds
+t^a (I:I) meet R only for the residually faithful flag of ``classify``.
 """
 
 import functools
@@ -54,19 +60,20 @@ def _is_proper(ideal) -> bool:
 
 class _Derived:
     """The ideals derived from one ideal I, each built at most once, on first
-    use: dual() = K : I, endo() = I : I and annihilator(a), that of I/t^a I.
-    The methods assume the preconditions the public functions test.  The
-    fields are plain slots: with functools.cached_property, which takes a
-    lock on Python 3.11, monomial idealization_type ran about 10% slower.
+    use: dual() = K : I and endo() = I : I; annihilator(a), which classify
+    alone asks for, once, is not kept.  The methods assume the
+    preconditions the public functions test.  The fields are plain slots:
+    with functools.cached_property, which takes a lock on Python 3.11,
+    monomial idealization_type ran about 10% slower.
     """
 
-    __slots__ = ("ideal", "R", "K", "_dual", "_endo", "_annihilator")
+    __slots__ = ("ideal", "R", "K", "_dual", "_endo")
 
     def __init__(self, ideal):
         self.ideal = ideal
         self.R = ideal.unit_ideal()
         self.K = ideal.canonical_ideal()
-        self._dual = self._endo = self._annihilator = None
+        self._dual = self._endo = None
 
     def dual(self):
         if self._dual is None:
@@ -79,14 +86,8 @@ class _Derived:
         return self._endo
 
     def annihilator(self, a):
-        """(t^a I : I) meet R = t^a (I : I) meet R, for a positive a in H; the
-        last one asked for is kept."""
-        if self._annihilator is None or self._annihilator[0] != a:
-            H = self.ideal.semigroup
-            if a <= 0 or not H.contains(a):
-                raise ArgumentError(f"parameter exponent must be a positive member of {H}, got {a}")
-            self._annihilator = a, self.endo().shift(a).intersect(self.R)
-        return self._annihilator[1]
+        """(t^a I : I) meet R = t^a (I : I) meet R, for a positive a in H."""
+        return self.endo().shift(a).intersect(self.R)
 
     def quotient_type(self):
         """r(R/I) = len((K:I) / (m(K:I) + K)) for a proper ideal I; the engine
@@ -141,9 +142,9 @@ def socle_formula(ideal, a: int):
     """(excess, type of idealization) with the parameter (t^a), a in H.
 
     excess = length of [ (t^a : m) meet R ] meet [ (t^a I : I) meet R ]
-    modulo (t^a); the idealization type is excess + r_R(I).  The
-    annihilator (t^a I : I) meet R is computed as t^a (I:I) meet R, by
-    (xI : I) = x (I:I) for the nonzerodivisor x = t^a.
+    modulo (t^a); the idealization type is excess + r_R(I).  The second
+    term is t^a (I:I) meet R, by (xI : I) = x (I:I) for the nonzerodivisor
+    x = t^a, and as the first lies in R the meet is taken with t^a (I:I).
     """
     facts = _Derived(ideal)
     excess = _socle_excess(facts, a)
@@ -151,9 +152,12 @@ def socle_formula(ideal, a: int):
 
 
 def _socle_excess(facts, a):
-    annihilator = facts.annihilator(a)
+    """len((Soc meet t^a (I:I)) / t^a R), Soc the parameter socle."""
+    H = facts.ideal.semigroup
+    if a <= 0 or not H.contains(a):
+        raise ArgumentError(f"parameter exponent must be a positive member of {H}, got {a}")
     R = facts.R
-    return _parameter_socle(R, a).intersect(annihilator).quotient_length(R.shift(a))
+    return _parameter_socle(R, a).intersect(facts.endo().shift(a)).quotient_length(R.shift(a))
 
 
 @functools.cache

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,33 @@ def test_semigroup_info_at_large_conductor(capsys):
     assert info["pseudo_frobenius"] == [89_699]
     assert len(info["gaps"]) == 44_850
     assert info["canonical_ideal_generators"] == [0]
+
+
+def test_semigroup_info_refuses_conductors_above_the_cap(capsys, monkeypatch):
+    # <1001,1002> has conductor 1000 * 1001 = 1,001,000, the least above the
+    # cap of any <a,a+1>; it is refused once H is built, before its gap list
+    gap_lists = []
+    monkeypatch.setattr(NumericalSemigroup, "gaps", lambda H: gap_lists.append(H))
+    started = time.perf_counter()
+    assert cli.main(["semigroup", "info", "1001,1002", "--json"]) == cli.EXIT_INPUT
+    assert time.perf_counter() - started < 3
+    out, err = capsys.readouterr()
+    assert out == "" and gap_lists == []
+    assert "conductor 1001000 of <1001,1002>" in err
+    assert f"SEMIGROUP_CONDUCTOR_LIMIT = {cli.SEMIGROUP_CONDUCTOR_LIMIT}" in err
+    monkeypatch.undo()
+    # <4,5> has conductor 12: refused at c = limit + 1, reported at c = limit
+    monkeypatch.setattr(cli, "SEMIGROUP_CONDUCTOR_LIMIT", 11)
+    assert cli.main(["semigroup", "info", "4,5"]) == cli.EXIT_INPUT
+    assert "SEMIGROUP_CONDUCTOR_LIMIT = 11" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "SEMIGROUP_CONDUCTOR_LIMIT", 12)
+    code, doc = run_json(capsys, ["semigroup", "info", "4,5"])
+    assert code == cli.EXIT_OK and doc["semigroup"]["conductor"] == 12
+    monkeypatch.undo()
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    with pytest.raises(SystemExit):
+        cli.main(["semigroup", "info", "--help"])
+    assert f"SEMIGROUP_CONDUCTOR_LIMIT = {cli.SEMIGROUP_CONDUCTOR_LIMIT}" in capsys.readouterr().out
 
 
 def test_series_engine_refuses_conductors_above_the_cap(capsys):

@@ -55,6 +55,16 @@ def members(E, lo, hi):
     return {z for z in range(lo, hi) if E.contains(z)}
 
 
+def oracle_generators(E, oracle, c):
+    """Members of E that are no member of E plus a nonzero element of H,
+    increasing; none lies at or past delta + c."""
+    below = sorted(members(E, E.delta, E.delta + c + 3))
+    return tuple(
+        x for i, x in enumerate(below)
+        if not any(oracle.in_h(x - y) for y in below[:i])
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(ideal_pairs())
 @example(([1], NumericalSemigroup([1]), [-1, 1], [0]))  # the DVR <1>: c = 0
@@ -85,15 +95,46 @@ def test_ideal_operations_against_sets(case):
     assert F.contains_ideal(E) == (expect(ge) <= expect(gf))
     assert E.quotient_length(E.intersect(F)) == len(expect(ge) - expect(gf))
 
-    # minimal generators: members of E that are no member of E plus a nonzero
-    # element of H; none lies at or past delta + c
-    below = sorted(members(E, E.delta, E.delta + c + 3))
-    minimal = {
-        x for i, x in enumerate(below)
-        if not any(oracle.in_h(x - y) for y in below[:i])
-    }
-    assert set(E.minimal_generators()) == minimal
+    minimal = oracle_generators(E, oracle, c)
+    assert E.minimal_generators() == minimal
     assert E.mu() == len(minimal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_pairs(), st.integers(-40, 40))
+@example(([1], NumericalSemigroup([1]), [-1, 1], [0]), 3)
+def test_kept_generators_match_the_oracle(case, s):
+    """The generator set an ideal keeps, read before and after its operands'
+    sets are kept, and the set a shift carries, against the set oracle."""
+    gens, H, ge, gf = case
+    oracle = Oracle(gens)
+    c = H.conductor
+    E = RelativeIdeal.from_exponents(H, ge)
+    F = RelativeIdeal.from_exponents(H, gf)
+    fresh = [E.shift(s), E.add(F), E.multiply(F), F.multiply(E), E.colon(F), E.intersect(F)]
+    E.mu(), F.mu()
+    kept = [E.shift(s), E.add(F), E.multiply(F), F.multiply(E), E.colon(F), E.intersect(F)]
+    assert fresh == kept
+    for X in [E, F] + fresh + kept + [X.shift(-s) for X in kept]:
+        expected = oracle_generators(X, oracle, c)
+        assert X.minimal_generators() == expected
+        assert X.minimal_generators() == expected  # the kept set, read again
+        assert X.mu() == len(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_pairs(), st.integers(-40, 40))
+@example(([1], NumericalSemigroup([1]), [-1, 1], [0]), -2)
+def test_shift_is_the_ideal_of_the_moved_generators(case, s):
+    _, H, ge, _ = case
+    E = RelativeIdeal.from_exponents(H, ge)
+    plain = E.shift(s)  # before E's generator set is read
+    moved = RelativeIdeal.from_exponents(H, [g + s for g in E.minimal_generators()])
+    carried = E.shift(s)  # with E's set kept, moved along
+    for X in (plain, carried):
+        assert X == moved and hash(X) == hash(moved)
+        assert X.minimal_generators() == moved.minimal_generators()
+        assert X.shift(-s) == E
 
 
 @settings(max_examples=100, deadline=None)

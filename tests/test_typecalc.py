@@ -171,6 +171,25 @@ def test_ulrich_wrt_m_is_the_length_formula():
     assert outcomes == {True, False}
 
 
+def check_socle_excess(ideal, other):
+    """For a = e and a = other: the socle excess by its definition,
+    len((Soc meet ((t^a I : I) meet R)) / t^a R) with the parameter socle
+    Soc = (t^a R : m) meet R built afresh, against socle_formula, which
+    reads the cached Soc."""
+    H = ideal.semigroup
+    R, m = ideal.unit_ideal(), ideal.maximal_ideal()
+    for a in (H.multiplicity, other):
+        q = R.shift(a)
+        socle = q.colon(m).intersect(R)
+        annihilator = ideal.shift(a).colon(ideal).intersect(R)
+        fresh = socle.intersect(annihilator).quotient_length(q)
+        typecalc.socle_formula(ideal, a)  # fills the cache if it was empty
+        hits = typecalc._parameter_socle.cache_info().hits
+        assert typecalc.socle_formula(ideal, a)[0] == fresh, (ideal.describe(), a)
+        assert typecalc._parameter_socle.cache_info().hits == hits + 1
+        assert typecalc._parameter_socle(R, a) == socle
+
+
 @pytest.mark.parametrize("name, ideal", CASES, ids=[name for name, _ in CASES])
 class TestFormulas:
     def test_idealization_type_agrees_with_the_public_routes(self, name, ideal):
@@ -186,18 +205,15 @@ class TestFormulas:
 
     def test_cached_parameter_socle_matches_a_fresh_one(self, name, ideal):
         H = ideal.semigroup
-        R, m = ideal.unit_ideal(), ideal.maximal_ideal()
         other = next(a for a in H.members(H.multiplicity + 1, H.conductor + 2))
-        for a in (H.multiplicity, other):
-            q = R.shift(a)
-            socle = q.colon(m).intersect(R)
-            annihilator = ideal.shift(a).colon(ideal).intersect(R)
-            fresh = socle.intersect(annihilator).quotient_length(q)
-            typecalc.socle_formula(ideal, a)  # fills the cache if it was empty
-            hits = typecalc._parameter_socle.cache_info().hits
-            assert typecalc.socle_formula(ideal, a)[0] == fresh
-            assert typecalc._parameter_socle.cache_info().hits == hits + 1
-            assert typecalc._parameter_socle(R, a) == socle
+        check_socle_excess(ideal, other)
+
+    def test_a_parameter_outside_h_is_refused(self, name, ideal):
+        H = ideal.semigroup
+        for a in (0, -H.multiplicity, H.frobenius):  # the Frobenius number is a gap
+            for route in (typecalc.socle_formula, typecalc.idealization_type):
+                with pytest.raises(ArgumentError, match=f"got {a}$"):
+                    route(ideal, a)
 
     def test_classify_matches_the_public_predicates(self, name, ideal):
         report = typecalc.classify(ideal)
@@ -262,6 +278,22 @@ def test_monomial_colon_identities(case):
 @given(series_identity_cases())
 def test_series_colon_identities(case):
     check_identities(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_identity_cases())
+def test_monomial_socle_excess_matches_its_definition(case):
+    I, J, a = case
+    check_socle_excess(I, a)
+    check_socle_excess(J, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_identity_cases())
+def test_series_socle_excess_matches_its_definition(case):
+    I, J, a = case
+    check_socle_excess(I, a)
+    check_socle_excess(J, a)
 
 
 # -- the two tests classify makes before it builds an ideal --------------------
@@ -459,6 +491,28 @@ class TestWorkCounts:
         assert typecalc.classify(I).consistent
         assert len(record) == colons
         assert max(Counter(record).values()) == 1
+
+    def test_monomial_idealization_type_builds_five_ideals(self, monkeypatch):
+        H = NumericalSemigroup([10, 13, 17])
+        I = RelativeIdeal.from_exponents(H, {0, 13, 21})
+        typecalc.idealization_type(I)  # builds the companions and the parameter socle
+        dual = I.canonical_ideal().colon(I)
+        I = RelativeIdeal.from_exponents(H, {0, 13, 21})  # its generators not yet read
+        inits, computed = [], []
+        count_calls(monkeypatch, RelativeIdeal, "__init__", inits)
+        original = RelativeIdeal.minimal_generators
+
+        def minimal_generators(E):
+            if getattr(E, "_gens", None) is None:  # not yet kept
+                computed.append(E)
+            return original(E)
+
+        monkeypatch.setattr(RelativeIdeal, "minimal_generators", minimal_generators)
+        typecalc.idealization_type(I)
+        # K:I, I:I, Soc meet t^a (I:I), (K:I) I and (K:I) I + m K; the shifts
+        # t^a (I:I) and t^a R reuse checked masks
+        assert len(inits) == 5
+        assert Counter(computed) == Counter([I, dual])
 
     def test_monomial_idealization_type_makes_two_colons(self, monkeypatch):
         H = NumericalSemigroup([10, 13, 17])
