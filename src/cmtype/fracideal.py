@@ -19,6 +19,14 @@ read as a Laurent polynomial, is itself a genuine element of I.  That
 keeps all arithmetic exact: products and colon solves work on polynomial
 representatives and re-window the result, and widening a window is always
 legal (pad rows with zeros, adjoin unit tail rows).
+
+Generators stay rows inside the engine.  ``_generator_rows`` keeps, once
+per ideal, the window rows of a generating set: the stored generators'
+coefficient lists, or the basis rows picked modulo m I.  ``multiply``,
+``colon``, ``top_rank`` and ``endo_meet_dim`` read those rows, and
+``_maximal_span`` keeps m I on I's window for the ranks in I/mI.  A
+TruncatedSeries is made only at the API: parsed generators come in as
+series, and ``module_generators`` and ``describe`` hand series out.
 """
 
 import bisect
@@ -38,7 +46,8 @@ from .series import EXACT, TruncatedSeries
 
 class FractionalIdeal:
     __slots__ = (
-        "semigroup", "field", "delta", "gamma", "matrix", "generators", "_modgens", "_mI", "_mu",
+        "semigroup", "field", "delta", "gamma", "matrix", "generators", "_rows", "_mI", "_mspan",
+        "_mu",
     )
 
     engine = "series"
@@ -63,9 +72,7 @@ class FractionalIdeal:
         self.gamma = gamma
         self.matrix = matrix
         self.generators = generators
-        self._modgens = None
-        self._mI = None
-        self._mu = None
+        self._rows = self._mI = self._mspan = self._mu = None
 
     # -- construction -------------------------------------------------------
 
@@ -172,29 +179,60 @@ class FractionalIdeal:
     # -- module structure ----------------------------------------------------
 
     def module_generators(self):
-        """A minimal system of R-module generators, as exact polynomials.
+        """A minimal system of R-module generators, as exact polynomials."""
+        if self.semigroup.conductor == 0:
+            return [TruncatedSeries.monomial(self.field, self.delta)]
+        # stored generators need not be minimal; otherwise the rows are the picks
+        rows = self._picked_rows() if self.generators else self._generator_rows()
+        return [self._as_series(row) for row in rows]
+
+    def _picked_rows(self):
+        """The basis rows that form a minimal generating set.
 
         Basis row i is picked iff it is not in m I plus the rows picked
         before it, that is, iff its residual modulo m I is not in the span
         of the earlier rows' residuals: iff column i is a pivot column of
-        the matrix whose columns are the residuals.  For c >= 1, m I holds
-        t^gamma k[[t]]: for x >= gamma, t^(x - delta) is in m, so m I has an
-        element of order x.  So m I is moved onto I's window.
+        the matrix whose columns are the residuals.  For c = 0 the window
+        is empty and I = t^delta k[[t]] has the one generator t^delta, whose
+        row is the empty row.
         """
-        if self._modgens is not None:
-            return self._modgens
         if self.semigroup.conductor == 0:
-            self._modgens = [TruncatedSeries.monomial(self.field, self.delta)]
-            return self._modgens
-        mI = self.maximal_product()
-        span = _reframe(mI.matrix, self.delta - mI.delta, self.semigroup.conductor)
-        residuals = linalg._reduce_rows(self.field, self.matrix.rows, span)
+            return [()]
+        residuals = linalg._reduce_rows(self.field, self.matrix.rows, self._maximal_span())
         columns = CoeffMatrix(self.field, self.matrix.rank, list(zip(*residuals)))
-        picked = [self._as_series(self.matrix.rows[i]) for i in columns.pivots]
+        picked = [self.matrix.rows[i] for i in columns.pivots]
         if len(picked) != self.mu():
             raise ConsistencyError("generator extraction disagrees with mu")
-        self._modgens = picked
         return picked
+
+    def _generator_rows(self):
+        """Rows on I's window of a generating set of I, computed once.
+
+        They are the stored generators' coefficient lists when I was built
+        from generators, else the picked basis rows.  A stored generator
+        differs from its row by an element of t^gamma k[[t]], which lies in
+        m I for c >= 1, so the rows generate I too (Nakayama); every row is
+        itself an element of I.  The engine's products, colons and ranks
+        read these rows; series are made only at the API
+        (``module_generators``, ``describe``).
+        """
+        if self._rows is None:
+            if self.generators:
+                c = self.semigroup.conductor
+                self._rows = [g.window_vector(self.delta, c) for g in self.generators]
+            else:
+                self._rows = self._picked_rows()
+        return self._rows
+
+    def _maximal_span(self):
+        """m I on I's window, computed once.  For c >= 1, m I holds
+        t^gamma k[[t]]: for x >= gamma, t^(x - delta) is in m, so m I has an
+        element of order x.  So this span plus the tail is m I, and the
+        window modulo it is I/mI."""
+        if self._mspan is None:
+            mI = self.maximal_product()
+            self._mspan = _reframe(mI.matrix, self.delta - mI.delta, self.semigroup.conductor)
+        return self._mspan
 
     def mu(self) -> int:
         if self._mu is None:
@@ -202,7 +240,7 @@ class FractionalIdeal:
         return self._mu
 
     def maximal_product(self):
-        """m I, built once and shared by mu, module_generators and typecalc."""
+        """m I, built once and shared by mu and the generator rows."""
         if self._mI is None:
             self._mI = _maximal(self.semigroup, self.field).multiply(self)
         return self._mI
@@ -225,15 +263,14 @@ class FractionalIdeal:
         return FractionalIdeal._build(self.semigroup, start, linalg.sum_spaces(a, b.rows))
 
     def multiply(self, other):
-        """Ideal product, spanned by (module generators) x (basis rows).
+        """Ideal product, spanned by (generator rows of I) x (basis rows of J).
 
-        Each generator g gives a block of rows on the window
-        [delta_I + delta_J, delta_I + gamma_J).  A g with one term c t^u
-        there spans what t^u J does: J's reduced rows shifted u - delta_I
+        Each generator row g gives a block of rows on the window
+        [delta_I + delta_J, delta_I + gamma_J).  A g with one nonzero cell
+        c t^u spans what t^u J does: J's reduced rows shifted u - delta_I
         places, already reduced, with no arithmetic.  Any other g is
-        convolved with each basis row b.  The constructor's precision bound,
-        g.precision >= gamma_I, makes every cell exact: TruncatedSeries.mul
-        knows g b below g.precision + order(b) >= gamma_I + delta_J.
+        convolved with each basis row b.  g and b are genuine elements of I
+        and J (``_generator_rows``), so every cell is exact.
 
         g b leads at window cell (ord g - delta_I) + pivot(b) with a nonzero
         product, so the rows b whose cell lies past the window, a suffix of
@@ -241,24 +278,27 @@ class FractionalIdeal:
 
         The lowest shifted block, or failing one the first block reduced, is
         the basis that ``linalg.sum_spaces`` adds every other row to, so only
-        their residuals on its free columns are row-reduced.
+        their residuals on its free columns are row-reduced.  For c = 0 both
+        ideals are t^delta k[[t]], and so is their product.
         """
         self._check_same(other)
-        gens = self.generators or self.module_generators()
-        dmin = min(g.order for g in gens)
-        if dmin != self.delta:
-            raise ConsistencyError("stored generators miss the minimal order")
         start = self.delta + other.delta
         width = self.semigroup.conductor
         J = other.matrix
+        if not width:
+            return FractionalIdeal(self.semigroup, self.field, start, J)
+        rows = self._generator_rows()
+        if not any(g[0] for g in rows):
+            raise ConsistencyError("generator rows miss the minimal order")
         shifts, blocks = set(), []
-        for g in gens:
-            # term t^e of g moves a basis row e - delta_I places into the window
-            terms = [(e - self.delta, v) for e, v in g.coeffs.items() if e - self.delta < width]
+        for g in rows:
+            terms = [(d, v) for d, v in enumerate(g) if v]
             if len(terms) == 1:
                 shifts.add(terms[0][0])
                 continue
-            cut = bisect.bisect_left(J.pivots, width - (g.order - self.delta))
+            if not terms:  # a stored generator inside the tail
+                continue
+            cut = bisect.bisect_left(J.pivots, width - terms[0][0])
             block = []
             for b in J.rows[:cut]:
                 row = [0] * width
@@ -283,25 +323,73 @@ class FractionalIdeal:
 
         Solutions live in [delta_I - delta_J, gamma_I - delta_J); the tail
         t^(gamma_I - delta_J) k[[t]] multiplies J into t^(gamma_I) k[[t]],
-        hence into I.  x J <= I reduces to x g in I for the module
-        generators g of J, and each such condition is linear in the window
-        coefficients of x.
+        hence into I.  x J <= I reduces to x g in I for the generator rows g
+        of J, and each such condition is linear in the window coefficients
+        of x.
         """
         self._check_same(other)
         c = self.semigroup.conductor
         start = self.delta - other.delta
-        end = start + c
-        # Window cell i of t^u g is g's coefficient at delta_I + i - u: all
-        # shifts are slices of one coefficient list of g starting at lo.
-        lo = self.delta - (end - 1)
+        # Window cell i of t^(start + k) g is g's cell i - k: every shift is a
+        # slice of g's row padded with c - 1 zeros on the left.
+        pad = [self.field.zero()] * (c - 1)
         constraint_rows = []
-        for g in other.module_generators():
-            padded = g.window_vector(lo, self.gamma - start - lo)
-            vecs = [padded[end - 1 - u:end - 1 - u + c] for u in range(start, end)]
+        for g in other._generator_rows():
+            padded = pad + list(g)
+            vecs = [padded[c - 1 - k:2 * c - 1 - k] for k in range(c)]
             residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
             constraint_rows += [row for row in zip(*residuals) if any(row)]
         solutions = linalg.nullspace(self.field, c, constraint_rows)
         return FractionalIdeal._build(self.semigroup, start, solutions)
+
+    def top_rank(self, X, Y):
+        """dim_k of the image of X Y in M/mM, M this ideal, for X Y <= M.
+
+        X Y is spanned by the products g h of generator rows and m kills
+        M/mM, so the image is spanned by the images of the g h: each is
+        convolved on M's window, reduced modulo m M there
+        (``_maximal_span``), and the rank of the residuals is the answer.
+        For c = 0, M/mM is spanned by t^delta_M, which X Y reaches iff
+        delta_X + delta_Y = delta_M.
+        """
+        self._check_same(X)
+        self._check_same(Y)
+        c = self.semigroup.conductor
+        d0 = X.delta + Y.delta - self.delta
+        if d0 < 0:
+            raise ContainmentError(
+                f"the product of {X.describe()} and {Y.describe()} is not in {self.describe()}"
+            )
+        if not c:
+            return int(d0 == 0)
+        products, hs = [], Y._generator_rows()
+        for g in X._generator_rows():
+            terms = [(d0 + d, v) for d, v in enumerate(g) if v and d0 + d < c]
+            for h in hs:
+                row = [0] * c
+                for d, v in terms:
+                    row[d:] = [x + v * y if y else x for x, y in zip(row[d:], h)]
+                products.append(row)
+        residuals = linalg._reduce_rows(self.field, products, self._maximal_span())
+        return _rank(self.field, residuals)
+
+    def endo_meet_dim(self, exponents):
+        """dim_k(span{t^f : f in exponents} meet (I : I)), without I : I.
+
+        I : I lies in k[[t]], so only f >= 0 can contribute, and
+        sum_f a_f t^f is in I : I iff each t^f g, g a generator row, has
+        residuals modulo I that the a_f combine to zero.  So the answer is
+        the number of such f minus the rank of the rows r_f, each the
+        residuals of t^f g over every g, side by side.
+        """
+        rows = self._generator_rows()
+        c, zero = self.semigroup.conductor, self.field.zero()
+        F = sorted({f for f in exponents if f >= 0})
+        vecs = [([zero] * f + list(g))[:c] for f in F for g in rows]
+        residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
+        n = len(rows)
+        stacked = [sum(residuals[k:k + n], []) for k in range(0, len(vecs), n)]
+        return len(F) - _rank(self.field, stacked)
 
     def intersect(self, other):
         """I cap J on the window of the operand with the larger delta, where
@@ -375,6 +463,11 @@ class FractionalIdeal:
             return None
         x = self.module_generators()[0]  # the lowest basis row, of order delta
         return FractionalIdeal.from_generators(self.semigroup, self.field, [x])
+
+
+def _rank(field, rows):
+    """The rank of a list of rows; the kernels take raw F_p sums of products."""
+    return len(linalg._rref(field, [r for r in rows if any(r)])[1])
 
 
 def _reframe(matrix, shift, width):

@@ -16,7 +16,11 @@ origin s (a left or an arithmetic right shift):
   * the ideal generated by g_1 < ... < g_k: OR of h << (g_i - g_1);
   * E + F, E meet F: OR, AND of both masks at min, max of the deltas;
   * E F: OR of F._at(delta_E + delta_F - g) over the generators g of E;
-  * E - F: AND of E._at(delta_E - delta_F + g) over the generators g of F;
+  * E - F: AND of E._at(delta_E - delta_F + g) over the generators g of F,
+    and the members f of E - E among given exponents are bit tests of the
+    AND for F = E, with no ideal built;
+  * the image of X Y in M/mM: the sums g + h of generators that are
+    minimal generators of M;
   * F <= E: F's mask AND NOT E._at(delta_F) is zero, and the length of
     E/F counts the bits of E's mask AND NOT F._at(delta_E);
   * minimal generators: mask & ~OR of mask << a over the generators a of
@@ -194,6 +198,30 @@ class RelativeIdeal:
                 f"but z + {g} = {z + g} is not in E"
             )
         return RelativeIdeal._normalized(H, start, bits)
+
+    def top_rank(self, X: "RelativeIdeal", Y: "RelativeIdeal") -> int:
+        """dim_k of the image of X Y in M/mM, M this ideal, for X Y <= M.
+
+        M/mM has the minimal generators of M as a basis, and X Y is spanned
+        by the t^(g + h) over the generators g of X and h of Y; each lies
+        in M, so in m M unless g + h is a minimal generator of M.
+        """
+        self._check_same(X)
+        self._check_same(Y)
+        sums = {g + h for g in X.minimal_generators() for h in Y.minimal_generators()}
+        return len(sums.intersection(self.minimal_generators()))
+
+    def endo_meet_dim(self, exponents) -> int:
+        """dim_k(span{t^f : f in exponents} meet (E - E)), without building E - E.
+
+        The mask of E - E at origin 0 is the AND of E's masks at the
+        generators g of E (``colon``), so each f is one bit test; E - E has
+        no negative member.
+        """
+        bits = -1
+        for g in self.minimal_generators():
+            bits &= self._at(g)
+        return sum(1 for f in set(exponents) if f >= 0 and bits >> f & 1)
 
     def intersect(self, other: "RelativeIdeal") -> "RelativeIdeal":
         self._check_same(other)

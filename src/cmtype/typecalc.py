@@ -15,20 +15,31 @@ Both must agree; a mismatch raises ConsistencyError rather than returning
 anything.
 
 The ideals derived from I live in one record, ``_Derived``, which builds
-each at most once, so a report makes only the colons K:I and I:I, plus R:I
-when K != R and R:m <= I:I (see ``_Derived.is_trace``), by two exact
-identities:
+each at most once.  The type itself builds only K:I: every other term is
+the rank of a few vectors, by three exact identities.  ``M.top_rank(X, Y)``
+is dim_k of the image of X Y in M/mM (X Y <= M), the rank of the products
+of generators modulo mM, as m kills M/mM; ``I.endo_meet_dim(F)`` is
+dim_k(span{t^f : f in F} meet (I:I)), read off I's generators.
 
-  * the annihilator (t^a I : I) meet R is t^a (I:I) meet R, since
-    (xI : I) = x (I:I) for a nonzerodivisor x;
-  * for a proper ideal I of R, r(R/I) = len((K:I) / (m(K:I) + K)), since
+  * mu(K / (K:I)I) = dim K/((K:I)I + mK) = mu(K) - K.top_rank(K:I, I).
+  * For a proper ideal I of R, r(R/I) = len((K:I) / (m(K:I) + K)), since
     the canonical module of R/I is Ext^1(R/I, K) = (K:I)/K (Bruns-Herzog,
-    Cohen-Macaulay Rings, 3.3) and its generator count is the type of R/I.
+    Cohen-Macaulay Rings, 3.3) and its generator count is the type of R/I;
+    K <= K:I, so that is mu(K:I) - (K:I).top_rank(K, R).
+  * The socle excess len((Soc meet (t^a I : I) meet R) / t^a R), with
+    Soc = (t^a R : m) meet R the parameter socle, is
+    I.endo_meet_dim(PF(H)), whatever the positive a in H.  First,
+    (xI : I) = x (I:I) for a nonzerodivisor x, and Soc <= R, so the meet
+    is Soc meet t^a (I:I).  Second, Soc = t^a R + V with
+    V = t^a span{t^f : f in PF(H)}: the s in H with s + (H minus 0) inside
+    a + H are a + (H union PF(H)) (Rosales & Garcia-Sanchez, Numerical
+    Semigroups, 2009, ch. 2), and V meets t^a R in 0 as each f is a gap.
+    As t^a R <= t^a (I:I), the modular law gives
+    Soc meet t^a (I:I) = (V meet t^a (I:I)) + t^a R, so the excess is
+    dim(V meet t^a (I:I)) = dim(span{t^f} meet (I:I)).
 
-The socle route needs no annihilator of its own: the parameter socle
-Soc = (t^a R : m) meet R lies in R, so Soc meet (t^a (I:I) meet R) is
-Soc meet t^a (I:I), one intersection with the cached Soc.  It contains
-t^a R, as Soc does and R <= I:I.  ``_Derived.annihilator`` builds
+So a report makes only the colons K:I and I:I, plus R:I when K != R and
+R:m <= I:I (see ``_Derived.is_trace``).  ``_Derived.annihilator`` builds
 t^a (I:I) meet R only for the residually faithful flag of ``classify``.
 """
 
@@ -90,9 +101,10 @@ class _Derived:
         return self.endo().shift(a).intersect(self.R)
 
     def quotient_type(self):
-        """r(R/I) = len((K:I) / (m(K:I) + K)) for a proper ideal I; the engine
-        keeps the m(K:I) that dual().mu() builds."""
-        return self.dual().quotient_length(self.dual().maximal_product().add(self.K))
+        """r(R/I) = len((K:I) / (m(K:I) + K)) = mu(K:I) minus the rank of
+        K = K R in (K:I)/m(K:I), for a proper ideal I."""
+        dual = self.dual()
+        return dual.mu() - dual.top_rank(self.K, self.R)
 
     def is_trace(self):
         """R : I = I : I for I <= R; R : I is K : I when K = R.
@@ -142,9 +154,9 @@ def socle_formula(ideal, a: int):
     """(excess, type of idealization) with the parameter (t^a), a in H.
 
     excess = length of [ (t^a : m) meet R ] meet [ (t^a I : I) meet R ]
-    modulo (t^a); the idealization type is excess + r_R(I).  The second
-    term is t^a (I:I) meet R, by (xI : I) = x (I:I) for the nonzerodivisor
-    x = t^a, and as the first lies in R the meet is taken with t^a (I:I).
+    modulo (t^a); the idealization type is excess + r_R(I).  The excess is
+    dim_k(span{t^f : f in PF(H)} meet (I:I)), which does not depend on a
+    (module docstring).
     """
     facts = _Derived(ideal)
     excess = _socle_excess(facts, a)
@@ -152,17 +164,17 @@ def socle_formula(ideal, a: int):
 
 
 def _socle_excess(facts, a):
-    """len((Soc meet t^a (I:I)) / t^a R), Soc the parameter socle."""
+    """len((Soc meet t^a (I:I)) / t^a R) = dim(span{t^f : f in PF(H)} meet (I:I))."""
     H = facts.ideal.semigroup
     if a <= 0 or not H.contains(a):
         raise ArgumentError(f"parameter exponent must be a positive member of {H}, got {a}")
-    R = facts.R
-    return _parameter_socle(R, a).intersect(facts.endo().shift(a)).quotient_length(R.shift(a))
+    return facts.ideal.endo_meet_dim(H.pseudo_frobenius())
 
 
 @functools.cache
 def _parameter_socle(R, a):
-    """(t^a : m) meet R: it depends only on the companions R, m and on a."""
+    """(t^a : m) meet R: it depends only on the companions R, m and on a.
+    ``_Derived.is_trace`` reads R : m off it."""
     return R.shift(a).colon(R.maximal_ideal()).intersect(R)
 
 
@@ -178,14 +190,8 @@ def cokernel_formula(ideal):
 
 
 def _cokernel_mu(facts):
-    image = facts.dual().multiply(facts.ideal)
-    return facts.K.quotient_length(image.add(_maximal_canonical(facts.K)))
-
-
-@functools.cache
-def _maximal_canonical(K):
-    """m K: it depends only on the companions K and m."""
-    return K.maximal_ideal().multiply(K)
+    """mu(K / (K:I)I): mu(K) minus the rank of (K:I)I in K/mK."""
+    return facts.K.mu() - facts.K.top_rank(facts.dual(), facts.ideal)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,33 @@ def full_stack_add(I, J):
     return FractionalIdeal._build(I.semigroup, start, CoeffMatrix(I.field, c, rows))
 
 
+def cokernel_mu_reference(ideal):
+    """mu(K / (K:I)I) = len(K / ((K:I)I + mK)), with both sums built: the
+    reference for mu(K) - K.top_rank(K:I, I)."""
+    K = ideal.canonical_ideal()
+    image = K.colon(ideal).multiply(ideal)
+    return K.quotient_length(image.add(K.maximal_ideal().multiply(K)))
+
+
+def quotient_type_reference(ideal):
+    """r(R/I) = len((K:I) / (m(K:I) + K)) for a proper ideal I, with the sum
+    built: the reference for mu(K:I) - (K:I).top_rank(K, R)."""
+    K = ideal.canonical_ideal()
+    dual = K.colon(ideal)
+    return dual.quotient_length(dual.maximal_ideal().multiply(dual).add(K))
+
+
+def socle_excess_reference(ideal, a):
+    """len((Soc meet ((t^a I : I) meet R)) / t^a R) with the parameter socle
+    Soc = (t^a R : m) meet R and the annihilator built afresh: the socle
+    excess by its definition, the reference for I.endo_meet_dim(PF(H))."""
+    R, m = ideal.unit_ideal(), ideal.maximal_ideal()
+    q = R.shift(a)
+    socle = q.colon(m).intersect(R)
+    annihilator = ideal.shift(a).colon(ideal).intersect(R)
+    return socle.intersect(annihilator).quotient_length(q)
+
+
 def ulrich_module_reference(module, ideal):
     """M Ulrich for an ideal I <= R by the definition: the reference for
     typecalc.is_ulrich_module_wrt.

@@ -20,16 +20,21 @@ from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import parse_series
 from helpers import (
     SERIES_POOL,
+    cokernel_mu_reference,
     generated_ideals,
+    quotient_type_reference,
     random_relative_ideal,
     reduction_search_reference,
     semigroups,
+    socle_excess_reference,
     ulrich_module_reference,
 )
 
 H345 = NumericalSemigroup([3, 4, 5])
 H37 = NumericalSemigroup([3, 7])
 H35 = NumericalSemigroup([3, 5])
+H1 = NumericalSemigroup([1])  # the DVR k[[t]]: c = 0, PF(H) = {-1}
+DVR = ([1], H1)  # as semigroups() draws it
 # semigroups with ideals I <= m whose I^2 is not xI, so (x) reduces only a higher power
 REDUCTION_POOL = ([3, 5], [3, 7], [4, 5, 6], [4, 6, 9], [5, 6, 7], [3, 4, 5])
 
@@ -56,7 +61,7 @@ CASES = cases()
 ENGINE_CONTRACT = (
     "add", "multiply", "colon", "intersect", "shift", "contains_ideal", "quotient_length",
     "mu", "is_principal", "maximal_product", "find_reduction", "unit_ideal", "canonical_ideal",
-    "maximal_ideal", "describe",
+    "maximal_ideal", "describe", "top_rank", "endo_meet_dim",
 )
 
 
@@ -172,22 +177,15 @@ def test_ulrich_wrt_m_is_the_length_formula():
 
 
 def check_socle_excess(ideal, other):
-    """For a = e and a = other: the socle excess by its definition,
-    len((Soc meet ((t^a I : I) meet R)) / t^a R) with the parameter socle
-    Soc = (t^a R : m) meet R built afresh, against socle_formula, which
-    reads the cached Soc."""
+    """For a = e and a = other: the socle excess by its definition, with the
+    parameter socle Soc = (t^a R : m) meet R built afresh, against
+    socle_formula, and the cached Soc against the fresh one."""
     H = ideal.semigroup
     R, m = ideal.unit_ideal(), ideal.maximal_ideal()
     for a in (H.multiplicity, other):
-        q = R.shift(a)
-        socle = q.colon(m).intersect(R)
-        annihilator = ideal.shift(a).colon(ideal).intersect(R)
-        fresh = socle.intersect(annihilator).quotient_length(q)
-        typecalc.socle_formula(ideal, a)  # fills the cache if it was empty
-        hits = typecalc._parameter_socle.cache_info().hits
+        fresh = socle_excess_reference(ideal, a)
         assert typecalc.socle_formula(ideal, a)[0] == fresh, (ideal.describe(), a)
-        assert typecalc._parameter_socle.cache_info().hits == hits + 1
-        assert typecalc._parameter_socle(R, a) == socle
+        assert typecalc._parameter_socle(R, a) == R.shift(a).colon(m).intersect(R)
 
 
 @pytest.mark.parametrize("name, ideal", CASES, ids=[name for name, _ in CASES])
@@ -229,6 +227,16 @@ class TestFormulas:
     def test_a_route_off_by_one_is_caught(self, name, ideal, monkeypatch, route):
         original = getattr(typecalc, route)
         monkeypatch.setattr(typecalc, route, lambda *args: original(*args) + 1)
+        with pytest.raises(ConsistencyError, match=re.escape(ideal.describe())):
+            typecalc.idealization_type(ideal)
+
+    @pytest.mark.parametrize("method", ["top_rank", "endo_meet_dim"])
+    def test_an_engine_rank_off_by_one_is_caught(self, name, ideal, monkeypatch, method):
+        # the cokernel route reads top_rank and the socle route endo_meet_dim,
+        # so one wrong rank on either engine breaks their agreement
+        cls = type(ideal)
+        original = getattr(cls, method)
+        monkeypatch.setattr(cls, method, lambda *args: original(*args) + 1)
         with pytest.raises(ConsistencyError, match=re.escape(ideal.describe())):
             typecalc.idealization_type(ideal)
 
@@ -296,6 +304,71 @@ def test_series_socle_excess_matches_its_definition(case):
     check_socle_excess(J, a)
 
 
+# -- the ranks that replace the derived ideals ---------------------------------
+
+
+def check_rank_routes(I, J, a):
+    """For L = I, J: mu(K) - K.top_rank(K:L, L) against len(K / ((K:L)L + mK)),
+    and L.endo_meet_dim(PF(H)) against the socle excess by its definition at
+    a and at e; for the proper ideal J, mu(K:J) - (K:J).top_rank(K, R)
+    against len((K:J) / (m(K:J) + K))."""
+    H = I.semigroup
+    K, R = I.canonical_ideal(), I.unit_ideal()
+    for L in (I, J):
+        assert K.mu() - K.top_rank(K.colon(L), L) == cokernel_mu_reference(L), L.describe()
+        excess = L.endo_meet_dim(H.pseudo_frobenius())
+        for b in (a, H.multiplicity):
+            assert excess == socle_excess_reference(L, b), (L.describe(), b)
+    dual = K.colon(J)
+    assert dual.mu() - dual.top_rank(K, R) == quotient_type_reference(J), J.describe()
+
+
+def dvr_series_case(field):
+    I, J = (FractionalIdeal.from_generators(H1, field, [parse_series(s, field)])
+            for s in ("t^-2 + 3*t^4", "2*t^2 - t^3"))
+    return I, J, 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_identity_cases())
+@example((RelativeIdeal.from_exponents(H1, {-2}), RelativeIdeal.from_exponents(H1, {2}), 1))
+@example((RelativeIdeal.from_exponents(H1, {0}), RelativeIdeal.from_exponents(H1, {1}), 3))
+def test_monomial_ranks_match_the_built_ideals(case):
+    check_rank_routes(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_identity_cases())
+@example(dvr_series_case(QQ))
+@example(dvr_series_case(GF(2)))
+@example(dvr_series_case(GF(3)))
+@example(dvr_series_case(GF(32003)))
+def test_series_ranks_match_the_built_ideals(case):
+    check_rank_routes(*case)
+
+
+def check_parameter_socle(R):
+    """(t^a R : m) meet R = t^a R + span{t^(a+f) : f in PF(H)} for several a in H."""
+    H = R.semigroup
+    e, c = H.multiplicity, H.conductor
+    for a in {e, *H.members(e + 1, c + e + 1)[:2], c + e, max(H.generators)}:
+        expected = RelativeIdeal.from_exponents(H, {a} | {a + f for f in H.pseudo_frobenius()})
+        if R.engine == "series":
+            expected = FractionalIdeal.from_relative(expected, R.field)
+        assert typecalc._parameter_socle(R, a) == expected, (H, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroups(), st.sampled_from([None, QQ, GF(2), GF(3), GF(32003)]))
+@example(DVR, None)
+@example(DVR, QQ)
+@example(DVR, GF(2))
+def test_parameter_socle_is_spanned_by_the_pseudo_frobenius_monomials(drawn, field):
+    """field None is the monomial engine."""
+    R = RelativeIdeal.from_exponents(drawn[1], {0})
+    check_parameter_socle(R if field is None else FractionalIdeal.from_relative(R, field))
+
+
 # -- the two tests classify makes before it builds an ideal --------------------
 
 
@@ -331,9 +404,6 @@ def check_maximal_colon(R):
     """R : m is the parameter socle (t^e R : m) meet R moved back by t^e."""
     e = R.semigroup.multiplicity
     assert R.colon(R.maximal_ideal()) == typecalc._parameter_socle(R, e).shift(-e)
-
-
-DVR = ([1], NumericalSemigroup([1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,20 +474,23 @@ class TestWorkCounts:
         assert pairs[(False, True, True)] <= 1  # m I
         assert sum(1 for (a,) in mus if a is I) > 1
 
-    def test_two_series_reports_make_one_maximal_canonical_product(self, monkeypatch):
+    def test_series_reports_make_no_maximal_canonical_product(self, monkeypatch):
         field = GF(5)
         ideals = [
             FractionalIdeal.from_generators(H345, field, [parse_series(s, field) for s in exprs])
             for exprs in (("t^3 - t^4", "t^5"), ("t^4 + 2*t^5", "t^6"))
         ]
         K, m = ideals[0].canonical_ideal(), ideals[0].maximal_ideal()
-        K.mu()  # K's own m K, built here, outside the count
-        typecalc._maximal_canonical.cache_clear()
+        K.mu()  # K's own m K, which K keeps, built here, outside the count
         products = []
         count_calls(monkeypatch, FractionalIdeal, "multiply", products)
         for I in ideals:
             assert typecalc.classify(I).consistent
-        assert sum(1 for a, b in products if a is m and b is K) == 1
+        # no m K: the cokernel route reduces modulo the m K that K keeps; and no
+        # (K:I) I: the only products with I are m I and, for the Ulrich test, I I
+        assert not any(b is K for _, b in products)
+        for I in ideals:
+            assert all(a is m or a is I for a, b in products if b is I)
 
     def test_series_classify_tests_containment_once(self, monkeypatch):
         field = GF(5)
@@ -492,10 +565,10 @@ class TestWorkCounts:
         assert len(record) == colons
         assert max(Counter(record).values()) == 1
 
-    def test_monomial_idealization_type_builds_five_ideals(self, monkeypatch):
+    def test_monomial_idealization_type_builds_one_ideal(self, monkeypatch):
         H = NumericalSemigroup([10, 13, 17])
         I = RelativeIdeal.from_exponents(H, {0, 13, 21})
-        typecalc.idealization_type(I)  # builds the companions and the parameter socle
+        typecalc.idealization_type(I)  # builds the companions and reads K's generators
         dual = I.canonical_ideal().colon(I)
         I = RelativeIdeal.from_exponents(H, {0, 13, 21})  # its generators not yet read
         inits, computed = [], []
@@ -509,17 +582,16 @@ class TestWorkCounts:
 
         monkeypatch.setattr(RelativeIdeal, "minimal_generators", minimal_generators)
         typecalc.idealization_type(I)
-        # K:I, I:I, Soc meet t^a (I:I), (K:I) I and (K:I) I + m K; the shifts
-        # t^a (I:I) and t^a R reuse checked masks
-        assert len(inits) == 5
+        # K:I alone: both type terms are ranks read off generators
+        assert len(inits) == 1
         assert Counter(computed) == Counter([I, dual])
 
-    def test_monomial_idealization_type_makes_two_colons(self, monkeypatch):
+    def test_monomial_idealization_type_makes_one_colon(self, monkeypatch):
         H = NumericalSemigroup([10, 13, 17])
         I = RelativeIdeal.from_exponents(H, {0, 13, 21})
-        a = H.multiplicity
-        typecalc._parameter_socle(I.unit_ideal(), a)
+        typecalc.idealization_type(I)  # builds the companions
         colons = []
         count_calls(monkeypatch, RelativeIdeal, "colon", colons)
-        typecalc.idealization_type(I, a)
-        assert len(colons) == 2
+        typecalc.idealization_type(I, 13)
+        # K:I alone: neither I:I nor the parameter socle (t^13 R : m) meet R
+        assert len(colons) == 1
