@@ -24,9 +24,19 @@ Generators stay rows inside the engine.  ``_generator_rows`` keeps, once
 per ideal, the window rows of a generating set: the stored generators'
 coefficient lists, or the basis rows picked modulo m I.  ``multiply``,
 ``colon``, ``top_rank`` and ``endo_meet_dim`` read those rows, and
-``_maximal_span`` keeps m I on I's window for the ranks in I/mI.  A
-TruncatedSeries is made only at the API: parsed generators come in as
-series, and ``module_generators`` and ``describe`` hand series out.
+``_maximal_span`` keeps m I on I's window for the ranks in I/mI, mu
+among them.  A TruncatedSeries is made only at the API: parsed
+generators come in as series, and ``module_generators`` and ``describe``
+hand series out.
+
+Colons are nullspaces.  ``colon`` solves one, with unknowns only on the
+columns outside a monomial lower bound it knows: R <= I : I, so I : I is
+solved on the gaps of H alone and merged with R's unit rows.
+``canonical_dual`` gives K : I = I^perp, under the residue pairing that
+makes K = R^perp, with no reduction at all: the kernel of I's reduced
+basis, read off its free-column cells (``CoeffMatrix.tails``) and
+reversed, is already reduced.  R : I is K : (K I), a dual too
+(``typecalc``).
 """
 
 import bisect
@@ -235,8 +245,19 @@ class FractionalIdeal:
         return self._mspan
 
     def mu(self) -> int:
+        """l(I/mI) = rank_I - rank(``_maximal_span()``), m I <= I checked on
+        that span.  For c = 0, I = t^delta k[[t]] has the one generator."""
         if self._mu is None:
-            self._mu = self.quotient_length(self.maximal_product())
+            if not self.semigroup.conductor:
+                self._mu = 1
+            else:
+                span = self._maximal_span()
+                if not self._spans(span):
+                    raise ConsistencyError(
+                        f"m I is not contained in I over {self.semigroup} [{self.field}]: "
+                        f"delta {self.delta}, basis {self.matrix.rows}"
+                    )
+                self._mu = self.matrix.rank - span.rank
         return self._mu
 
     def maximal_product(self):
@@ -326,21 +347,58 @@ class FractionalIdeal:
         hence into I.  x J <= I reduces to x g in I for the generator rows g
         of J, and each such condition is linear in the window coefficients
         of x.
+
+        The unknowns skip the columns of a monomial lower bound the colon
+        knows: R <= I : I, so for J = I, on the window [0, c),
+        I : I = R + (I : I meet span{t^g : g a gap of H}), and only the gap
+        columns are solved for.  The solutions are zero on H's columns and
+        R's unit rows zero on the gaps, so merged by pivot they are reduced.
         """
         self._check_same(other)
         c = self.semigroup.conductor
         start = self.delta - other.delta
+        rows, unknowns = {}, range(c)
+        if other == self:
+            # R's matrix is on the same window [0, c): keep its unit rows and
+            # solve on its free columns, the gaps of H
+            R = _unit(self.semigroup, self.field).matrix
+            rows, unknowns = dict(zip(R.pivots, R.rows)), R.tails()[0]
         # Window cell i of t^(start + k) g is g's cell i - k: every shift is a
         # slice of g's row padded with c - 1 zeros on the left.
-        pad = [self.field.zero()] * (c - 1)
+        zero = self.field.zero()
+        pad = [zero] * (c - 1)
         constraint_rows = []
         for g in other._generator_rows():
             padded = pad + list(g)
-            vecs = [padded[c - 1 - k:2 * c - 1 - k] for k in range(c)]
+            vecs = [padded[c - 1 - k:2 * c - 1 - k] for k in unknowns]
             residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
             constraint_rows += [row for row in zip(*residuals) if any(row)]
-        solutions = linalg.nullspace(self.field, c, constraint_rows)
-        return FractionalIdeal._build(self.semigroup, start, solutions)
+        solutions = linalg.nullspace(self.field, len(unknowns), constraint_rows)
+        for cells, q in zip(solutions.rows, solutions.pivots):
+            row = [zero] * c
+            for k, x in zip(unknowns, cells):
+                row[k] = x
+            rows[unknowns[q]] = row
+        pivots = sorted(rows)
+        matrix = CoeffMatrix(self.field, c, [rows[q] for q in pivots], pivots)
+        return FractionalIdeal._build(self.semigroup, start, matrix)
+
+    def canonical_dual(self):
+        """K : I as I^perp, read off I's reduced basis with no row reduction.
+
+        K = {x : F - x not in H} is R^perp for <x, y> = the coefficient of
+        t^F in x y (t^u pairs to zero with all of R iff F - u is not in H),
+        and x I <= K iff <x y, r> = 0 for all y in I, r in R, so K : I is
+        I^perp.  x pairs to zero with I's tail t^gamma k[[t]] iff
+        ord x >= F + 1 - gamma = -delta, and with all of I once
+        ord x >= -delta + c, so I^perp lives on the window
+        [-delta, -delta + c), where cell k of x pairs with I's cell
+        c - 1 - k: x reversed is in the kernel of I's reduced basis
+        (``linalg.reversed_kernel``).  For c = 0 the window is empty and
+        K : I = t^(-delta) k[[t]].
+        """
+        kernel = linalg.reversed_kernel(self.matrix)
+        return FractionalIdeal._build(self.semigroup, -self.delta, kernel)
 
     def top_rank(self, X, Y):
         """dim_k of the image of X Y in M/mM, M this ideal, for X Y <= M.
@@ -421,11 +479,14 @@ class FractionalIdeal:
         self._check_same(sub)
         if sub.delta < self.delta:
             return False
-        theirs = _reframe(sub.matrix, self.delta - sub.delta, self.semigroup.conductor)
+        return self._spans(_reframe(sub.matrix, self.delta - sub.delta, self.semigroup.conductor))
+
+    def _spans(self, matrix) -> bool:
+        """Whether the rows of a reduced matrix on I's window lie in I's span."""
         # v(J) <= v(I) is necessary for J <= I; on the window the values are the pivots
-        if not set(theirs.pivots).issubset(self.matrix.pivots):
+        if not set(matrix.pivots).issubset(self.matrix.pivots):
             return False
-        return not any(map(any, linalg._reduce_rows(self.field, theirs.rows, self.matrix)))
+        return not any(map(any, linalg._reduce_rows(self.field, matrix.rows, self.matrix)))
 
     def __eq__(self, other):
         if not isinstance(other, FractionalIdeal):

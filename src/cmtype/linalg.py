@@ -300,26 +300,39 @@ def nullspace(field: FieldSpec, ncols: int, rows) -> CoeffMatrix:
     """Reduced basis of {x : r x = 0 for every r in ``rows``}, in one reduction.
 
     ``rows`` is any spanning set of ``ncols``-cell rows.  Reduced with their
-    columns reversed, each pivot row leads at its last nonzero column, so the
-    solution for a free column f is 1 at f and nonzero elsewhere only at
-    pivot columns right of f: the solutions come out reduced, with the free
-    columns as pivots.
+    columns reversed, they give a reduced basis A with r x = 0 for every r
+    iff A's rows vanish on x reversed, so the solutions are
+    ``reversed_kernel(A)``, with no second reduction.
     """
     if any(len(r) != ncols for r in rows):
         raise DimensionError(f"a row's length differs from the {ncols} columns")
     reduced, pivots = _rref(field, [r[::-1] for r in rows])
-    free = sorted(set(range(ncols)) - {ncols - 1 - piv for piv in pivots})
+    return reversed_kernel(CoeffMatrix(field, ncols, reduced, pivots))
+
+
+def reversed_kernel(a: CoeffMatrix) -> CoeffMatrix:
+    """Reduced basis of {x : a y = 0 for y = x reversed}, read off a reduced
+    ``a`` with no reduction.
+
+    With n = a.ncols, the solution y for a free column f is 1 at f and
+    -a[i][f] at each pivot P_i < f, so x is 1 at n - 1 - f and -a[i][f]
+    at n - 1 - P_i, right of it, and no other solution touches
+    n - 1 - f.  So the x, free columns descending, are reduced, with pivots
+    n - 1 - f; their cells are those of ``a.tails()``.
+    """
+    field, n = a.field, a.ncols
     zero, one, p = field.zero(), field.one(), field.characteristic
-    basis = []
+    free, tails = a.tails()
+    rows = {}
     for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for row, piv in zip(reduced, pivots):
-            x = row[ncols - 1 - f]
+        rows[f] = row = [zero] * n
+        row[n - 1 - f] = one
+    for piv, s, cells in tails:
+        for f, x in zip(free[s:], cells):
             if x:
-                v[ncols - 1 - piv] = (-x) % p if p else -x
-        basis.append(v)
-    return CoeffMatrix(field, ncols, basis, free)
+                rows[f][n - 1 - piv] = (-x) % p if p else -x
+    order = free[::-1]
+    return CoeffMatrix(field, n, [rows[f] for f in order], [n - 1 - f for f in order])
 
 
 def _check_compatible(a: CoeffMatrix, b: CoeffMatrix):

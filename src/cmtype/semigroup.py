@@ -260,8 +260,19 @@ def _set_bits(mask: int):
 
 
 def _apery_by_shortest_path(gens, e):
-    """Least member of H in each residue class mod e, via Dijkstra on Z/e."""
+    """Least member of H in each residue class mod e, via Dijkstra on Z/e.
+
+    With one step b (the other generators multiples of e), gcd(b, e) = 1
+    and a member i e + j b lies in the class of k b iff j = k mod e, so
+    for k < e the least member of that class is k b: no search.
+    """
     steps = [a for a in gens if a % e]  # a multiple of e stays in its class
+    if len(steps) == 1:
+        b = steps[0]
+        dist = [0] * e
+        for k in range(1, e):
+            dist[k * b % e] = k * b
+        return dist
     dist = [None] * e
     dist[0] = 0
     heap = [(0, 0)]

@@ -38,9 +38,19 @@ dim_k(span{t^f : f in F} meet (I:I)), read off I's generators.
     Soc meet t^a (I:I) = (V meet t^a (I:I)) + t^a R, so the excess is
     dim(V meet t^a (I:I)) = dim(span{t^f} meet (I:I)).
 
-So a report makes only the colons K:I and I:I, plus R:I when K != R and
-R:m <= I:I (see ``_Derived.is_trace``).  ``_Derived.annihilator`` builds
-t^a (I:I) meet R only for the residually faithful flag of ``classify``.
+The colons come from canonical duality.  Under the pairing <x, y> = the
+coefficient of t^F in x y, K = {x : F - x not in H} is R^perp, so
+K : I = I^perp, and as K : K = R, R : I = (K : K) : I = K : (K I)
+(Herzog & Kunz, Der kanonische Modul eines Cohen-Macaulay-Rings, LNM 238,
+1971; Jaeger 1977).  ``canonical_dual`` is I^perp: K - E on the monomial
+engine, read off I's reduced basis with no reduction on the series one.
+And R <= I:I always, so the series colon solves I:I on the gaps of H
+alone.  So a report makes one colon, I:I, and the dual K:I, plus
+R:I = (K I)^perp when K != R, R:m <= I:I and K I != I (see
+``_Derived.is_trace``).  ``_Derived.annihilator`` builds t^a (I:I) meet R
+only for the residually faithful flag of ``classify``; the public
+``module_type``, ``is_closed`` and ``is_residually_faithful`` compute
+their colons by the definitions.
 """
 
 import functools
@@ -75,20 +85,20 @@ class _Derived:
     alone asks for, once, is not kept.  The methods assume the
     preconditions the public functions test.  The fields are plain slots:
     with functools.cached_property, which takes a lock on Python 3.11,
-    monomial idealization_type ran about 10% slower.
+    monomial idealization_type ran about 10% slower.  R is looked up where
+    it is read, which idealization_type never does.
     """
 
-    __slots__ = ("ideal", "R", "K", "_dual", "_endo")
+    __slots__ = ("ideal", "K", "_dual", "_endo")
 
     def __init__(self, ideal):
         self.ideal = ideal
-        self.R = ideal.unit_ideal()
         self.K = ideal.canonical_ideal()
         self._dual = self._endo = None
 
     def dual(self):
         if self._dual is None:
-            self._dual = self.K.colon(self.ideal)
+            self._dual = self.ideal.canonical_dual()
         return self._dual
 
     def endo(self):
@@ -98,13 +108,13 @@ class _Derived:
 
     def annihilator(self, a):
         """(t^a I : I) meet R = t^a (I : I) meet R, for a positive a in H."""
-        return self.endo().shift(a).intersect(self.R)
+        return self.endo().shift(a).intersect(self.ideal.unit_ideal())
 
     def quotient_type(self):
         """r(R/I) = len((K:I) / (m(K:I) + K)) = mu(K:I) minus the rank of
         K = K R in (K:I)/m(K:I), for a proper ideal I."""
         dual = self.dual()
-        return dual.mu() - dual.top_rank(self.K, self.R)
+        return dual.mu() - dual.top_rank(self.K, self.ideal.unit_ideal())
 
     def is_trace(self):
         """R : I = I : I for I <= R; R : I is K : I when K = R.
@@ -113,15 +123,21 @@ class _Derived:
         R : I = I : I forces R : m <= I : I.  That containment is tested
         first, pivots (values) before residuals, and R : I is built only if
         it holds.  R : m is the cached parameter socle moved back by t^e:
-        t^e in m gives (t^e R : m) = t^e (R : m) <= R.
+        t^e in m gives (t^e R : m) = t^e (R : m) <= R.  R : I is
+        (K : K) : I = K : (K I), the canonical dual of K I, a product of
+        shifted copies of I as K is monomial; when K I = I it is the K : I
+        already built.
         """
-        if self.K == self.R:
+        R = self.ideal.unit_ideal()
+        if self.K == R:
             return self.dual() == self.endo()
-        if self.ideal != self.R:
+        if self.ideal != R:
             e = self.ideal.semigroup.multiplicity
-            if not self.endo().contains_ideal(_parameter_socle(self.R, e).shift(-e)):
+            if not self.endo().contains_ideal(_parameter_socle(R, e).shift(-e)):
                 return False
-        return self.R.colon(self.ideal) == self.endo()
+        product = self.K.multiply(self.ideal)
+        ring_colon = self.dual() if product == self.ideal else product.canonical_dual()
+        return ring_colon == self.endo()
 
     def idealization_type(self, a):
         ideal = self.ideal
@@ -341,7 +357,7 @@ def classify(ideal) -> IdealReport:
     H = ideal.semigroup
     inv = H.invariants()
     facts = _Derived(ideal)
-    R = facts.R
+    R = ideal.unit_ideal()
     m = ideal.maximal_ideal()
     # R >= I is tested once; the record's methods skip the public precondition.
     in_ring = R.contains_ideal(ideal)

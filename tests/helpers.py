@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from cmtype import linalg
 from cmtype.fracideal import FractionalIdeal, _reframe
 from cmtype.linalg import CoeffMatrix
 from cmtype.relideal import RelativeIdeal
@@ -159,6 +160,32 @@ def common_window(I, J):
     start = min(I.delta, J.delta)
     width = max(I.gamma, J.gamma) - start
     return start, *(_reframe(X.matrix, start - X.delta, width) for X in (I, J))
+
+
+def colon_reference(I, J):
+    """I : J with an unknown on every column of [delta_I - delta_J, gamma_I - delta_J):
+    the reference for FractionalIdeal.colon, whose unknowns skip R's columns
+    for J = I, and for canonical_dual (K : I).
+
+    A series pair is one nullspace over all c columns, its constraints the
+    residuals modulo I of every shift of J's generator rows.  A monomial
+    pair is solved on exponent sets: z is in E - F iff z + f is in E for
+    every f in F below delta_F + c (past it both hold the tail).
+    """
+    H = I.semigroup
+    c, start = H.conductor, I.delta - J.delta
+    if isinstance(I, RelativeIdeal):
+        members = [f for f in range(J.delta, J.delta + c) if J.contains(f)]
+        window = [z for z in range(start, start + c) if all(I.contains(z + f) for f in members)]
+        return RelativeIdeal.from_exponents(H, window + list(range(start + c, start + 2 * c + 1)))
+    pad = [I.field.zero()] * (c - 1)
+    constraint_rows = []
+    for g in J._generator_rows():
+        padded = pad + list(g)
+        vecs = [padded[c - 1 - k:2 * c - 1 - k] for k in range(c)]
+        residuals = linalg._reduce_rows(I.field, vecs, I.matrix)
+        constraint_rows += [row for row in zip(*residuals) if any(row)]
+    return FractionalIdeal._build(H, start, linalg.nullspace(I.field, c, constraint_rows))
 
 
 def recursive_monomial_ideals(H, span_bound):

@@ -16,6 +16,7 @@ from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import EXACT, TruncatedSeries, parse_series
 from helpers import (
     SERIES_POOL,
+    colon_reference,
     common_window,
     full_stack_add,
     full_stack_multiply,
@@ -566,6 +567,32 @@ def test_multiply_and_add_match_the_full_stack(pair):
 
 
 @st.composite
+def duality_cases(draw):
+    """A series ideal, shifted by -3..3, over the DVR, <2,3> or a small pool semigroup."""
+    H = NumericalSemigroup(draw(st.sampled_from([[1]] + SERIES_POOL)))
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    return draw(generated_ideals(H, field)).shift(draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(duality_cases())
+@example(series_ideal(NumericalSemigroup([1]), QQ, "t^-2 + t"))  # c = 0
+@example(series_ideal(NumericalSemigroup([2, 3]), GF(3), "t^-1 + 2*t^0", "t^2"))
+@example(series_ideal(H37, QQ, "-3/2*t^-3 + t^-2", "t + 2*t^2"))
+@example(series_ideal(H456, GF(32003), "t^4 + 5*t^5 - t^7", "t^6 + t^9"))
+def test_canonical_duality_and_the_gap_colon(I):
+    # on both engines: K : I = I^perp, (I^perp)^perp = I, R : I = (K I)^perp,
+    # and I : I with unknowns on the gaps agrees with every column solved for
+    for X in (I, I.support_ideal()):
+        K, R = X.canonical_ideal(), X.unit_ideal()
+        dual = X.canonical_dual()
+        assert dual == colon_reference(K, X), X.describe()
+        assert dual.canonical_dual() == X
+        assert K.multiply(X).canonical_dual() == R.colon(X)
+        assert X.colon(X) == colon_reference(X, X)
+
+
+@st.composite
 def window_pairs(draw):
     """Two ideals over one semigroup, often one inside the other, with deltas
     that may differ by more than c (t^a R : m against R, as in the socle of a
@@ -654,6 +681,20 @@ class TestWorkCounts:
         # a sum containing the added span reduces nothing; the colon reduces its
         # constraint with reversed columns, which leaves its solutions reduced
         assert counts == {"multiply": 1, "add, I <= J": 0, "add": 1, "intersect": 1, "colon": 1}
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_duals_reduce_nothing_and_the_self_colon_solves_on_the_gaps(self, monkeypatch, field):
+        I = series_ideal(H37, field, "t^6 - t^7", "t^10")
+        J = series_ideal(H37, field, "t^3 + 2*t^4", "t^7")
+        assert all(X.matrix.tails()[1] for X in (I, J))  # cells the duals negate
+        calls = self.count_calls(monkeypatch, linalg, "_rref")
+        I.canonical_dual()
+        J.canonical_dual()
+        assert calls == []
+        I.colon(I)
+        # one reduction, of constraints on the g(H) gap columns only
+        (call,) = calls
+        assert call[1] and all(len(row) == len(H37.gaps()) for row in call[1])
 
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_intersect_reduces_the_lower_rank_only(self, monkeypatch, field):

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from cmtype.errors import ArgumentError, ConsistencyError
 from cmtype.semigroup import NumericalSemigroup, _apery_by_shortest_path
@@ -210,3 +213,17 @@ class TestLargeConductor:
         # PF(H) by its definition: gaps x with x + a in H for every generator a
         pf = tuple(x for x in H.gaps() if all(H.contains(x + a) for a in gens))
         assert H.pseudo_frobenius() == pf
+
+
+@given(st.integers(2, 40), st.integers(3, 120), st.sets(st.integers(2, 5), max_size=3))
+@example(3, 7, {2})  # "3,6,7": 6 is a redundant multiple of e
+def test_two_generator_apery_in_closed_form(e, b, multiples):
+    # one step that is not a multiple of e: Ap(H, e) is {k b : k < e}, with no search
+    assume(b > e and math.gcd(e, b) == 1)
+    gens = sorted({e, b} | {e * j for j in multiples})
+    closed = _apery_by_shortest_path(gens, e)
+    # e + b is redundant and a second step, so the same set comes off the heap
+    assert closed == _apery_by_shortest_path(sorted({e, b, e + b}), e)
+    members = brute_members(gens, (e - 1) * b)
+    assert closed == [min(x for x in members if x % e == r) for r in range(e)]
+    assert NumericalSemigroup(gens).frobenius == e * b - e - b

@@ -61,7 +61,7 @@ CASES = cases()
 ENGINE_CONTRACT = (
     "add", "multiply", "colon", "intersect", "shift", "contains_ideal", "quotient_length",
     "mu", "is_principal", "maximal_product", "find_reduction", "unit_ideal", "canonical_ideal",
-    "maximal_ideal", "describe", "top_rank", "endo_meet_dim",
+    "maximal_ideal", "describe", "top_rank", "endo_meet_dim", "canonical_dual",
 )
 
 
@@ -536,24 +536,29 @@ class TestWorkCounts:
             assert sum(1 for a, b in products if a is I and b is M) == built
         assert searches == []
 
-    @pytest.mark.parametrize("gens, exprs, colons", [
+    @pytest.mark.parametrize("gens, exprs, built", [
         ([3, 7], ("t^6 - t^7", "t^10"), 2),  # symmetric: R : I is the K : I already built
-        ([3, 4, 5], ("t^3", "t^4", "t^5"), 3),  # I = m: R : m <= m : m, so R : I is built
+        ([3, 4, 5], ("t^3", "t^4", "t^5"), 2),  # I = m = K m: R : m is the K : m already built
         ([3, 4, 5], ("t^3 - t^4", "t^5"), 2),  # R : m is not in I : I, so no R : I
+        ([5, 6, 7], ("t^5", "t^13", "t^14"), 3),  # R : m <= I : I and K I != I
     ])
-    def test_series_classify_computes_each_colon_once(self, monkeypatch, gens, exprs, colons):
+    def test_series_classify_computes_each_colon_once(self, monkeypatch, gens, exprs, built):
         H, field = NumericalSemigroup(gens), GF(5)
         I = FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
         typecalc._parameter_socle(I.unit_ideal(), H.multiplicity)
-        record = []
-        count_calls(monkeypatch, FractionalIdeal, "colon", record)
+        colons, duals = [], []
+        count_calls(monkeypatch, FractionalIdeal, "colon", colons)
+        count_calls(monkeypatch, FractionalIdeal, "canonical_dual", duals)
         assert typecalc.classify(I).consistent
-        # K:I, I:I, and R:I only when K != R and R:m <= I:I; none of them twice
-        assert len(record) == colons
-        assert max(Counter(record).values()) == 1
+        # I:I is the one colon; K:I = I^perp and, only when K != R, R:m <= I:I
+        # and K I != I, R:I = (K I)^perp are canonical duals; none of them twice
+        assert colons == [(I, I)]
+        assert len(colons) + len(duals) == built
+        assert max(Counter(duals).values()) == 1
 
     @pytest.mark.parametrize("gens, exps, colons", [
-        ([3, 7], {6, 10}, 2), ([3, 4, 5], {3, 4, 5}, 3), ([3, 4, 5], {3, 5}, 2),
+        ([3, 7], {6, 10}, 2), ([3, 4, 5], {3, 4, 5}, 2), ([3, 4, 5], {3, 5}, 2),
+        ([5, 6, 7], {5, 13, 14}, 3),
     ])
     def test_monomial_classify_computes_each_colon_once(self, monkeypatch, gens, exps, colons):
         H = NumericalSemigroup(gens)
@@ -562,6 +567,7 @@ class TestWorkCounts:
         record = []
         count_calls(monkeypatch, RelativeIdeal, "colon", record)
         assert typecalc.classify(I).consistent
+        # K:I, I:I, and R:I = K:(K I) only when K != R, R:m <= I:I and K I != I
         assert len(record) == colons
         assert max(Counter(record).values()) == 1
 
