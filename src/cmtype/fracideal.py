@@ -23,11 +23,11 @@ legal (pad rows with zeros, adjoin unit tail rows).
 Generators stay rows inside the engine.  ``_generator_rows`` keeps, once
 per ideal, the window rows of a generating set: the stored generators'
 coefficient lists, or the basis rows picked modulo m I.  ``multiply``,
-``colon``, ``top_rank`` and ``endo_meet_dim`` read those rows, and
-``_maximal_span`` keeps m I on I's window for the ranks in I/mI, mu
-among them.  A TruncatedSeries is made only at the API: parsed
-generators come in as series, and ``module_generators`` and ``describe``
-hand series out.
+``colon``, ``top_rank`` and ``endo_meet_dim`` read those rows.  m I is
+a span on I's own window, never a product ideal (``_maximal_span``), and
+the one place where R-stability, m I <= I, is checked.  A TruncatedSeries
+is made only at the API: parsed generators come in as series, and
+``module_generators`` and ``describe`` hand series out.
 
 Colons are nullspaces.  ``colon`` solves one, with unknowns only on the
 columns outside a monomial lower bound it knows: R <= I : I, so I : I is
@@ -56,8 +56,7 @@ from .series import EXACT, TruncatedSeries
 
 class FractionalIdeal:
     __slots__ = (
-        "semigroup", "field", "delta", "gamma", "matrix", "generators", "_rows", "_mI", "_mspan",
-        "_mu",
+        "semigroup", "field", "delta", "gamma", "matrix", "generators", "_rows", "_mspan",
     )
 
     engine = "series"
@@ -82,7 +81,7 @@ class FractionalIdeal:
         self.gamma = gamma
         self.matrix = matrix
         self.generators = generators
-        self._rows = self._mI = self._mspan = self._mu = None
+        self._rows = self._mspan = None
 
     # -- construction -------------------------------------------------------
 
@@ -143,16 +142,14 @@ class FractionalIdeal:
         return cls(semigroup, matrix.field, delta, out)
 
     def validate(self):
-        """Runtime checks of the representation invariants (loud on failure)."""
+        """Runtime checks of the representation invariants (loud on failure),
+        R-stability by building m I (``_maximal_span``)."""
         if self.matrix.rows:
             if self.matrix.pivots[0] != 0:
                 raise ConsistencyError("lowest basis order differs from delta")
         elif self.gamma > self.delta:
             raise ConsistencyError("empty basis on a nonempty window")
-        for a in self.semigroup.generators:
-            shifted = _reframe(self.matrix, -a, self.semigroup.conductor).rows
-            if any(map(any, linalg._reduce_rows(self.field, shifted, self.matrix))):
-                raise ConsistencyError(f"span is not stable under multiplication by t^{a}")
+        self._maximal_span()
 
     # -- views --------------------------------------------------------------
 
@@ -235,36 +232,37 @@ class FractionalIdeal:
         return self._rows
 
     def _maximal_span(self):
-        """m I on I's window, computed once.  For c >= 1, m I holds
-        t^gamma k[[t]]: for x >= gamma, t^(x - delta) is in m, so m I has an
-        element of order x.  So this span plus the tail is m I, and the
-        window modulo it is I/mI."""
+        """m I on I's window, built once, with m I <= I checked on it: the
+        ideal's one R-stability check, as t^a I <= I for each generator a of
+        H iff m I <= I.  m I is the sum of the t^a I, I's basis moved a cells
+        right, added to the lowest, t^e I.  For c >= 1, m I holds
+        t^gamma k[[t]] (t^(x - delta) is in m for x >= gamma), so the window
+        modulo this span is I/mI."""
         if self._mspan is None:
-            mI = self.maximal_product()
-            self._mspan = _reframe(mI.matrix, self.delta - mI.delta, self.semigroup.conductor)
+            c = self.semigroup.conductor
+            e, *rest = self.semigroup.generators
+            rows = [row for a in rest for row in _reframe(self.matrix, -a, c).rows]
+            span = linalg.sum_spaces(_reframe(self.matrix, -e, c), rows)
+            if not self._spans(span):
+                raise ConsistencyError(
+                    f"span is not stable under m: m I is not contained in I over "
+                    f"{self.semigroup} [{self.field}]: delta {self.delta}, basis {self.matrix.rows}"
+                )
+            self._mspan = span
         return self._mspan
 
     def mu(self) -> int:
-        """l(I/mI) = rank_I - rank(``_maximal_span()``), m I <= I checked on
-        that span.  For c = 0, I = t^delta k[[t]] has the one generator."""
-        if self._mu is None:
-            if not self.semigroup.conductor:
-                self._mu = 1
-            else:
-                span = self._maximal_span()
-                if not self._spans(span):
-                    raise ConsistencyError(
-                        f"m I is not contained in I over {self.semigroup} [{self.field}]: "
-                        f"delta {self.delta}, basis {self.matrix.rows}"
-                    )
-                self._mu = self.matrix.rank - span.rank
-        return self._mu
+        """l(I/mI) = rank_I - rank(``_maximal_span()``).  For c = 0,
+        I = t^delta k[[t]] has the one generator."""
+        if not self.semigroup.conductor:
+            return 1
+        return self.matrix.rank - self._maximal_span().rank
 
     def maximal_product(self):
-        """m I, built once and shared by mu and the generator rows."""
-        if self._mI is None:
-            self._mI = _maximal(self.semigroup, self.field).multiply(self)
-        return self._mI
+        """m I, the ideal of ``_maximal_span()``; for c = 0, t^(delta+1) k[[t]]."""
+        if not self.semigroup.conductor:
+            return FractionalIdeal(self.semigroup, self.field, self.delta + 1, self.matrix)
+        return FractionalIdeal._build(self.semigroup, self.delta, self._maximal_span())
 
     def is_principal(self) -> bool:
         return self.mu() == 1

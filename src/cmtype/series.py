@@ -215,7 +215,7 @@ def _parse_term(sc: _Scanner, field: FieldSpec):
     if ch == "t":
         sc.pos += 1
         exp = sc.expect_int() if sc.take("^") else 1
-        return exp, Fraction(1)
+        return exp, 1
     if ch == "-" or ch.isdigit():
         num_pos = sc.pos
         num = sc.expect_int()
@@ -227,7 +227,7 @@ def _parse_term(sc: _Scanner, field: FieldSpec):
                 raise ParseError("zero denominator", num_pos)
             coeff = Fraction(num, den)
         else:
-            coeff = Fraction(num)
+            coeff = num  # an int until TruncatedSeries coerces it into the field
         if sc.take("*"):
             if not sc.take("t"):
                 raise ParseError("expected 't' after '*'", sc.pos)

@@ -15,11 +15,12 @@ Both must agree; a mismatch raises ConsistencyError rather than returning
 anything.
 
 The ideals derived from I live in one record, ``_Derived``, which builds
-each at most once.  The type itself builds only K:I: every other term is
-the rank of a few vectors, by three exact identities.  ``M.top_rank(X, Y)``
-is dim_k of the image of X Y in M/mM (X Y <= M), the rank of the products
-of generators modulo mM, as m kills M/mM; ``I.endo_meet_dim(F)`` is
-dim_k(span{t^f : f in F} meet (I:I)), read off I's generators.
+each at most once.  The type itself builds only K:I: every other term,
+and classify's residually faithful flag, is the rank of a few vectors, by
+four exact identities.  ``M.top_rank(X, Y)`` is dim_k of the image of X Y
+in M/mM (X Y <= M), the rank of the products of generators modulo mM, as
+m kills M/mM; ``I.endo_meet_dim(F)`` is dim_k(span{t^f : f in F} meet
+(I:I)), read off I's generators.
 
   * mu(K / (K:I)I) = dim K/((K:I)I + mK) = mu(K) - K.top_rank(K:I, I).
   * For a proper ideal I of R, r(R/I) = len((K:I) / (m(K:I) + K)), since
@@ -37,6 +38,11 @@ dim_k(span{t^f : f in F} meet (I:I)), read off I's generators.
     As t^a R <= t^a (I:I), the modular law gives
     Soc meet t^a (I:I) = (V meet t^a (I:I)) + t^a R, so the excess is
     dim(V meet t^a (I:I)) = dim(span{t^f} meet (I:I)).
+  * I is residually faithful, (t^e I : I) meet R = t^e R, iff
+    I.endo_meet_dim({w - e : w in Ap(H, e), w != 0}) = 0.  The meet is
+    t^e ((I:I) meet t^(-e) R), and as R <= I:I <= k[[t]] the modular law
+    gives (I:I) meet t^(-e) R = R + ((I:I) meet span{t^g : g a gap,
+    g + e in H}); those gaps are the w - e.
 
 The colons come from canonical duality.  Under the pairing <x, y> = the
 coefficient of t^F in x y, K = {x : F - x not in H} is R^perp, so
@@ -47,10 +53,9 @@ engine, read off I's reduced basis with no reduction on the series one.
 And R <= I:I always, so the series colon solves I:I on the gaps of H
 alone.  So a report makes one colon, I:I, and the dual K:I, plus
 R:I = (K I)^perp when K != R, R:m <= I:I and K I != I (see
-``_Derived.is_trace``).  ``_Derived.annihilator`` builds t^a (I:I) meet R
-only for the residually faithful flag of ``classify``; the public
-``module_type``, ``is_closed`` and ``is_residually_faithful`` compute
-their colons by the definitions.
+``_Derived.is_trace``), and builds no other ideal.  The public
+``module_type``, ``is_closed``, ``is_trace`` and ``is_residually_faithful``
+compute their colons by the definitions.
 """
 
 import functools
@@ -81,8 +86,7 @@ def _is_proper(ideal) -> bool:
 
 class _Derived:
     """The ideals derived from one ideal I, each built at most once, on first
-    use: dual() = K : I and endo() = I : I; annihilator(a), which classify
-    alone asks for, once, is not kept.  The methods assume the
+    use: dual() = K : I and endo() = I : I.  The methods assume the
     preconditions the public functions test.  The fields are plain slots:
     with functools.cached_property, which takes a lock on Python 3.11,
     monomial idealization_type ran about 10% slower.  R is looked up where
@@ -106,10 +110,6 @@ class _Derived:
             self._endo = self.ideal.colon(self.ideal)
         return self._endo
 
-    def annihilator(self, a):
-        """(t^a I : I) meet R = t^a (I : I) meet R, for a positive a in H."""
-        return self.endo().shift(a).intersect(self.ideal.unit_ideal())
-
     def quotient_type(self):
         """r(R/I) = len((K:I) / (m(K:I) + K)) = mu(K:I) minus the rank of
         K = K R in (K:I)/m(K:I), for a proper ideal I."""
@@ -119,22 +119,17 @@ class _Derived:
     def is_trace(self):
         """R : I = I : I for I <= R; R : I is K : I when K = R.
 
-        Otherwise a proper I lies in m, so R : I contains R : m, and
-        R : I = I : I forces R : m <= I : I.  That containment is tested
-        first, pivots (values) before residuals, and R : I is built only if
-        it holds.  R : m is the cached parameter socle moved back by t^e:
-        t^e in m gives (t^e R : m) = t^e (R : m) <= R.  R : I is
-        (K : K) : I = K : (K I), the canonical dual of K I, a product of
-        shifted copies of I as K is monomial; when K I = I it is the K : I
-        already built.
+        Otherwise a proper I lies in m, so R : I contains R : m (cached), and
+        R : I = I : I forces R : m <= I : I, tested before R : I is built.
+        R : I is (K : K) : I = K : (K I), the canonical dual of K I, a
+        product of shifted copies of I as K is monomial; when K I = I it is
+        the K : I already built.
         """
         R = self.ideal.unit_ideal()
         if self.K == R:
             return self.dual() == self.endo()
-        if self.ideal != R:
-            e = self.ideal.semigroup.multiplicity
-            if not self.endo().contains_ideal(_parameter_socle(R, e).shift(-e)):
-                return False
+        if self.ideal != R and not self.endo().contains_ideal(_maximal_colon(R)):
+            return False
         product = self.K.multiply(self.ideal)
         ring_colon = self.dual() if product == self.ideal else product.canonical_dual()
         return ring_colon == self.endo()
@@ -189,9 +184,15 @@ def _socle_excess(facts, a):
 
 @functools.cache
 def _parameter_socle(R, a):
-    """(t^a : m) meet R: it depends only on the companions R, m and on a.
-    ``_Derived.is_trace`` reads R : m off it."""
+    """(t^a : m) meet R: it depends only on the companions R, m and on a."""
     return R.shift(a).colon(R.maximal_ideal()).intersect(R)
+
+
+@functools.cache
+def _maximal_colon(R):
+    """R : m, as t^e in m gives (t^e R : m) meet R = t^e (R : m)."""
+    e = R.semigroup.multiplicity
+    return _parameter_socle(R, e).shift(-e)
 
 
 def cokernel_formula(ideal):
@@ -236,8 +237,9 @@ def is_closed(ideal) -> bool:
 
 
 def is_trace(ideal) -> bool:
-    """I is an ideal of R with R : I = I : I."""
-    return ideal.unit_ideal().contains_ideal(ideal) and _Derived(ideal).is_trace()
+    """I is an ideal of R with R : I = I : I, both colons by their definition."""
+    R = ideal.unit_ideal()
+    return R.contains_ideal(ideal) and R.colon(ideal) == ideal.colon(ideal)
 
 
 def is_residually_faithful(ideal) -> bool:
@@ -372,7 +374,7 @@ def classify(ideal) -> IdealReport:
     r_ring = inv.type
 
     closed = facts.endo() == R
-    faithful = facts.annihilator(e) == R.shift(e)
+    faithful = ideal.endo_meet_dim([w - e for w in H.apery(e) if w]) == 0  # module docstring
     trace = in_ring and facts.is_trace()
     ulrich_ideal = proper and mu >= 2 and _is_ulrich(ideal, ideal)
     ulrich_wrt_m = is_ulrich_module_wrt(ideal)

@@ -592,6 +592,19 @@ def test_canonical_duality_and_the_gap_colon(I):
         assert X.colon(X) == colon_reference(X, X)
 
 
+@settings(max_examples=120, deadline=None)
+@given(duality_cases())
+@example(series_ideal(NumericalSemigroup([1]), QQ, "t^-2 + t"))  # c = 0: t^(delta+1) k[[t]]
+@example(series_ideal(NumericalSemigroup([2, 3]), GF(3), "t^-1 + 2*t^0", "t^2"))  # c = e
+@example(series_ideal(H37, GF(2), "t^3 + t^4", "t^7"))
+def test_maximal_product_is_the_product_with_m(I):
+    # m I, built as a span on I's own window, against the product ideal m I
+    mI = I.maximal_product()
+    expected = fracideal._maximal(I.semigroup, I.field).multiply(I)
+    assert mI == expected and mI.matrix.pivots == expected.matrix.pivots, I.describe()
+    assert I.mu() == I.quotient_length(mI)
+
+
 @st.composite
 def window_pairs(draw):
     """Two ideals over one semigroup, often one inside the other, with deltas
@@ -728,14 +741,14 @@ class TestWorkCounts:
     def test_predicates_reduce_once_without_member(self, monkeypatch, field):
         I = series_ideal(H37, field, "t^6 - t^7", "t^10")
         R = I.unit_ideal()
-        I.maximal_product()  # m I, which mu and module_generators read
+        I.validate()  # m I on I's window, which mu and module_generators read
         members = self.count_calls(monkeypatch, linalg, "member")
         reductions = self.count_calls(monkeypatch, linalg, "_reduce_rows")
         counts = {}
         for name, call, own in (
             ("contains_ideal", lambda: R.contains_ideal(I), R.matrix),
             ("quotient_length", lambda: R.quotient_length(I), R.matrix),
-            ("mu", I.mu, I.matrix),
+            ("mu", I.mu, None),
             ("module_generators", I.module_generators, None),
         ):
             before = len(reductions)
@@ -743,15 +756,28 @@ class TestWorkCounts:
             counts[name] = len(reductions) - before
             # the containing ideal's own matrix is the basis, never a moved copy
             assert own is None or reductions[-1][2] is own
-        assert counts == dict.fromkeys(counts, 1)
+        # mu is two ranks of the kept span and I
+        assert counts == {"contains_ideal": 1, "quotient_length": 1, "mu": 0,
+                          "module_generators": 1}
         assert members == []
 
     @pytest.mark.parametrize("H", [H37, H345])
-    def test_validate_reduces_once_per_generator(self, monkeypatch, H):
-        I = series_ideal(H, GF(7), "t^6 - t^7", "t^10")
+    def test_validate_builds_one_maximal_span_and_reduces_once_against_the_ideal(
+        self, monkeypatch, H
+    ):
+        built = series_ideal(H, GF(7), "t^6 - t^7", "t^10")
+        I = FractionalIdeal(H, built.field, built.delta, built.matrix)  # no span kept yet
+        sums = self.count_calls(monkeypatch, linalg, "sum_spaces")
         reductions = self.count_calls(monkeypatch, linalg, "_reduce_rows")
         I.validate()
-        assert len(reductions) == len(H.generators)
+        # m I is one sum of I's moved bases; m I <= I is one reduction modulo I
+        assert len(sums) == 1
+        assert sum(1 for _, _, basis in reductions if basis is I.matrix) == 1
+        before = len(reductions)
+        I.validate()
+        I.mu()
+        I.maximal_product()
+        assert len(sums) == 1 and len(reductions) == before  # checked once
 
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_classify_never_squares_a_principal_ideal(self, monkeypatch, field):

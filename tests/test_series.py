@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmtype.errors import ArgumentError, ParseError
 from cmtype.linalg import GF, QQ
@@ -78,6 +80,42 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_generators("t^3, t^", QQ)
         assert err.value.position == 7
+
+
+# a term is (sign, numerator, denominator or None, exponent or None for a
+# constant, whether a coefficient of 1 is written out)
+TERMS = st.lists(
+    st.tuples(st.sampled_from("+-"), st.integers(-9, 9), st.none() | st.integers(1, 5),
+              st.none() | st.integers(-3, 5), st.booleans()),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TERMS, st.sampled_from([QQ, GF(2), GF(32003)]))
+@example([("+", 1, None, 1, False), ("+", -3, None, None, False)], GF(2))  # t + -3
+@example([("+", -3, None, 2, True), ("-", -3, None, 2, True), ("+", 1, None, 4, False)], GF(32003))
+@example([("+", 1, 2, 1, True), ("-", 3, 4, 1, True), ("+", 1, 4, 1, True)], QQ)  # cancels to 0
+def test_parse_matches_the_fraction_sum(terms, field):
+    # the parse of the terms' text against the sum of their coefficients
+    # taken as Fractions, each coerced into the field
+    pieces, expected = [], {}
+    for k, (sign, num, den, exp, explicit) in enumerate(terms):
+        den = den if field == QQ else None
+        monomial = "t" if exp == 1 else f"t^{exp}"
+        if exp is None:
+            text = f"{num}" if den is None else f"{num}/{den}"
+        elif (num, den) == (1, None) and not explicit:
+            text = monomial
+        else:
+            text = f"{num}*{monomial}" if den is None else f"{num}/{den}*{monomial}"
+        pieces.append(text if k == 0 else f"{sign} {text}")
+        value = Fraction(num, den or 1) * (-1 if k and sign == "-" else 1)
+        expected[exp or 0] = expected.get(exp or 0, 0) + value
+    parsed = parse_series(" ".join(pieces), field)
+    assert parsed == TruncatedSeries(field, expected)
+    assert parsed.coeffs == {e: field.element(v) for e, v in expected.items() if field.element(v)}
+    assert all(type(v) is (Fraction if field == QQ else int) for v in parsed.coeffs.values())
 
 
 class TestArithmetic:

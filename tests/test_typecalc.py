@@ -244,13 +244,23 @@ class TestFormulas:
 # -- the two identities classify computes by -----------------------------------
 
 
-def check_identities(I, J, a):
-    """(t^a L : L) meet R = t^a (L:L) meet R for the ideals L = I, J, and for
-    the proper ideal J, r(R/J) by its definition = len((K:J) / (m(K:J) + K))."""
-    R = I.unit_ideal()
+def check_identities(I, J):
+    """For the ideals L = I, J, the residually faithful flag as a rank,
+    L.endo_meet_dim({w - e : w in Ap(H, e), w != 0}) = 0, against
+    (t^e L : L) meet R = t^e R by its definition; and for the proper ideal
+    J, r(R/J) by its definition = len((K:J) / (m(K:J) + K))."""
+    H = I.semigroup
+    e = H.multiplicity
     for L in (I, J):
-        assert typecalc._Derived(L).annihilator(a) == L.shift(a).colon(L).intersect(R)
+        faithful = L.endo_meet_dim([w - e for w in H.apery(e) if w]) == 0
+        assert faithful == typecalc.is_residually_faithful(L), L.describe()
     assert typecalc._Derived(J).quotient_type() == typecalc.quotient_type(J)
+
+
+def dvr_series_case(field):
+    I, J = (FractionalIdeal.from_generators(H1, field, [parse_series(s, field)])
+            for s in ("t^-2 + 3*t^4", "2*t^2 - t^3"))
+    return I, J, 3
 
 
 @st.composite
@@ -278,14 +288,21 @@ def series_identity_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(monomial_identity_cases())
+@example((RelativeIdeal.from_exponents(H1, {-2}), RelativeIdeal.from_exponents(H1, {2}), 1))
+@example((RelativeIdeal.from_exponents(H37, {-5, 2}), RelativeIdeal.from_exponents(H37, {3}), 3))
 def test_monomial_colon_identities(case):
-    check_identities(*case)
+    check_identities(*case[:2])
 
 
 @settings(max_examples=100, deadline=None)
 @given(series_identity_cases())
+@example(dvr_series_case(QQ))
+@example(dvr_series_case(GF(2)))
+@example(dvr_series_case(GF(32003)))
+@example((FractionalIdeal.from_generators(H37, GF(3), [parse_series("t^-4 + t^-1", GF(3))]),
+          FractionalIdeal.from_generators(H37, GF(3), [parse_series("t^6 - t^7", GF(3))]), 3))
 def test_series_colon_identities(case):
-    check_identities(*case)
+    check_identities(*case[:2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -321,12 +338,6 @@ def check_rank_routes(I, J, a):
             assert excess == socle_excess_reference(L, b), (L.describe(), b)
     dual = K.colon(J)
     assert dual.mu() - dual.top_rank(K, R) == quotient_type_reference(J), J.describe()
-
-
-def dvr_series_case(field):
-    I, J = (FractionalIdeal.from_generators(H1, field, [parse_series(s, field)])
-            for s in ("t^-2 + 3*t^4", "2*t^2 - t^3"))
-    return I, J, 3
 
 
 @settings(max_examples=100, deadline=None)
@@ -447,6 +458,24 @@ def test_classify_flags_match_the_definitions(lift):
     assert len({r for _, r in outcomes if r is not None}) > 2
 
 
+@pytest.mark.parametrize("lift", [lambda E: E, lambda E: FractionalIdeal.from_relative(E, GF(3))],
+                         ids=["monomial", "series"])
+@pytest.mark.parametrize("exps, step", [({0}, 1), ({3, 7}, -1)], ids=["R plus one", "m minus one"])
+def test_a_faithfulness_rank_off_by_one_is_reported(monkeypatch, lift, exps, step):
+    # over <3,7> the flag's exponents {4, 11} differ from PF(H) = {11}; only
+    # the flag's rank is off, so classify sees closed != faithful
+    I = lift(RelativeIdeal.from_exponents(H37, exps))
+    assert typecalc.classify(I).consistent
+    pf, cls = set(H37.pseudo_frobenius()), type(I)
+    original = cls.endo_meet_dim
+    monkeypatch.setattr(cls, "endo_meet_dim",
+                        lambda self, f: original(self, f) + (0 if set(f) == pf else step))
+    report = typecalc.classify(I)
+    assert not report.consistent
+    failed = [v.name for v in report.verdicts if not v.passed]
+    assert failed == ["closed-iff-residually-faithful"], I.describe()
+
+
 def count_calls(monkeypatch, cls, name, record):
     """Wrap cls.name so each call appends its arguments to ``record``."""
     original = getattr(cls, name)
@@ -473,6 +502,28 @@ class TestWorkCounts:
         assert pairs[(True, False, True)] <= 1  # I I
         assert pairs[(False, True, True)] <= 1  # m I
         assert sum(1 for (a,) in mus if a is I) > 1
+
+    @pytest.mark.parametrize("gens, exprs", [
+        ([3, 7], ("t^6 - t^7", "t^10")),
+        ([3, 4, 5], ("t^3 - t^4", "t^5")),
+        ([5, 6, 7], ("t^5", "t^13", "t^14")),
+        ([4, 6, 9], ("t^-3 + 2*t^4", "t^6")),
+    ])
+    def test_series_classify_builds_no_maximal_product_meet_or_shift(
+        self, monkeypatch, gens, exprs
+    ):
+        H, field = NumericalSemigroup(gens), GF(5)
+        I = FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
+        typecalc._maximal_colon(I.unit_ideal())  # R : m, cached per ring, built outside the count
+        m = I.maximal_ideal()
+        products, meets, shifts = [], [], []
+        count_calls(monkeypatch, FractionalIdeal, "multiply", products)
+        count_calls(monkeypatch, FractionalIdeal, "intersect", meets)
+        count_calls(monkeypatch, FractionalIdeal, "shift", shifts)
+        assert typecalc.classify(I).consistent
+        # m I and m (K:I) are spans on their own windows; the faithful flag is a rank
+        assert not any(m in pair for pair in products)
+        assert meets == [] and shifts == []
 
     def test_series_reports_make_no_maximal_canonical_product(self, monkeypatch):
         field = GF(5)
