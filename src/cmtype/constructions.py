@@ -10,7 +10,7 @@ for the supremum of the idealization type.
 
 from .errors import ArgumentError, ConsistencyError, ResourceLimitError
 from .relideal import RelativeIdeal, _maximal, _unit
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _set_bits
 from .typecalc import idealization_type, is_ulrich_module_wrt
 
 
@@ -101,8 +101,11 @@ def enumerate_monomial_ideals(H: NumericalSemigroup, span_bound: int, max_count:
         raise ArgumentError("span bound must be at least 1")
     base_mask = H._member_mask
     gap_mask = ((1 << H.conductor) - 1) & ~base_mask
-    gaps_desc = H.gaps()[::-1]
-    # the gaps g + a (a a generator) that choosing gap g forces in as well
+    # only gaps <= span_bound are chosen, so only they are walked; the masks
+    # are no wider than span_bound plus the largest generator
+    gaps_desc = _set_bits(gap_mask & ((2 << span_bound) - 1))[::-1]
+    # the gaps g + a (a a generator) that choosing gap g forces in as well;
+    # one above span_bound is never chosen, so it keeps g out
     needed = [sum(1 << (g + a) for a in H.generators) & gap_mask for g in gaps_desc]
     count = 0
     # depth first on a stack, as recursion overflows near a thousand gaps;
@@ -118,9 +121,8 @@ def enumerate_monomial_ideals(H: NumericalSemigroup, span_bound: int, max_count:
                 )
             yield RelativeIdeal(H, 0, base_mask | chosen_mask)
             continue
-        g = gaps_desc[i]
-        if g <= span_bound and not needed[i] & ~chosen_mask:
-            stack.append((i + 1, chosen_mask | 1 << g))
+        if not needed[i] & ~chosen_mask:
+            stack.append((i + 1, chosen_mask | 1 << gaps_desc[i]))
         stack.append((i + 1, chosen_mask))
 
 

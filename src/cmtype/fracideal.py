@@ -258,12 +258,6 @@ class FractionalIdeal:
             return 1
         return self.matrix.rank - self._maximal_span().rank
 
-    def maximal_product(self):
-        """m I, the ideal of ``_maximal_span()``; for c = 0, t^(delta+1) k[[t]]."""
-        if not self.semigroup.conductor:
-            return FractionalIdeal(self.semigroup, self.field, self.delta + 1, self.matrix)
-        return FractionalIdeal._build(self.semigroup, self.delta, self._maximal_span())
-
     def is_principal(self) -> bool:
         return self.mu() == 1
 

@@ -143,10 +143,6 @@ class RelativeIdeal:
     def is_principal(self) -> bool:
         return self.mu() == 1
 
-    def maximal_product(self) -> "RelativeIdeal":
-        """m E, the product with the maximal ideal."""
-        return _maximal(self.semigroup).multiply(self)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_same(self, other: "RelativeIdeal"):

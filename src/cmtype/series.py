@@ -54,9 +54,6 @@ class TruncatedSeries:
             precision = start + len(vec)
         return cls(field, {start + i: v for i, v in enumerate(vec)}, precision)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs and self.precision == EXACT
-
     def valuation_bound(self):
         """order when a nonzero term is known, else the precision."""
         return self.order if self.order is not None else self.precision

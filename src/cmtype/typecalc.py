@@ -14,13 +14,13 @@ computed by two independent routes:
 Both must agree; a mismatch raises ConsistencyError rather than returning
 anything.
 
-The ideals derived from I live in one record, ``_Derived``, which builds
-each at most once.  The type itself builds only K:I: every other term,
-and classify's residually faithful flag, is the rank of a few vectors, by
-four exact identities.  ``M.top_rank(X, Y)`` is dim_k of the image of X Y
-in M/mM (X Y <= M), the rank of the products of generators modulo mM, as
-m kills M/mM; ``I.endo_meet_dim(F)`` is dim_k(span{t^f : f in F} meet
-(I:I)), read off I's generators.
+``classify`` builds K, K:I and I:I once each and hands them to the plain
+functions that read them.  The type itself builds only K:I: every other
+term, and classify's residually faithful flag and trace pre-test, is the
+rank of a few vectors, by five exact identities.  ``M.top_rank(X, Y)`` is
+dim_k of the image of X Y in M/mM (X Y <= M), the rank of the products of
+generators modulo mM, as m kills M/mM; ``I.endo_meet_dim(F)`` is
+dim_k(span{t^f : f in F} meet (I:I)), read off I's generators.
 
   * mu(K / (K:I)I) = dim K/((K:I)I + mK) = mu(K) - K.top_rank(K:I, I).
   * For a proper ideal I of R, r(R/I) = len((K:I) / (m(K:I) + K)), since
@@ -38,6 +38,10 @@ m kills M/mM; ``I.endo_meet_dim(F)`` is dim_k(span{t^f : f in F} meet
     As t^a R <= t^a (I:I), the modular law gives
     Soc meet t^a (I:I) = (V meet t^a (I:I)) + t^a R, so the excess is
     dim(V meet t^a (I:I)) = dim(span{t^f} meet (I:I)).
+  * R : m <= I : I iff the socle excess is r(R) = |PF(H)|.  By the same
+    chapter, the x with x + (H minus 0) inside H are H union PF(H), so
+    R : m = R + span{t^f : f in PF(H)}; and R <= I:I, so R : m <= I:I iff
+    every t^f lies in I:I, iff span{t^f} meet (I:I) has dimension |PF(H)|.
   * I is residually faithful, (t^e I : I) meet R = t^e R, iff
     I.endo_meet_dim({w - e : w in Ap(H, e), w != 0}) = 0.  The meet is
     t^e ((I:I) meet t^(-e) R), and as R <= I:I <= k[[t]] the modular law
@@ -52,13 +56,12 @@ K : I = I^perp, and as K : K = R, R : I = (K : K) : I = K : (K I)
 engine, read off I's reduced basis with no reduction on the series one.
 And R <= I:I always, so the series colon solves I:I on the gaps of H
 alone.  So a report makes one colon, I:I, and the dual K:I, plus
-R:I = (K I)^perp when K != R, R:m <= I:I and K I != I (see
-``_Derived.is_trace``), and builds no other ideal.  The public
-``module_type``, ``is_closed``, ``is_trace`` and ``is_residually_faithful``
-compute their colons by the definitions.
+R:I = (K I)^perp when K != R, the socle excess is r(R) and K I != I (see
+``_is_trace``), and builds no other ideal.  The public ``module_type``,
+``is_closed``, ``is_trace`` and ``is_residually_faithful`` compute their
+colons by the definitions.
 """
 
-import functools
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ConsistencyError, ContainmentError
@@ -84,81 +87,30 @@ def _is_proper(ideal) -> bool:
     return R.contains_ideal(ideal) and ideal != R
 
 
-class _Derived:
-    """The ideals derived from one ideal I, each built at most once, on first
-    use: dual() = K : I and endo() = I : I.  The methods assume the
-    preconditions the public functions test.  The fields are plain slots:
-    with functools.cached_property, which takes a lock on Python 3.11,
-    monomial idealization_type ran about 10% slower.  R is looked up where
-    it is read, which idealization_type never does.
+def _quotient_type(K, dual, R):
+    """r(R/I) = len((K:I) / (m(K:I) + K)) = mu(K:I) minus the rank of
+    K = K R in (K:I)/m(K:I), for a proper ideal I, with dual = K : I."""
+    return dual.mu() - dual.top_rank(K, R)
+
+
+def _is_trace(ideal, K, dual, endo, excess):
+    """R : I = I : I for I <= R, with dual = K : I, endo = I : I and the
+    socle excess; R : I is K : I when K = R.
+
+    Otherwise a proper I lies in m, so R : I contains R : m, and R : I = I : I
+    forces R : m <= I : I, that is excess = r(R) (module docstring), tested
+    before R : I is built.  R : I is (K : K) : I = K : (K I), the canonical
+    dual of K I, a product of shifted copies of I as K is monomial; when
+    K I = I it is the K : I already built.
     """
-
-    __slots__ = ("ideal", "K", "_dual", "_endo")
-
-    def __init__(self, ideal):
-        self.ideal = ideal
-        self.K = ideal.canonical_ideal()
-        self._dual = self._endo = None
-
-    def dual(self):
-        if self._dual is None:
-            self._dual = self.ideal.canonical_dual()
-        return self._dual
-
-    def endo(self):
-        if self._endo is None:
-            self._endo = self.ideal.colon(self.ideal)
-        return self._endo
-
-    def quotient_type(self):
-        """r(R/I) = len((K:I) / (m(K:I) + K)) = mu(K:I) minus the rank of
-        K = K R in (K:I)/m(K:I), for a proper ideal I."""
-        dual = self.dual()
-        return dual.mu() - dual.top_rank(self.K, self.ideal.unit_ideal())
-
-    def is_trace(self):
-        """R : I = I : I for I <= R; R : I is K : I when K = R.
-
-        Otherwise a proper I lies in m, so R : I contains R : m (cached), and
-        R : I = I : I forces R : m <= I : I, tested before R : I is built.
-        R : I is (K : K) : I = K : (K I), the canonical dual of K I, a
-        product of shifted copies of I as K is monomial; when K I = I it is
-        the K : I already built.
-        """
-        R = self.ideal.unit_ideal()
-        if self.K == R:
-            return self.dual() == self.endo()
-        if self.ideal != R and not self.endo().contains_ideal(_maximal_colon(R)):
-            return False
-        product = self.K.multiply(self.ideal)
-        ring_colon = self.dual() if product == self.ideal else product.canonical_dual()
-        return ring_colon == self.endo()
-
-    def idealization_type(self, a):
-        ideal = self.ideal
-        # r_R(I) = mu(K:I) is shared; the two routes' own terms are not.
-        r_mod = self.dual().mu()
-        excess = _socle_excess(self, a)
-        mu_coker = _cokernel_mu(self)
-        socle_value, coker_value = excess + r_mod, mu_coker + r_mod
-        if socle_value != coker_value:
-            raise ConsistencyError(
-                f"socle formula gives {socle_value} but cokernel formula gives "
-                f"{coker_value} for {ideal.describe()}"
-            )
-        r_ring = ideal.semigroup.type()
-        if not r_mod <= socle_value <= r_ring + r_mod:
-            raise ConsistencyError(
-                f"type {socle_value} escapes [{r_mod}, {r_ring + r_mod}] for {ideal.describe()}"
-            )
-        return IdealizationType(
-            value=socle_value,
-            module_type=r_mod,
-            socle_excess=excess,
-            cokernel_mu=mu_coker,
-            socle_value=socle_value,
-            cokernel_value=coker_value,
-        )
+    R = ideal.unit_ideal()
+    if K == R:
+        return dual == endo
+    if ideal != R and excess != ideal.semigroup.type():
+        return False
+    product = K.multiply(ideal)
+    ring_colon = dual if product == ideal else product.canonical_dual()
+    return ring_colon == endo
 
 
 def socle_formula(ideal, a: int):
@@ -167,48 +119,37 @@ def socle_formula(ideal, a: int):
     excess = length of [ (t^a : m) meet R ] meet [ (t^a I : I) meet R ]
     modulo (t^a); the idealization type is excess + r_R(I).  The excess is
     dim_k(span{t^f : f in PF(H)} meet (I:I)), which does not depend on a
-    (module docstring).
+    (module docstring).  Both numbers are the socle terms of one
+    ``idealization_type(ideal, a)`` call, so a disagreement with the
+    cokernel route raises ConsistencyError.
     """
-    facts = _Derived(ideal)
-    excess = _socle_excess(facts, a)
-    return excess, excess + facts.dual().mu()
+    itype = idealization_type(ideal, a)
+    return itype.socle_excess, itype.socle_value
 
 
-def _socle_excess(facts, a):
+def _socle_excess(ideal, a):
     """len((Soc meet t^a (I:I)) / t^a R) = dim(span{t^f : f in PF(H)} meet (I:I))."""
-    H = facts.ideal.semigroup
+    H = ideal.semigroup
     if a <= 0 or not H.contains(a):
         raise ArgumentError(f"parameter exponent must be a positive member of {H}, got {a}")
-    return facts.ideal.endo_meet_dim(H.pseudo_frobenius())
-
-
-@functools.cache
-def _parameter_socle(R, a):
-    """(t^a : m) meet R: it depends only on the companions R, m and on a."""
-    return R.shift(a).colon(R.maximal_ideal()).intersect(R)
-
-
-@functools.cache
-def _maximal_colon(R):
-    """R : m, as t^e in m gives (t^e R : m) meet R = t^e (R : m)."""
-    e = R.semigroup.multiplicity
-    return _parameter_socle(R, e).shift(-e)
+    return ideal.endo_meet_dim(H.pseudo_frobenius())
 
 
 def cokernel_formula(ideal):
     """(generator count of the cokernel, type of idealization).
 
     The evaluation image of Hom(I, K) x I in K is (K:I)I, so the cokernel
-    needs mu(K / (K:I)I) = dim K / ((K:I)I + mK) generators.
+    needs mu(K / (K:I)I) = dim K / ((K:I)I + mK) generators.  Both numbers
+    are the cokernel terms of one ``idealization_type(ideal)`` call, so a
+    disagreement with the socle route raises ConsistencyError.
     """
-    facts = _Derived(ideal)
-    mu_coker = _cokernel_mu(facts)
-    return mu_coker, mu_coker + facts.dual().mu()
+    itype = idealization_type(ideal)
+    return itype.cokernel_mu, itype.cokernel_value
 
 
-def _cokernel_mu(facts):
-    """mu(K / (K:I)I): mu(K) minus the rank of (K:I)I in K/mK."""
-    return facts.K.mu() - facts.K.top_rank(facts.dual(), facts.ideal)
+def _cokernel_mu(ideal, K, dual):
+    """mu(K / (K:I)I): mu(K) minus the rank of (K:I)I in K/mK, with dual = K : I."""
+    return K.mu() - K.top_rank(dual, ideal)
 
 
 @dataclass(frozen=True)
@@ -225,7 +166,34 @@ def idealization_type(ideal, a: int | None = None) -> IdealizationType:
     """Both formulas, cross-checked, with the general bounds asserted."""
     if a is None:
         a = ideal.semigroup.multiplicity
-    return _Derived(ideal).idealization_type(a)
+    return _idealization_type(ideal, ideal.canonical_ideal(), ideal.canonical_dual(), a)
+
+
+def _idealization_type(ideal, K, dual, a):
+    """idealization_type with K and dual = K : I built by the caller."""
+    # r_R(I) = mu(K:I) is shared; the two routes' own terms are not.
+    r_mod = dual.mu()
+    excess = _socle_excess(ideal, a)
+    mu_coker = _cokernel_mu(ideal, K, dual)
+    socle_value, coker_value = excess + r_mod, mu_coker + r_mod
+    if socle_value != coker_value:
+        raise ConsistencyError(
+            f"socle formula gives {socle_value} but cokernel formula gives "
+            f"{coker_value} for {ideal.describe()}"
+        )
+    r_ring = ideal.semigroup.type()
+    if not r_mod <= socle_value <= r_ring + r_mod:
+        raise ConsistencyError(
+            f"type {socle_value} escapes [{r_mod}, {r_ring + r_mod}] for {ideal.describe()}"
+        )
+    return IdealizationType(
+        value=socle_value,
+        module_type=r_mod,
+        socle_excess=excess,
+        cokernel_mu=mu_coker,
+        socle_value=socle_value,
+        cokernel_value=coker_value,
+    )
 
 
 # -- predicates ---------------------------------------------------------------
@@ -358,24 +326,26 @@ def classify(ideal) -> IdealReport:
     every applicable identity recorded as a named verdict."""
     H = ideal.semigroup
     inv = H.invariants()
-    facts = _Derived(ideal)
+    K = ideal.canonical_ideal()
     R = ideal.unit_ideal()
     m = ideal.maximal_ideal()
-    # R >= I is tested once; the record's methods skip the public precondition.
+    # R >= I is tested once; the private functions skip the public precondition.
     in_ring = R.contains_ideal(ideal)
     proper = in_ring and ideal != R
 
     mu = ideal.mu()
     e = H.multiplicity
-    itype = facts.idealization_type(e)
+    dual = ideal.canonical_dual()
+    itype = _idealization_type(ideal, K, dual, e)
     r_mod = itype.module_type
     value = itype.value
-    r_quot = facts.quotient_type() if proper else None
+    r_quot = _quotient_type(K, dual, R) if proper else None
     r_ring = inv.type
 
-    closed = facts.endo() == R
+    endo = ideal.colon(ideal)
+    closed = endo == R
     faithful = ideal.endo_meet_dim([w - e for w in H.apery(e) if w]) == 0  # module docstring
-    trace = in_ring and facts.is_trace()
+    trace = in_ring and _is_trace(ideal, K, dual, endo, itype.socle_excess)
     ulrich_ideal = proper and mu >= 2 and _is_ulrich(ideal, ideal)
     ulrich_wrt_m = is_ulrich_module_wrt(ideal)
     principal = ideal.is_principal()

@@ -189,8 +189,10 @@ def colon_reference(I, J):
 
 
 def recursive_monomial_ideals(H, span_bound):
-    """The delta-0 monomial ideals by one recursive call per gap: the
-    reference for the order in which enumerate_monomial_ideals yields them.
+    """The delta-0 monomial ideals by one recursive call per gap of H, those
+    past the span bound included (they are never chosen): the reference for
+    the sequence enumerate_monomial_ideals yields, walking only the gaps
+    <= span_bound.
     """
     gap_mask = ((1 << H.conductor) - 1) & ~H._member_mask
     gaps_desc = H.gaps()[::-1]
@@ -251,15 +253,18 @@ def quotient_type_reference(ideal):
     return dual.quotient_length(dual.maximal_ideal().multiply(dual).add(K))
 
 
+def parameter_socle_reference(R, a):
+    """(t^a R : m) meet R, the socle of R/t^a R, built by a colon and a meet."""
+    return R.shift(a).colon(R.maximal_ideal()).intersect(R)
+
+
 def socle_excess_reference(ideal, a):
     """len((Soc meet ((t^a I : I) meet R)) / t^a R) with the parameter socle
     Soc = (t^a R : m) meet R and the annihilator built afresh: the socle
     excess by its definition, the reference for I.endo_meet_dim(PF(H))."""
-    R, m = ideal.unit_ideal(), ideal.maximal_ideal()
-    q = R.shift(a)
-    socle = q.colon(m).intersect(R)
+    R = ideal.unit_ideal()
     annihilator = ideal.shift(a).colon(ideal).intersect(R)
-    return socle.intersect(annihilator).quotient_length(q)
+    return parameter_socle_reference(R, a).intersect(annihilator).quotient_length(R.shift(a))
 
 
 def ulrich_module_reference(module, ideal):

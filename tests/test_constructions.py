@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -53,14 +54,32 @@ def test_enumeration_matches_brute_force(H):
 
 
 def test_enumeration_order_matches_the_recursive_walk():
+    # the recursive walk visits every gap, the enumerator only those <= the
+    # bound: a gap above it is never chosen, so both yield one sequence
+    cases = [(H, bound) for H in POOL + [NumericalSemigroup([1]), NumericalSemigroup([4, 9, 11])]
+             for bound in range(1, H.conductor + H.multiplicity + 2)]
     rng = random.Random(15)
     for _ in range(40):
         H = random_semigroup(rng, hi=11)
-        # only a bound of at least the Frobenius number c - 1 lets a gap in
-        bound = rng.randint(H.conductor - 1, H.conductor + 2)
+        # from the Frobenius number c - 1 on, every gap lies below the bound
+        cases.append((H, rng.randint(H.conductor - 1, H.conductor + 2)))
+    for H, bound in cases:
         got = [I.members_mask(0, H.conductor) for I in enumerate_monomial_ideals(H, bound)]
         expected = [I.members_mask(0, H.conductor) for I in recursive_monomial_ideals(H, bound)]
-        assert got == expected
+        assert got == expected, (H, bound)
+
+
+def test_a_small_span_bound_walks_no_conductor_wide_masks():
+    # c = 90,300: a mask per gap of H, each up to c bits wide, would peak near 190 MB
+    H = NumericalSemigroup([301, 302])
+    tracemalloc.start()
+    try:
+        ideals = list(enumerate_monomial_ideals(H, 3, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [I.mu() for I in ideals] == [1]  # only R: each gap <= 3 forces a gap past 3
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("H", POOL, ids=str)

@@ -299,7 +299,7 @@ def series_stable(I):
 
 def greedy_module_generators(I):
     """Row by row: keep a basis row iff it is not in m I plus the rows kept before it."""
-    _, mine, span = common_window(I, I.maximal_product())
+    _, mine, span = common_window(I, I.maximal_ideal().multiply(I))
     picked = []
     for row, wide in zip(I.matrix.rows, mine.rows):
         if not linalg.member(wide, span)[0]:
@@ -599,10 +599,12 @@ def test_canonical_duality_and_the_gap_colon(I):
 @example(series_ideal(H37, GF(2), "t^3 + t^4", "t^7"))
 def test_maximal_product_is_the_product_with_m(I):
     # m I, built as a span on I's own window, against the product ideal m I
-    mI = I.maximal_product()
-    expected = fracideal._maximal(I.semigroup, I.field).multiply(I)
-    assert mI == expected and mI.matrix.pivots == expected.matrix.pivots, I.describe()
-    assert I.mu() == I.quotient_length(mI)
+    # moved to that window; for c = 0 the window is empty and mu = 1
+    span = I._maximal_span()
+    expected = I.maximal_ideal().multiply(I)
+    moved = fracideal._reframe(expected.matrix, I.delta - expected.delta, I.semigroup.conductor)
+    assert (span.rows, span.pivots) == (moved.rows, moved.pivots), I.describe()
+    assert I.mu() == I.quotient_length(expected)
 
 
 @st.composite
@@ -620,7 +622,7 @@ def window_pairs(draw):
         "product": lambda: (I, I.multiply(J)),
         "sum": lambda: (I.add(J), J),
         "meet": lambda: (I.intersect(J), J),
-        "maximal": lambda: (I, I.maximal_product()),
+        "maximal": lambda: (I, I.maximal_ideal().multiply(I)),
         "socle": lambda: (R.shift(a).colon(I.maximal_ideal()), R),
     }
     return pairs[draw(st.sampled_from(sorted(pairs)))]()
@@ -774,7 +776,7 @@ class TestWorkCounts:
         before = len(reductions)
         I.validate()
         I.mu()
-        I.maximal_product()
+        I._maximal_span()
         assert len(sums) == 1 and len(reductions) == before  # checked once
 
     @pytest.mark.parametrize("field", [QQ, GF(7)])

@@ -1,6 +1,9 @@
 """The package's public surface."""
 
+import ast
 import inspect
+import itertools
+from pathlib import Path
 
 import cmtype
 
@@ -10,3 +13,36 @@ def test_all_lists_exactly_the_public_names_bound_in_the_package():
              if not name.startswith("_") and not inspect.ismodule(value)}
     assert cmtype.__all__ == sorted(set(cmtype.__all__))
     assert set(cmtype.__all__) == bound
+
+
+def test_every_definition_is_used_exported_or_traced():
+    """Each function, method and class defined under src/cmtype is referenced
+    under src/, is in cmtype.__all__, is a dunder, or is wrapped by the
+    benchmark tracer (perfbench/tracer.py LAYERS, read here, not imported)."""
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "cmtype"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    tracer = ast.parse((root / "perfbench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tracer.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
+    traced = {name for _, functions, classes in layers.values()
+              for name in [*functions, *itertools.chain(*classes.values())]}
+    kept = referenced | traced | set(cmtype.__all__)
+    unused = [
+        f"{filename}:{node.lineno} {node.name}"
+        for filename, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in kept
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert unused == []

@@ -22,6 +22,7 @@ from helpers import (
     SERIES_POOL,
     cokernel_mu_reference,
     generated_ideals,
+    parameter_socle_reference,
     quotient_type_reference,
     random_relative_ideal,
     reduction_search_reference,
@@ -60,7 +61,7 @@ CASES = cases()
 # Every operation typecalc and constructions call on an ideal, whichever the engine.
 ENGINE_CONTRACT = (
     "add", "multiply", "colon", "intersect", "shift", "contains_ideal", "quotient_length",
-    "mu", "is_principal", "maximal_product", "find_reduction", "unit_ideal", "canonical_ideal",
+    "mu", "is_principal", "find_reduction", "unit_ideal", "canonical_ideal",
     "maximal_ideal", "describe", "top_rank", "endo_meet_dim", "canonical_dual",
 )
 
@@ -179,13 +180,11 @@ def test_ulrich_wrt_m_is_the_length_formula():
 def check_socle_excess(ideal, other):
     """For a = e and a = other: the socle excess by its definition, with the
     parameter socle Soc = (t^a R : m) meet R built afresh, against
-    socle_formula, and the cached Soc against the fresh one."""
+    socle_formula, which reads it off PF(H) with no Soc built."""
     H = ideal.semigroup
-    R, m = ideal.unit_ideal(), ideal.maximal_ideal()
     for a in (H.multiplicity, other):
         fresh = socle_excess_reference(ideal, a)
         assert typecalc.socle_formula(ideal, a)[0] == fresh, (ideal.describe(), a)
-        assert typecalc._parameter_socle(R, a) == R.shift(a).colon(m).intersect(R)
 
 
 @pytest.mark.parametrize("name, ideal", CASES, ids=[name for name, _ in CASES])
@@ -225,10 +224,15 @@ class TestFormulas:
 
     @pytest.mark.parametrize("route", ["_socle_excess", "_cokernel_mu"])
     def test_a_route_off_by_one_is_caught(self, name, ideal, monkeypatch, route):
+        # socle_formula and cokernel_formula read one idealization_type call, so
+        # they raise too
         original = getattr(typecalc, route)
         monkeypatch.setattr(typecalc, route, lambda *args: original(*args) + 1)
-        with pytest.raises(ConsistencyError, match=re.escape(ideal.describe())):
-            typecalc.idealization_type(ideal)
+        e = ideal.semigroup.multiplicity
+        for call in (typecalc.idealization_type, typecalc.cokernel_formula,
+                     lambda I: typecalc.socle_formula(I, e)):
+            with pytest.raises(ConsistencyError, match=re.escape(ideal.describe())):
+                call(ideal)
 
     @pytest.mark.parametrize("method", ["top_rank", "endo_meet_dim"])
     def test_an_engine_rank_off_by_one_is_caught(self, name, ideal, monkeypatch, method):
@@ -254,7 +258,8 @@ def check_identities(I, J):
     for L in (I, J):
         faithful = L.endo_meet_dim([w - e for w in H.apery(e) if w]) == 0
         assert faithful == typecalc.is_residually_faithful(L), L.describe()
-    assert typecalc._Derived(J).quotient_type() == typecalc.quotient_type(J)
+    r_quot = typecalc._quotient_type(J.canonical_ideal(), J.canonical_dual(), J.unit_ideal())
+    assert r_quot == typecalc.quotient_type(J)
 
 
 def dvr_series_case(field):
@@ -366,7 +371,7 @@ def check_parameter_socle(R):
         expected = RelativeIdeal.from_exponents(H, {a} | {a + f for f in H.pseudo_frobenius()})
         if R.engine == "series":
             expected = FractionalIdeal.from_relative(expected, R.field)
-        assert typecalc._parameter_socle(R, a) == expected, (H, a)
+        assert parameter_socle_reference(R, a) == expected, (H, a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,31 +395,45 @@ def ulrich_by_the_old_chain(M, I):
 
 
 def check_decisions(J):
-    """For J, R and m: _is_ulrich against the old chain for M in R, I, K, m, and
-    is_trace against R : I = I : I."""
+    """For J, R and m: _is_ulrich against the old chain for M in R, I, K, m,
+    is_trace against R : I = I : I, and classify's trace pre-test, the socle
+    excess I.endo_meet_dim(PF(H)) = r(R), against R : m <= I : I."""
+    H = J.semigroup
     R, m = J.unit_ideal(), J.maximal_ideal()
+    maximal_colon = R.colon(m)
     for I in (J, R, m):
         for M in (R, I, I.canonical_ideal(), m):
             assert typecalc._is_ulrich(M, I) == ulrich_by_the_old_chain(M, I), M.describe()
         assert typecalc.is_trace(I) == (R.colon(I) == I.colon(I)), I.describe()
+        full = I.endo_meet_dim(H.pseudo_frobenius()) == H.type()
+        assert full == I.colon(I).contains_ideal(maximal_colon), I.describe()
 
 
 @settings(max_examples=100, deadline=None)
 @given(monomial_identity_cases())
+@example((RelativeIdeal.from_exponents(H1, {-2}), RelativeIdeal.from_exponents(H1, {2}), 1))
 def test_monomial_decisions_match_their_definitions(case):
     check_decisions(case[1])
 
 
 @settings(max_examples=60, deadline=None)
 @given(series_identity_cases())
+@example(dvr_series_case(QQ))
+@example(dvr_series_case(GF(2)))
 def test_series_decisions_match_their_definitions(case):
     check_decisions(case[1])
 
 
 def check_maximal_colon(R):
-    """R : m is the parameter socle (t^e R : m) meet R moved back by t^e."""
-    e = R.semigroup.multiplicity
-    assert R.colon(R.maximal_ideal()) == typecalc._parameter_socle(R, e).shift(-e)
+    """R : m by its colon is the ideal with exponents H union PF(H), and the
+    parameter socle (t^e R : m) meet R moved back by t^e."""
+    H = R.semigroup
+    expected = RelativeIdeal.from_exponents(H, {0, *H.pseudo_frobenius()})
+    if R.engine == "series":
+        expected = FractionalIdeal.from_relative(expected, R.field)
+    colon = R.colon(R.maximal_ideal())
+    assert colon == expected, H
+    assert colon == parameter_socle_reference(R, H.multiplicity).shift(-H.multiplicity)
 
 
 @settings(max_examples=60, deadline=None)
@@ -514,7 +533,6 @@ class TestWorkCounts:
     ):
         H, field = NumericalSemigroup(gens), GF(5)
         I = FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
-        typecalc._maximal_colon(I.unit_ideal())  # R : m, cached per ring, built outside the count
         m = I.maximal_ideal()
         products, meets, shifts = [], [], []
         count_calls(monkeypatch, FractionalIdeal, "multiply", products)
@@ -551,8 +569,8 @@ class TestWorkCounts:
         count_calls(monkeypatch, FractionalIdeal, "contains_ideal", record)
         report = typecalc.classify(I)
         assert report.proper and report.consistent
-        # R >= I once; the trace test's R:m <= I:I is a containment of R:m
-        assert sum(1 for _, sub in record if sub is I) == 1
+        # R >= I alone: the trace pre-test R:m <= I:I is the rank excess = r(R)
+        assert [sub for _, sub in record] == [I]
 
     @pytest.mark.parametrize("gens, exprs, ulrich", [
         ([3, 7], ("t^6 - t^7", "t^10"), True),
@@ -596,7 +614,6 @@ class TestWorkCounts:
     def test_series_classify_computes_each_colon_once(self, monkeypatch, gens, exprs, built):
         H, field = NumericalSemigroup(gens), GF(5)
         I = FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
-        typecalc._parameter_socle(I.unit_ideal(), H.multiplicity)
         colons, duals = [], []
         count_calls(monkeypatch, FractionalIdeal, "colon", colons)
         count_calls(monkeypatch, FractionalIdeal, "canonical_dual", duals)
@@ -614,7 +631,6 @@ class TestWorkCounts:
     def test_monomial_classify_computes_each_colon_once(self, monkeypatch, gens, exps, colons):
         H = NumericalSemigroup(gens)
         I = RelativeIdeal.from_exponents(H, exps)
-        typecalc._parameter_socle(I.unit_ideal(), H.multiplicity)
         record = []
         count_calls(monkeypatch, RelativeIdeal, "colon", record)
         assert typecalc.classify(I).consistent
