@@ -41,7 +41,7 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import verify
-from .constructions import enumerate_monomial_ideals, sup_search
+from .constructions import ENUMERATION_LIMIT, enumerate_monomial_ideals, sup_search
 from .errors import ArgumentError, CmtypeError, ConsistencyError, ParseError, ResourceLimitError
 from .fracideal import FractionalIdeal
 from .linalg import GF, QQ
@@ -68,6 +68,10 @@ SERIES_CONDUCTOR_LIMIT = 600
 # and 77 MB and writes 6.9 MB of --json; c = 36 M, 62 s, 2.2 GB and 278 MB.
 # Above the cap it refuses the input once H is built, before the gap list is.
 SEMIGROUP_CONDUCTOR_LIMIT = 10**6
+
+# `sup-search` and `enumerate` raise ResourceLimitError past ENUMERATION_LIMIT
+# ideals unless --limit sets another cap; `constructions` defines it, as the
+# default of its enumeration.
 
 # `enumerate` yields the delta-0 shift of each ideal, which contains R, so only
 # the flags that do not change under a shift mean anything there: is_trace
@@ -145,18 +149,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_paper.add_argument("--filter", default=None, help="substring of a group name")
     p_paper.set_defaults(run=_cmd_verify_paper)
 
+    bound_help = (
+        "the largest gap an ideal may add to R; a bound below the least "
+        "pseudo-Frobenius number of H enumerates R alone, since every nonempty "
+        "H-stable set of gaps contains a pseudo-Frobenius number"
+    )
+    limit_help = f"enumeration cap (default ENUMERATION_LIMIT = {ENUMERATION_LIMIT})"
+
     p_sup = add(sub, "sup-search", "maximize the idealization type")
     p_sup.add_argument("--semigroup", required=True)
-    p_sup.add_argument("--bound", type=int, required=True)
-    p_sup.add_argument("--limit", type=int, default=200000, help="enumeration cap")
+    p_sup.add_argument("--bound", type=int, required=True, help=bound_help)
+    p_sup.add_argument("--limit", type=int, default=ENUMERATION_LIMIT, help=limit_help)
     p_sup.set_defaults(run=_cmd_sup_search)
 
     p_enum = add(sub, "enumerate", "list shift-normalized monomial ideals")
     p_enum.add_argument("--semigroup", required=True)
-    p_enum.add_argument("--bound", type=int, required=True)
+    p_enum.add_argument("--bound", type=int, required=True, help=bound_help)
     p_enum.add_argument("--filter", default=None, choices=sorted(_FILTER_FLAGS),
                         help="keep only ideals with this flag")
-    p_enum.add_argument("--limit", type=int, default=200000, help="enumeration cap")
+    p_enum.add_argument("--limit", type=int, default=ENUMERATION_LIMIT, help=limit_help)
     p_enum.set_defaults(run=_cmd_enumerate)
 
     leaves = (p_info, p_an, p_paper, p_sup, p_enum)

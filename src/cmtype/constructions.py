@@ -13,6 +13,10 @@ from .relideal import RelativeIdeal, _maximal, _unit
 from .semigroup import NumericalSemigroup, _set_bits
 from .typecalc import idealization_type, is_ulrich_module_wrt
 
+# The enumeration raises ResourceLimitError past this many ideals; it is the
+# default of `sup-search --limit` and `enumerate --limit` too.
+ENUMERATION_LIMIT = 200_000
+
 
 def pf_family_ideal(H: NumericalSemigroup, p: int) -> RelativeIdeal:
     """(t^e) + (t^{alpha_j + e} : p <= j <= r), PF(H) = {alpha_1 < ... < alpha_r}.
@@ -90,12 +94,17 @@ def blowup_ring(H: NumericalSemigroup) -> RelativeIdeal:
     return fixpoint
 
 
-def enumerate_monomial_ideals(H: NumericalSemigroup, span_bound: int, max_count: int = 200000):
+def enumerate_monomial_ideals(
+    H: NumericalSemigroup, span_bound: int, max_count: int = ENUMERATION_LIMIT
+):
     """All relative ideals with delta = 0 whose chosen gaps lie in [0, span_bound].
 
     Every such ideal contains H (hence all of the conductor tail), so it is
     H plus an upward-closed set of gaps; upward closure under the generators
-    suffices.  Yields each ideal once (canonical masks are distinct).
+    suffices.  Yields each ideal once (canonical masks are distinct).  A
+    nonempty such set of gaps holds its maximal elements under <=_H, which
+    are pseudo-Frobenius numbers, so a span bound below min PF(H) yields R
+    alone.
     """
     if span_bound < 1:
         raise ArgumentError("span bound must be at least 1")
@@ -126,7 +135,7 @@ def enumerate_monomial_ideals(H: NumericalSemigroup, span_bound: int, max_count:
         stack.append((i + 1, chosen_mask))
 
 
-def sup_search(H: NumericalSemigroup, span_bound: int, max_count: int = 200000):
+def sup_search(H: NumericalSemigroup, span_bound: int, max_count: int = ENUMERATION_LIMIT):
     """(max idealization type, witness) over the delta-0 monomial ideals.
 
     Every enumerated ideal is a shift of an m-primary ideal of R, and

@@ -22,16 +22,22 @@ legal (pad rows with zeros, adjoin unit tail rows).
 
 Generators stay rows inside the engine.  ``_generator_rows`` keeps, once
 per ideal, the window rows of a generating set: the stored generators'
-coefficient lists, or the basis rows picked modulo m I.  ``multiply``,
-``colon``, ``top_rank`` and ``endo_meet_dim`` read those rows.  m I is
-a span on I's own window, never a product ideal (``_maximal_span``), and
-the one place where R-stability, m I <= I, is checked.  A TruncatedSeries
+coefficient lists, or the basis rows whose values are not values of m I,
+read off the pivots with no reduction.  ``multiply``, ``colon``,
+``top_rank`` and ``endo_meet_dim`` read those rows.  m I is a span on
+I's own window, never a product ideal (``_maximal_span``), and the one
+place where R-stability, m I <= I, is checked.  A TruncatedSeries
 is made only at the API: parsed generators come in as series, and
 ``module_generators`` and ``describe`` hand series out.
 
 Colons are nullspaces.  ``colon`` solves one, with unknowns only on the
 columns outside a monomial lower bound it knows: R <= I : I, so I : I is
-solved on the gaps of H alone and merged with R's unit rows.
+solved on the gaps of H alone and merged with R's unit rows.  The values
+prune the rest: v(x y) = v(x) + v(y), so a solution x has
+v(x) + v(J) <= v(I), and the unknowns start at the least column that
+passes this test; when none does, the bound is the colon (R for I : I)
+and nothing is reduced.  ``endo_meet_dim`` keeps every exponent it is
+given: the socle excess and faithfulness tests do not share that bound.
 ``canonical_dual`` gives K : I = I^perp, under the residue pairing that
 makes K = R^perp, with no reduction at all: the kernel of I's reduced
 basis, read off its free-column cells (``CoeffMatrix.tails``) and
@@ -194,20 +200,21 @@ class FractionalIdeal:
         return [self._as_series(row) for row in rows]
 
     def _picked_rows(self):
-        """The basis rows that form a minimal generating set.
+        """The basis rows that form a minimal generating set, read off the values.
 
-        Basis row i is picked iff it is not in m I plus the rows picked
-        before it, that is, iff its residual modulo m I is not in the span
-        of the earlier rows' residuals: iff column i is a pivot column of
-        the matrix whose columns are the residuals.  For c = 0 the window
+        A basis row is picked iff its pivot is not a pivot of m I
+        (``_maximal_span``), that is, iff its value is not a value of m I.
+        With m I they span I: reducing an element of I, each leading cell
+        is cleared by the row of m I or the picked row with that pivot.  And
+        there are rank_I - rank_mI = mu of them, since m I <= I makes m I's
+        pivots a subset of I's.  So no row is reduced.  For c = 0 the window
         is empty and I = t^delta k[[t]] has the one generator t^delta, whose
         row is the empty row.
         """
         if self.semigroup.conductor == 0:
             return [()]
-        residuals = linalg._reduce_rows(self.field, self.matrix.rows, self._maximal_span())
-        columns = CoeffMatrix(self.field, self.matrix.rank, list(zip(*residuals)))
-        picked = [self.matrix.rows[i] for i in columns.pivots]
+        taken = set(self._maximal_span().pivots)
+        picked = [row for row, p in zip(self.matrix.rows, self.matrix.pivots) if p not in taken]
         if len(picked) != self.mu():
             raise ConsistencyError("generator extraction disagrees with mu")
         return picked
@@ -216,7 +223,9 @@ class FractionalIdeal:
         """Rows on I's window of a generating set of I, computed once.
 
         They are the stored generators' coefficient lists when I was built
-        from generators, else the picked basis rows.  A stored generator
+        from generators, else the basis rows whose pivots are not pivots of
+        m I (``_picked_rows``): dim_k I/mI = |v(I) minus v(mI)|, and those
+        rows with m I span I.  A stored generator
         differs from its row by an element of t^gamma k[[t]], which lies in
         m I for c >= 1, so the rows generate I too (Nakayama); every row is
         itself an element of I.  The engine's products, colons and ranks
@@ -345,6 +354,14 @@ class FractionalIdeal:
         I : I = R + (I : I meet span{t^g : g a gap of H}), and only the gap
         columns are solved for.  The solutions are zero on H's columns and
         R's unit rows zero on the gaps, so merged by pivot they are reduced.
+
+        The values bound the unknowns from below.  v(x y) = v(x) + v(y), so
+        a solution x has v(x) + v(J) <= v(I), and x has no term below v(x).
+        So the candidate columns k are those with k + q a value of I, relative
+        to delta_I and its tail included, for every pivot q of J (past J's
+        window both ideals hold the tail), and every unknown left of the
+        least candidate is dropped.  When no candidate is left, I : J is the
+        bound itself, built with no reduction: R for J = I.
         """
         self._check_same(other)
         c = self.semigroup.conductor
@@ -355,22 +372,31 @@ class FractionalIdeal:
             # solve on its free columns, the gaps of H
             R = _unit(self.semigroup, self.field).matrix
             rows, unknowns = dict(zip(R.pivots, R.rows)), R.tails()[0]
-        # Window cell i of t^(start + k) g is g's cell i - k: every shift is a
-        # slice of g's row padded with c - 1 zeros on the left.
+        # bit u of ``values``: delta_I + u is a value of I, every bit from c on
+        # set (the tail); bit k of ``passes``: k + q is one for every pivot q of J
+        values = sum(1 << p for p in self.matrix.pivots) | -1 << c
+        passes = values
+        for q in other.matrix.pivots:
+            passes &= values >> q
+        least = next((i for i, k in enumerate(unknowns) if passes >> k & 1), len(unknowns))
+        unknowns = unknowns[least:]
         zero = self.field.zero()
-        pad = [zero] * (c - 1)
-        constraint_rows = []
-        for g in other._generator_rows():
-            padded = pad + list(g)
-            vecs = [padded[c - 1 - k:2 * c - 1 - k] for k in unknowns]
-            residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
-            constraint_rows += [row for row in zip(*residuals) if any(row)]
-        solutions = linalg.nullspace(self.field, len(unknowns), constraint_rows)
-        for cells, q in zip(solutions.rows, solutions.pivots):
-            row = [zero] * c
-            for k, x in zip(unknowns, cells):
-                row[k] = x
-            rows[unknowns[q]] = row
+        if unknowns:
+            # Window cell i of t^(start + k) g is g's cell i - k: every shift is
+            # a slice of g's row padded with c - 1 zeros on the left.
+            pad = [zero] * (c - 1)
+            constraint_rows = []
+            for g in other._generator_rows():
+                padded = pad + list(g)
+                vecs = [padded[c - 1 - k:2 * c - 1 - k] for k in unknowns]
+                residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
+                constraint_rows += [row for row in zip(*residuals) if any(row)]
+            solutions = linalg.nullspace(self.field, len(unknowns), constraint_rows)
+            for cells, q in zip(solutions.rows, solutions.pivots):
+                row = [zero] * c
+                for k, x in zip(unknowns, cells):
+                    row[k] = x
+                rows[unknowns[q]] = row
         pivots = sorted(rows)
         matrix = CoeffMatrix(self.field, c, [rows[q] for q in pivots], pivots)
         return FractionalIdeal._build(self.semigroup, start, matrix)

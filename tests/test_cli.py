@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cmtype
-from cmtype import cli
+from cmtype import cli, constructions
 from cmtype.semigroup import NumericalSemigroup
 
 DOCUMENT_KEYS = {"schema_version", "command", "input", "timing_ms"}
@@ -411,6 +412,23 @@ def test_series_engine_refuses_conductors_above_the_cap(capsys):
     with pytest.raises(SystemExit):
         cli.main(["ideal", "analyze", "--help"])
     assert f"SERIES_CONDUCTOR_LIMIT = {cli.SERIES_CONDUCTOR_LIMIT}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["sup-search", "enumerate"])
+def test_enumeration_help_names_its_limit_and_the_bound_that_gives_R_alone(
+    capsys, monkeypatch, command
+):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"ENUMERATION_LIMIT = {cli.ENUMERATION_LIMIT}" in text
+    assert "a bound below the least pseudo-Frobenius number of H enumerates R alone" in text
+    # one cap: the default of --limit and of the enumeration it reaches
+    args = cli.build_parser().parse_args([command, "--semigroup", "3,4", "--bound", "2"])
+    assert args.limit == cli.ENUMERATION_LIMIT == 200_000
+    for func in (constructions.enumerate_monomial_ideals, constructions.sup_search):
+        assert inspect.signature(func).parameters["max_count"].default == cli.ENUMERATION_LIMIT
 
 
 def run_module(*argv):

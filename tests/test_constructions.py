@@ -16,6 +16,7 @@ from cmtype.constructions import (
     sup_search,
 )
 from cmtype.errors import ArgumentError, ConsistencyError, ResourceLimitError
+from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from cmtype.typecalc import idealization_type
 from helpers import SERIES_POOL, random_semigroup, recursive_monomial_ideals
@@ -80,6 +81,22 @@ def test_a_small_span_bound_walks_no_conductor_wide_masks():
         tracemalloc.stop()
     assert [I.mu() for I in ideals] == [1]  # only R: each gap <= 3 forces a gap past 3
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("H", POOL + [NumericalSemigroup([301, 302])], ids=str)
+def test_a_bound_below_the_least_pseudo_frobenius_number_enumerates_R_alone(H):
+    # a nonempty H-stable set of gaps holds its maximal elements under <=_H,
+    # and those are pseudo-Frobenius numbers
+    least = min(H.pseudo_frobenius())
+    # every bound below min PF(H) on the pool; on <301,302> (min PF 90,299)
+    # every bound below 400 and a spread up to min PF - 1
+    spread = [b for b in (1000, least // 2, least - 1) if 400 <= b < least]
+    R = RelativeIdeal.from_exponents(H, {0})
+    for bound in [*range(1, min(least, 400)), *spread]:
+        assert list(enumerate_monomial_ideals(H, bound)) == [R], (H, bound)
+    # from min PF(H) on, R + t^(min PF) R comes after R
+    with pytest.raises(ResourceLimitError):
+        list(enumerate_monomial_ideals(H, least, max_count=1))
 
 
 @pytest.mark.parametrize("H", POOL, ids=str)

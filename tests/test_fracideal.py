@@ -308,6 +308,24 @@ def greedy_module_generators(I):
     return picked
 
 
+def assert_minimal_generators(X):
+    """module_generators() are the basis rows whose values are not values of
+    m X, the product ideal; there are mu of them, they generate X, and they
+    span X modulo m X, as the greedy extraction's rows do.
+    """
+    gens = X.module_generators()
+    mX = X.maximal_ideal().multiply(X)
+    start, mine, span = common_window(X, mX)
+    c = X.semigroup.conductor
+    assert all(tuple(g.window_vector(X.delta, c)) in X.matrix.rows for g in gens)
+    assert not any(mX.support_ideal().contains(g.order) for g in gens)
+    assert len(gens) == X.mu()
+    assert FractionalIdeal.from_generators(X.semigroup, X.field, gens) == X
+    for picked in (gens, greedy_module_generators(X)):
+        wide = [g.window_vector(start, mine.ncols) for g in picked]
+        assert linalg.sum_spaces(span, wide) == mine
+
+
 class TestRowLayerReference:
     """Non-monomial inputs: the row arithmetic matches the series arithmetic."""
 
@@ -368,7 +386,7 @@ class TestRowLayerReference:
             I = FractionalIdeal.from_generators(H, field, gens_i)
             J = FractionalIdeal.from_generators(H, field, gens_j)
             for X in (I, J, I.multiply(J), I.colon(J), J.colon(I), I.intersect(J)):
-                assert X.module_generators() == greedy_module_generators(X)
+                assert_minimal_generators(X)
 
     def test_generator_precision_at_the_window_edge(self):
         for H, field, (gens_i, gens_j) in self.instances():
@@ -654,7 +672,44 @@ def test_own_window_operations_match_the_common_window(pair):
         meet = I.intersect(J)
         expected = FractionalIdeal._build(I.semigroup, start, linalg.intersect(a, b))
         assert meet == expected and meet.matrix.pivots == expected.matrix.pivots
-        assert I.module_generators() == greedy_module_generators(I)
+        assert_minimal_generators(I)
+
+
+def gaps_from_the_least_passing(I):
+    """The gaps of H at or past the least gap g with g + v(I) <= v(I), off the
+    value set: the unknowns of I : I."""
+    v, gaps = I.support_ideal(), I.semigroup.gaps()
+    values = [u for u in range(I.delta, I.gamma) if v.contains(u)]
+    passing = [g for g in gaps if all(v.contains(g + u) for u in values)]
+    return [g for g in gaps if passing and g >= passing[0]]
+
+
+@st.composite
+def colon_cases(draw):
+    """Two series ideals and a shift of -3..3, over the DVR or a small pool semigroup."""
+    H = NumericalSemigroup(draw(st.sampled_from([[1]] + SERIES_POOL)))
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    I = draw(generated_ideals(H, field, draw(st.booleans())))
+    return I, draw(generated_ideals(H, field)), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(colon_cases())
+@example((series_ideal(NumericalSemigroup([1]), QQ, "t^-2 + t"),  # the DVR, c = 0
+          series_ideal(NumericalSemigroup([1]), QQ, "t^3"), 2))
+# negative delta, and values on gaps: neither ideal lies in R
+@example((series_ideal(H37, GF(3), "t^-2 + t^-1", "t + 2*t^4"),
+          series_ideal(H37, GF(3), "t + t^2", "t^5"), -3))
+# value-closed: no gap g has g + v(I) <= v(I), so I : I = R with no unknown
+@example((series_ideal(H345, GF(32003), "1", "t + t^2"), series_ideal(H345, GF(32003), "t^2"), 1))
+@example((series_ideal(H456, QQ, "t^4 + t^5", "t^6 - 2*t^7"), series_ideal(H456, QQ, "t^-1"), 3))
+def test_colon_solves_from_the_least_value_that_passes(case):
+    # the colon's unknowns start at the least column the value sets allow;
+    # the reference solves on every column of the window
+    I, J, s = case
+    for X in (I, J, I.canonical_ideal(), I.maximal_ideal(), I.shift(s)):
+        assert I.colon(X) == colon_reference(I, X), (I.describe(), X.describe())
+        assert X.colon(I) == colon_reference(X, I), (X.describe(), I.describe())
 
 
 class TestWorkCounts:
@@ -707,9 +762,41 @@ class TestWorkCounts:
         J.canonical_dual()
         assert calls == []
         I.colon(I)
-        # one reduction, of constraints on the g(H) gap columns only
+        # one reduction, of constraints on the gap columns at or past the least
+        # gap g with g + v(I) <= v(I)
         (call,) = calls
-        assert call[1] and all(len(row) == len(H37.gaps()) for row in call[1])
+        width = len(gaps_from_the_least_passing(I))
+        assert 0 < width < len(H37.gaps())
+        assert call[1] and all(len(row) == width for row in call[1])
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_a_value_closed_self_colon_is_R_with_no_reduction(self, monkeypatch, field):
+        # v(I) = {0, 1, 3, 4, ...}: 1 + 1 and 2 + 0 are not values, so no gap passes
+        I = series_ideal(H345, field, "1", "t + t^2")
+        assert not I.is_monomial() and I.mu() == 2
+        assert gaps_from_the_least_passing(I) == []
+        calls = self.count_calls(monkeypatch, linalg, "_rref")
+        assert I.colon(I) == I.unit_ideal()
+        assert calls == []
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_the_self_colon_solves_from_the_least_passing_gap(self, monkeypatch, field):
+        # the gaps of <4,5,6> are 1, 2, 3, 7; 2 and 7 pass, 3 lies between them
+        I = series_ideal(H456, field, "t^4 + t^5", "t^6 - 2*t^7")
+        assert gaps_from_the_least_passing(I) == [2, 3, 7]
+        calls = self.count_calls(monkeypatch, linalg, "nullspace")
+        endo = I.colon(I)
+        assert [ncols for _, ncols, _ in calls] == [3]
+        assert endo == colon_reference(I, I) != I.unit_ideal()
+
+    def test_endo_meet_dim_reduces_every_exponent(self, monkeypatch):
+        # the colon's value bound is not shared: gap 1 fails it and is still reduced
+        I = series_ideal(H37, GF(7), "t^6 - t^7", "t^10")
+        assert gaps_from_the_least_passing(I)[0] == 4
+        reductions = self.count_calls(monkeypatch, linalg, "_reduce_rows")
+        I.endo_meet_dim([1, 4, 11])
+        (call,) = reductions
+        assert len(call[1]) == 3 * len(I._generator_rows())
 
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_intersect_reduces_the_lower_rank_only(self, monkeypatch, field):
@@ -758,9 +845,10 @@ class TestWorkCounts:
             counts[name] = len(reductions) - before
             # the containing ideal's own matrix is the basis, never a moved copy
             assert own is None or reductions[-1][2] is own
-        # mu is two ranks of the kept span and I
+        # mu is two ranks of the kept span and I, and the generators are I's
+        # rows off its pivots
         assert counts == {"contains_ideal": 1, "quotient_length": 1, "mu": 0,
-                          "module_generators": 1}
+                          "module_generators": 0}
         assert members == []
 
     @pytest.mark.parametrize("H", [H37, H345])
