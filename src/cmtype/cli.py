@@ -46,7 +46,7 @@ from .errors import ArgumentError, CmtypeError, ConsistencyError, ParseError, Re
 from .fracideal import FractionalIdeal
 from .linalg import GF, QQ
 from .relideal import RelativeIdeal
-from .semigroup import NumericalSemigroup
+from .semigroup import SEMIGROUP_CONDUCTOR_LIMIT, NumericalSemigroup
 from .series import parse_generators
 from .typecalc import classify
 
@@ -63,11 +63,9 @@ EXIT_INPUT = 2
 # has no cap.
 SERIES_CONDUCTOR_LIMIT = 600
 
-# `semigroup info` lists every gap, so its time, memory and output grow with
-# the conductor c: on a 2-vCPU machine, c = 999,000 (<1000,1001>) takes 0.4 s
-# and 77 MB and writes 6.9 MB of --json; c = 36 M, 62 s, 2.2 GB and 278 MB.
-# Above the cap it refuses the input once H is built, before the gap list is.
-SEMIGROUP_CONDUCTOR_LIMIT = 10**6
+# Every command refuses a semigroup whose conductor exceeds
+# SEMIGROUP_CONDUCTOR_LIMIT; `semigroup` defines it, and its constructor raises
+# ResourceLimitError as soon as the Apery set gives c, before H's member mask.
 
 # `sup-search` and `enumerate` raise ResourceLimitError past ENUMERATION_LIMIT
 # ideals unless --limit sets another cap; `constructions` defines it, as the
@@ -124,16 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sg = add(sub, "semigroup", "numerical semigroup queries")
     sg_sub = p_sg.add_subparsers(dest="subcommand", required=True)
     p_info = add(sg_sub, "info", "invariants of a numerical semigroup")
-    p_info.add_argument(
-        "generators", help="comma-separated generators, e.g. 3,7; conductors above "
-        f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT} are refused",
+    semigroup_help = (
+        "comma-separated generators, e.g. 3,7; conductors above "
+        f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT} are refused"
     )
+    p_info.add_argument("generators", help=semigroup_help)
     p_info.set_defaults(run=_cmd_semigroup_info)
 
     p_ideal = add(sub, "ideal", "fractional ideal analysis")
     ideal_sub = p_ideal.add_subparsers(dest="subcommand", required=True)
     p_an = add(ideal_sub, "analyze", "classify an ideal and compute its types")
-    p_an.add_argument("--semigroup", required=True, help="comma-separated generators")
+    p_an.add_argument("--semigroup", required=True, help=semigroup_help)
     p_an.add_argument("--gens", required=True, help="comma-separated series expressions")
     p_an.add_argument("--field", default="qq", help="qq or fp:<prime> (default qq)")
     p_an.add_argument(
@@ -157,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     limit_help = f"enumeration cap (default ENUMERATION_LIMIT = {ENUMERATION_LIMIT})"
 
     p_sup = add(sub, "sup-search", "maximize the idealization type")
-    p_sup.add_argument("--semigroup", required=True)
+    p_sup.add_argument("--semigroup", required=True, help=semigroup_help)
     p_sup.add_argument("--bound", type=int, required=True, help=bound_help)
     p_sup.add_argument("--limit", type=int, default=ENUMERATION_LIMIT, help=limit_help)
     p_sup.set_defaults(run=_cmd_sup_search)
 
     p_enum = add(sub, "enumerate", "list shift-normalized monomial ideals")
-    p_enum.add_argument("--semigroup", required=True)
+    p_enum.add_argument("--semigroup", required=True, help=semigroup_help)
     p_enum.add_argument("--bound", type=int, required=True, help=bound_help)
     p_enum.add_argument("--filter", default=None, choices=sorted(_FILTER_FLAGS),
                         help="keep only ideals with this flag")
@@ -248,11 +247,6 @@ def _build_ideal(H, field, gens, engine: str):
 
 def _cmd_semigroup_info(args):
     H = _parse_semigroup(args.generators)
-    if H.conductor > SEMIGROUP_CONDUCTOR_LIMIT:
-        raise ResourceLimitError(
-            f"conductor {H.conductor} of {H} exceeds semigroup info's cap "
-            f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT}"
-        )
     inv = H.invariants()
     body = {
         "semigroup": {

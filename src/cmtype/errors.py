@@ -35,4 +35,4 @@ class ConsistencyError(CmtypeError):
 
 
 class ResourceLimitError(ArgumentError):
-    """An enumeration would exceed the configured size cap."""
+    """An input would exceed a configured size cap: an enumeration's count, a conductor."""

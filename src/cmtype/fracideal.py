@@ -20,15 +20,16 @@ keeps all arithmetic exact: products and colon solves work on polynomial
 representatives and re-window the result, and widening a window is always
 legal (pad rows with zeros, adjoin unit tail rows).
 
-Generators stay rows inside the engine.  ``_generator_rows`` keeps, once
-per ideal, the window rows of a generating set: the stored generators'
-coefficient lists, or the basis rows whose values are not values of m I,
-read off the pivots with no reduction.  ``multiply``, ``colon``,
-``top_rank`` and ``endo_meet_dim`` read those rows.  m I is a span on
-I's own window, never a product ideal (``_maximal_span``), and the one
-place where R-stability, m I <= I, is checked.  A TruncatedSeries
-is made only at the API: parsed generators come in as series, and
-``module_generators`` and ``describe`` hand series out.
+Generators stay rows inside the engine, and an ideal has one generating
+set, whatever it was built from: ``_generator_rows`` keeps, once per
+ideal, the basis rows whose values are not values of m I, read off the
+pivots with no reduction.  ``multiply``, ``colon``, ``top_rank`` and
+``endo_meet_dim`` read those rows.  m I is a span on I's own window,
+never a product ideal (``_maximal_span``), and the one place where
+R-stability, m I <= I, is checked.  A TruncatedSeries is made only at the
+API: parsed generators come in as series, and ``module_generators`` hands
+series out.  The generators an ideal was built from are kept only as the
+label ``describe`` prints.
 
 Colons are nullspaces.  ``colon`` solves one, with unknowns only on the
 columns outside a monomial lower bound it knows: R <= I : I, so I : I is
@@ -129,9 +130,7 @@ class FractionalIdeal:
             row = [zero] * c
             row[i] = one
             rows.append(row)
-        matrix = CoeffMatrix(field, c, rows, positions)
-        gens = [TruncatedSeries.monomial(field, g) for g in ideal.minimal_generators()]
-        return cls(H, field, ideal.delta, matrix, generators=gens)
+        return cls(H, field, ideal.delta, CoeffMatrix(field, c, rows, positions))
 
     @classmethod
     def _build(cls, semigroup, start, matrix):
@@ -195,49 +194,31 @@ class FractionalIdeal:
         """A minimal system of R-module generators, as exact polynomials."""
         if self.semigroup.conductor == 0:
             return [TruncatedSeries.monomial(self.field, self.delta)]
-        # stored generators need not be minimal; otherwise the rows are the picks
-        rows = self._picked_rows() if self.generators else self._generator_rows()
-        return [self._as_series(row) for row in rows]
+        return [self._as_series(row) for row in self._generator_rows()]
 
-    def _picked_rows(self):
-        """The basis rows that form a minimal generating set, read off the values.
+    def _generator_rows(self):
+        """The basis rows that form a minimal generating set, read off the
+        values once per ideal.
 
         A basis row is picked iff its pivot is not a pivot of m I
         (``_maximal_span``), that is, iff its value is not a value of m I.
         With m I they span I: reducing an element of I, each leading cell
         is cleared by the row of m I or the picked row with that pivot.  And
         there are rank_I - rank_mI = mu of them, since m I <= I makes m I's
-        pivots a subset of I's.  So no row is reduced.  For c = 0 the window
-        is empty and I = t^delta k[[t]] has the one generator t^delta, whose
-        row is the empty row.
-        """
-        if self.semigroup.conductor == 0:
-            return [()]
-        taken = set(self._maximal_span().pivots)
-        picked = [row for row, p in zip(self.matrix.rows, self.matrix.pivots) if p not in taken]
-        if len(picked) != self.mu():
-            raise ConsistencyError("generator extraction disagrees with mu")
-        return picked
-
-    def _generator_rows(self):
-        """Rows on I's window of a generating set of I, computed once.
-
-        They are the stored generators' coefficient lists when I was built
-        from generators, else the basis rows whose pivots are not pivots of
-        m I (``_picked_rows``): dim_k I/mI = |v(I) minus v(mI)|, and those
-        rows with m I span I.  A stored generator
-        differs from its row by an element of t^gamma k[[t]], which lies in
-        m I for c >= 1, so the rows generate I too (Nakayama); every row is
-        itself an element of I.  The engine's products, colons and ranks
-        read these rows; series are made only at the API
-        (``module_generators``, ``describe``).
+        pivots a subset of I's.  So no row is reduced, and every row is
+        itself an element of I.  For c = 0 the window is empty and
+        I = t^delta k[[t]] has the one generator t^delta, whose row is the
+        empty row.  The engine's products, colons and ranks read these rows.
         """
         if self._rows is None:
-            if self.generators:
-                c = self.semigroup.conductor
-                self._rows = [g.window_vector(self.delta, c) for g in self.generators]
-            else:
-                self._rows = self._picked_rows()
+            picked = [()]
+            if self.semigroup.conductor:
+                taken = set(self._maximal_span().pivots)
+                picked = [row for row, p in zip(self.matrix.rows, self.matrix.pivots)
+                          if p not in taken]
+            if len(picked) != self.mu():
+                raise ConsistencyError("generator extraction disagrees with mu")
+            self._rows = picked
         return self._rows
 
     def _maximal_span(self):
@@ -318,16 +299,8 @@ class FractionalIdeal:
             if len(terms) == 1:
                 shifts.add(terms[0][0])
                 continue
-            if not terms:  # a stored generator inside the tail
-                continue
             cut = bisect.bisect_left(J.pivots, width - terms[0][0])
-            block = []
-            for b in J.rows[:cut]:
-                row = [0] * width
-                for d, v in terms:
-                    row[d:] = [x + v * y if y else x for x, y in zip(row[d:], b)]
-                block.append(row)
-            blocks.append(block)
+            blocks.append(_convolve(terms, J.rows[:cut], width))
         if shifts:
             first, *rest = sorted(shifts)
             basis = _reframe(J, -first, width)
@@ -440,12 +413,7 @@ class FractionalIdeal:
             return int(d0 == 0)
         products, hs = [], Y._generator_rows()
         for g in X._generator_rows():
-            terms = [(d0 + d, v) for d, v in enumerate(g) if v and d0 + d < c]
-            for h in hs:
-                row = [0] * c
-                for d, v in terms:
-                    row[d:] = [x + v * y if y else x for x, y in zip(row[d:], h)]
-                products.append(row)
+            products += _convolve([(d0 + d, v) for d, v in enumerate(g) if v], hs, c)
         residuals = linalg._reduce_rows(self.field, products, self._maximal_span())
         return _rank(self.field, residuals)
 
@@ -547,6 +515,18 @@ class FractionalIdeal:
 def _rank(field, rows):
     """The rank of a list of rows; the kernels take raw F_p sums of products."""
     return len(linalg._rref(field, [r for r in rows if any(r)])[1])
+
+
+def _convolve(terms, rows, width):
+    """The rows (sum of v t^d over ``terms``) * b, one per row b, cut at the
+    window's end ``width``; a term with d >= width adds nothing."""
+    out = []
+    for b in rows:
+        row = [0] * width
+        for d, v in terms:
+            row[d:] = [x + v * y if y else x for x, y in zip(row[d:], b)]
+        out.append(row)
+    return out
 
 
 def _reframe(matrix, shift, width):

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cmtype
-from cmtype import cli, constructions
-from cmtype.semigroup import NumericalSemigroup
+from cmtype import cli, constructions, semigroup
+from cmtype.semigroup import SEMIGROUP_CONDUCTOR_LIMIT, NumericalSemigroup
 
 DOCUMENT_KEYS = {"schema_version", "command", "input", "timing_ms"}
 KEPT_FLAGS = {
@@ -375,7 +375,8 @@ def test_semigroup_info_at_large_conductor(capsys):
 
 def test_semigroup_info_refuses_conductors_above_the_cap(capsys, monkeypatch):
     # <1001,1002> has conductor 1000 * 1001 = 1,001,000, the least above the
-    # cap of any <a,a+1>; it is refused once H is built, before its gap list
+    # cap of any <a,a+1>; it is refused once the Apery set gives c, before
+    # H's mask and its gap list
     gap_lists = []
     monkeypatch.setattr(NumericalSemigroup, "gaps", lambda H: gap_lists.append(H))
     started = time.perf_counter()
@@ -384,20 +385,43 @@ def test_semigroup_info_refuses_conductors_above_the_cap(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == "" and gap_lists == []
     assert "conductor 1001000 of <1001,1002>" in err
-    assert f"SEMIGROUP_CONDUCTOR_LIMIT = {cli.SEMIGROUP_CONDUCTOR_LIMIT}" in err
+    assert f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT}" in err
     monkeypatch.undo()
     # <4,5> has conductor 12: refused at c = limit + 1, reported at c = limit
-    monkeypatch.setattr(cli, "SEMIGROUP_CONDUCTOR_LIMIT", 11)
+    monkeypatch.setattr(semigroup, "SEMIGROUP_CONDUCTOR_LIMIT", 11)
     assert cli.main(["semigroup", "info", "4,5"]) == cli.EXIT_INPUT
     assert "SEMIGROUP_CONDUCTOR_LIMIT = 11" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "SEMIGROUP_CONDUCTOR_LIMIT", 12)
+    monkeypatch.setattr(semigroup, "SEMIGROUP_CONDUCTOR_LIMIT", 12)
     code, doc = run_json(capsys, ["semigroup", "info", "4,5"])
     assert code == cli.EXIT_OK and doc["semigroup"]["conductor"] == 12
-    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "info", "10000,10001"],
+    ["sup-search", "--semigroup", "10000,10001", "--bound", "3"],
+    ["ideal", "analyze", "--semigroup", "10000,10001", "--gens", "t^10000"],
+])
+def test_every_command_refuses_a_large_conductor_before_the_mask(capsys, argv):
+    # <10000,10001> has conductor 9999 * 10000 = 99,990,000; its member mask
+    # alone ran for minutes, the Apery set gives c in milliseconds
+    started = time.perf_counter()
+    assert cli.main(argv + ["--json"]) == cli.EXIT_INPUT
+    assert time.perf_counter() - started < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "conductor 99990000 of <10000,10001> exceeds the cap" in err
+    assert f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["semigroup", "info"], ["ideal", "analyze"], ["sup-search"], ["enumerate"],
+])
+def test_every_semigroup_help_names_the_conductor_cap(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
     with pytest.raises(SystemExit):
-        cli.main(["semigroup", "info", "--help"])
-    assert f"SEMIGROUP_CONDUCTOR_LIMIT = {cli.SEMIGROUP_CONDUCTOR_LIMIT}" in capsys.readouterr().out
+        cli.main(command + ["--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT} are refused" in help_text
 
 
 def test_series_engine_refuses_conductors_above_the_cap(capsys):

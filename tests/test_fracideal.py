@@ -222,6 +222,28 @@ class TestFromRelative:
             assert matrix.tails() is view
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
+@pytest.mark.parametrize("gens, exponents", [
+    ([1], {-2}), ([1], {0}), ([1], {1}),  # c = 0
+    ([3, 4, 5], {-1, 0, 1}), ([3, 7], {-4, 1}), ([3, 7], {0}), ([4, 5, 6], {1, 6}),
+    ([3, 7], {0, 1, 2}),
+])
+def test_from_relative_reads_its_generators_off_the_values(field, gens, exponents):
+    # no series is stored: describe and module_generators print the picked
+    # rows, which are the unit rows at the minimal generators
+    E = RelativeIdeal.from_exponents(NumericalSemigroup(gens), exponents)
+    I = FractionalIdeal.from_relative(E, field)
+    assert I.generators is None
+    expected = [str(TruncatedSeries.monomial(field, g)) for g in E.minimal_generators()]
+    assert [str(g) for g in I.module_generators()] == expected
+    assert I.describe() == f"({', '.join(expected)}) over {E.semigroup} [{field}]"
+    rows = I._generator_rows()
+    assert len(rows) == len(expected)
+    one, c = field.one(), E.semigroup.conductor
+    for row, g in zip(rows, E.minimal_generators()):
+        assert list(row) == [one if u == g - I.delta else 0 for u in range(c)]
+
+
 class TestEngineAgreement:
     """Monomial inputs: every operation matches the relative-ideal engine."""
 

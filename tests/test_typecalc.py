@@ -326,6 +326,37 @@ def test_series_socle_excess_matches_its_definition(case):
     check_socle_excess(J, a)
 
 
+def report_without_label(ideal):
+    doc = typecalc.classify(ideal).to_dict()
+    del doc["ideal"]  # the generators the ideal was built from, printed as given
+    return doc
+
+
+@st.composite
+def presented_ideals(draw):
+    H = NumericalSemigroup(draw(st.sampled_from(SERIES_POOL)))
+    field = draw(st.sampled_from([QQ, GF(2), GF(32003)]))
+    return draw(generated_ideals(H, field, draw(st.booleans())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(presented_ideals())
+@example(FractionalIdeal.from_generators(H1, QQ, [parse_series("t^-2 + 3*t^4", QQ)]))
+@example(FractionalIdeal.from_generators(H37, GF(2), [parse_series(s, GF(2)) for s in
+                                                       ("t^3 + t^4", "t^7 + t^8", "t^6")]))
+def test_the_report_does_not_depend_on_the_presentation(I):
+    # the engine reads the rows it picks off the values, not the given
+    # generators: a minimal presentation, and one with a redundant t^e g,
+    # report alike in everything but the label
+    H, field, gens = I.semigroup, I.field, I.generators
+    expected = report_without_label(I)
+    minimal = FractionalIdeal.from_generators(H, field, I.module_generators())
+    redundant = FractionalIdeal.from_generators(H, field, [*gens, gens[-1].shift(H.multiplicity)])
+    for other in (minimal, redundant):
+        assert other == I
+        assert report_without_label(other) == expected, (I.describe(), other.describe())
+
+
 # -- the ranks that replace the derived ideals ---------------------------------
 
 
