@@ -233,10 +233,10 @@ def _build_ideal(H, field, gens, engine: str):
             raise ArgumentError("the monomial engine needs single-term generators")
         return RelativeIdeal.from_exponents(H, {g.order for g in gens})
     c = H.conductor
-    if c > SERIES_CONDUCTOR_LIMIT:
-        # the generator shifts that from_generators row-reduces first
-        orders = [g.order for g in gens if g.order is not None]
-        rows = sum(len(H.members(0, min(orders) + c - o)) for o in orders)
+    orders = [g.order for g in gens if g.order is not None]
+    if orders and c > SERIES_CONDUCTOR_LIMIT:  # with none, from_generators names the error
+        # the translates t^h g, h > 0, that from_generators row-reduces first
+        rows = sum(len(H.members(1, min(orders) + c - o)) for o in orders)
         raise ResourceLimitError(
             f"conductor {c} of {H} exceeds the series engine's cap "
             f"SERIES_CONDUCTOR_LIMIT = {SERIES_CONDUCTOR_LIMIT}: its first matrix "

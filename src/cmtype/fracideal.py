@@ -25,11 +25,11 @@ set, whatever it was built from: ``_generator_rows`` keeps, once per
 ideal, the basis rows whose values are not values of m I, read off the
 pivots with no reduction.  ``multiply``, ``colon``, ``top_rank`` and
 ``endo_meet_dim`` read those rows.  m I is a span on I's own window,
-never a product ideal (``_maximal_span``), and the one place where
-R-stability, m I <= I, is checked.  A TruncatedSeries is made only at the
-API: parsed generators come in as series, and ``module_generators`` hands
-series out.  The generators an ideal was built from are kept only as the
-label ``describe`` prints.
+never a product ideal (``_maximal_span``), and R-stability, m I <= I, is
+checked on it unless ``from_generators`` built it.  A TruncatedSeries is
+made only at the API: parsed generators come in as series, and
+``module_generators`` hands series out.  The generators an ideal was
+built from are kept only as the label ``describe`` prints.
 
 Colons are nullspaces.  ``colon`` solves one, with unknowns only on the
 columns outside a monomial lower bound it knows: R <= I : I, so I : I is
@@ -96,10 +96,11 @@ class FractionalIdeal:
     def from_generators(cls, semigroup, field, gens):
         """Ideal generated over R by Laurent series.
 
-        Rows t^h * g for h in H span the ideal modulo t^gamma; the
-        R-stability of the span is verified, not trusted.  g has no term
-        below delta, so the row of t^h g is g's one coefficient list on the
-        window moved h cells right.
+        Modulo t^gamma the translates t^h g, 0 < h < gamma - ord g in H, span
+        m I, kept as ``_maximal_span`` and stable by construction: t^a t^h g
+        is another translate or lies in the tail.  I adds each g's own row to
+        them in one ``linalg.sum_spaces`` call.  g has no term below delta,
+        so the row of t^h g is g's coefficient list moved h cells right.
         """
         gens = [g for g in gens if g.order is not None]
         if not gens:
@@ -109,13 +110,15 @@ class FractionalIdeal:
                 raise ArgumentError(f"generator field {g.field} != ideal field {field}")
         c = semigroup.conductor
         delta = min(g.order for g in gens)
-        zero, rows = field.zero(), []
+        zero, own, rows = field.zero(), [], []
         for g in gens:
             coeffs = g.window_vector(delta, c)  # raises the precision-naming error
-            shifts = semigroup.members(0, delta + c - g.order)
+            own.append(coeffs)
+            shifts = semigroup.members(1, delta + c - g.order)
             rows += [[zero] * h + coeffs[:c - h] for h in shifts]
-        ideal = cls(semigroup, field, delta, CoeffMatrix(field, c, rows), generators=gens)
-        ideal.validate()
+        span = CoeffMatrix(field, c, rows)
+        ideal = cls(semigroup, field, delta, linalg.sum_spaces(span, own), generators=gens)
+        ideal._mspan = span
         return ideal
 
     @classmethod
@@ -145,16 +148,6 @@ class FractionalIdeal:
         if out.rows and out.pivots[0] != 0:
             raise ConsistencyError("window minimum drifted during normalization")
         return cls(semigroup, matrix.field, delta, out)
-
-    def validate(self):
-        """Runtime checks of the representation invariants (loud on failure),
-        R-stability by building m I (``_maximal_span``)."""
-        if self.matrix.rows:
-            if self.matrix.pivots[0] != 0:
-                raise ConsistencyError("lowest basis order differs from delta")
-        elif self.gamma > self.delta:
-            raise ConsistencyError("empty basis on a nonempty window")
-        self._maximal_span()
 
     # -- views --------------------------------------------------------------
 
@@ -222,10 +215,11 @@ class FractionalIdeal:
         return self._rows
 
     def _maximal_span(self):
-        """m I on I's window, built once, with m I <= I checked on it: the
-        ideal's one R-stability check, as t^a I <= I for each generator a of
-        H iff m I <= I.  m I is the sum of the t^a I, I's basis moved a cells
-        right, added to the lowest, t^e I.  For c >= 1, m I holds
+        """m I on I's window, built once.  ``from_generators`` keeps the
+        span of its translates here; for any other ideal it is the sum of
+        the t^a I over the generators a of H, I's basis moved a cells right,
+        added to the lowest, t^e I, with m I <= I checked on it, as
+        t^a I <= I for each a iff m I <= I.  For c >= 1, m I holds
         t^gamma k[[t]] (t^(x - delta) is in m for x >= gamma), so the window
         modulo this span is I/mI."""
         if self._mspan is None:
@@ -449,17 +443,14 @@ class FractionalIdeal:
         gens = [g.shift(s) for g in self.generators] if self.generators else None
         return FractionalIdeal(self.semigroup, self.field, self.delta + s, self.matrix, gens)
 
-    def contains_ideal(self, sub) -> bool:
-        return self._contains(sub)
-
     def quotient_length(self, sub) -> int:
         """dim_k(I/J) for J <= I, off the ranks: I holds the tail from gamma_I
         and J from gamma_J, so l(I/J) = rank_I + (gamma_J - gamma_I) - rank_J."""
-        if not self._contains(sub):
+        if not self.contains_ideal(sub):
             raise ContainmentError(f"{sub.describe()} is not contained in {self.describe()}")
         return self.matrix.rank + sub.gamma - self.gamma - sub.matrix.rank
 
-    def _contains(self, sub) -> bool:
+    def contains_ideal(self, sub) -> bool:
         """J <= I, for delta_J >= delta_I, iff J's rows cut to I's window lie
         in I's span: their cells past it form an element of I's tail."""
         self._check_same(sub)

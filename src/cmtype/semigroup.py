@@ -29,7 +29,7 @@ from .errors import ArgumentError, ConsistencyError, ResourceLimitError
 # 0.2 s, and `semigroup info`, which lists every gap, takes 0.4 s and 77 MB and
 # writes 6.9 MB of --json; at c = 36 M it takes 62 s, 2.2 GB and 278 MB.  Above
 # the cap the constructor refuses H once c is read off the Apery set, before
-# the mask is built.
+# the mask is built, and a multiplicity e above it (c >= e) before the Apery set.
 SEMIGROUP_CONDUCTOR_LIMIT = 10**6
 
 
@@ -57,16 +57,15 @@ class NumericalSemigroup:
             raise ArgumentError(f"gcd({', '.join(map(str, gens))}) != 1: not a numerical semigroup")
 
         e = gens[0]
+        if e > SEMIGROUP_CONDUCTOR_LIMIT:
+            # 1, ..., e - 1 are gaps, so c >= e: refused before the e-entry Apery set
+            raise _over_the_cap(f"conductor (at least the multiplicity {e})", gens)
         self.multiplicity = e
         self._apery_mod_e = _apery_by_shortest_path(gens, e)
         self.frobenius = max(self._apery_mod_e) - e
         c = self.conductor = self.frobenius + 1
         if c > SEMIGROUP_CONDUCTOR_LIMIT:
-            # the minimal generators are read off the mask, so name the input
-            raise ResourceLimitError(
-                f"conductor {c} of <{','.join(map(str, gens))}> exceeds the cap "
-                f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT}"
-            )
+            raise _over_the_cap(f"conductor {c}", gens)
 
         # H on [0, c) is w, w + e, w + 2e, ... for each Apery element w;
         # the stride sets bits 0, e, ..., (n - 1)e, a geometric series in 2^e.
@@ -271,6 +270,14 @@ def _set_bits(mask: int):
     """
     flags = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
     return list(itertools.compress(range(len(flags)), flags))
+
+
+def _over_the_cap(what, gens):
+    # the minimal generators are read off the mask, so name the input
+    return ResourceLimitError(
+        f"{what} of <{','.join(map(str, gens))}> exceeds the cap "
+        f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT}"
+    )
 
 
 def _apery_by_shortest_path(gens, e):

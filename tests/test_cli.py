@@ -413,6 +413,23 @@ def test_every_command_refuses_a_large_conductor_before_the_mask(capsys, argv):
     assert f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT}" in err
 
 
+def test_a_large_multiplicity_is_refused_before_the_apery_set(capsys, monkeypatch):
+    # 1, ..., e - 1 are gaps, so c >= e; an e-entry Apery list at e = 20,000,003
+    # had taken 3.5 s and 781 MB before the conductor was refused
+    started = time.perf_counter()
+    assert cli.main(["semigroup", "info", "20000003,20000004", "--json"]) == cli.EXIT_INPUT
+    assert time.perf_counter() - started < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("conductor (at least the multiplicity 20000003) of <20000003,20000004> exceeds "
+            f"the cap SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT}") in err
+    # <4,5>: e = 4 above a cap of 3 is refused before c = 12 is known
+    monkeypatch.setattr(semigroup, "SEMIGROUP_CONDUCTOR_LIMIT", 3)
+    monkeypatch.setattr(semigroup, "_apery_by_shortest_path", None)
+    assert cli.main(["semigroup", "info", "4,5"]) == cli.EXIT_INPUT
+    assert "multiplicity 4) of <4,5>" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["semigroup", "info"], ["ideal", "analyze"], ["sup-search"], ["enumerate"],
 ])
@@ -430,12 +447,21 @@ def test_series_engine_refuses_conductors_above_the_cap(capsys):
     assert cli.main(["ideal", "analyze", *H, "t^40 + t^41, t^80"]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert f"SERIES_CONDUCTOR_LIMIT = {cli.SERIES_CONDUCTOR_LIMIT}" in err
-    assert "1521 x 1560" in err  # 780 + 741 generator shifts, 1560 columns
+    # 779 + 740 translates t^h g with h > 0, the rows reduced first; 1560 columns
+    assert "1519 x 1560" in err
     code, doc = run_json(capsys, ["ideal", "analyze", *H, "t^40, t^41"])
     assert code == cli.EXIT_OK and doc["report"]["engine"] == "monomial"
     with pytest.raises(SystemExit):
         cli.main(["ideal", "analyze", "--help"])
     assert f"SERIES_CONDUCTOR_LIMIT = {cli.SERIES_CONDUCTOR_LIMIT}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("semigroup", ["3,4", "30,31"])
+def test_all_zero_generators_are_named_at_every_conductor(capsys, semigroup):
+    # <30,31> has conductor 870, above the series engine's cap
+    argv = ["ideal", "analyze", "--semigroup", semigroup, "--gens", "0"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: need at least one nonzero generator\n"
 
 
 @pytest.mark.parametrize("command", ["sup-search", "enumerate"])

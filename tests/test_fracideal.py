@@ -47,7 +47,8 @@ class TestConstruction:
         I = series_ideal(H37, GF(5), "t^6 - 2*t^7", "t^10")
         assert (I.delta, I.gamma) == (6, 18)
         assert not I.is_monomial()
-        I.validate()
+        # delta is the lowest value, and the span is stable under t^3 and t^7
+        assert I.matrix.pivots[0] == 0 and series_stable(I)
 
     def test_dvr_whole_ring(self):
         H1 = NumericalSemigroup([1])
@@ -371,7 +372,7 @@ class TestRowLayerReference:
                     ideals.append([TruncatedSeries(field, c) for c in coeffs])
                 yield H, field, ideals
 
-    def test_multiply_colon_validate(self):
+    def test_multiply_colon_stability(self):
         corrupted_unstable = 0
         for H, field, (gens_i, gens_j) in self.instances():
             I = FractionalIdeal.from_generators(H, field, gens_i)
@@ -384,7 +385,7 @@ class TestRowLayerReference:
                 assert results[-1] == series_colon(a, b)
             for X in [I, J] + results:
                 assert series_stable(X)
-                X.validate()
+                X._maximal_span()  # kept by from_generators, built and checked otherwise
                 if X.matrix.rank < 3:
                     continue
                 rows = list(X.matrix.rows)
@@ -396,11 +397,11 @@ class TestRowLayerReference:
                     CoeffMatrix(field, H.conductor, rows, pivots),
                 )
                 if series_stable(broken):
-                    broken.validate()
+                    broken._maximal_span()
                 else:
                     corrupted_unstable += 1
                     with pytest.raises(ConsistencyError, match="not stable"):
-                        broken.validate()
+                        broken._maximal_span()
         assert corrupted_unstable > 0
 
     def test_module_generators_match_the_greedy_extraction(self):
@@ -474,7 +475,7 @@ class TestColonBruteForce:
             checked += 1
 
 
-def test_validate_on_random_operation_results():
+def test_random_operation_results_are_stable_ideals():
     rng = random.Random(24)
     for _ in range(25):
         H = NumericalSemigroup(rng.choice(SERIES_POOL))
@@ -491,7 +492,11 @@ def test_validate_on_random_operation_results():
         I = FractionalIdeal.from_generators(H, field, gens)
         K = I.canonical_ideal()
         for result in (I, I.colon(I), I.multiply(I), K.colon(I), I.intersect(K), I.add(K)):
-            result.validate()
+            # delta is the lowest value; m I is built and checked for every
+            # result but I, whose stability is checked independently
+            assert result.matrix.pivots[0] == 0
+            result._maximal_span()
+            assert series_stable(result)
 
 
 def rereduced_window(H, start, matrix):
@@ -607,11 +612,17 @@ def test_multiply_and_add_match_the_full_stack(pair):
 
 
 @st.composite
-def duality_cases(draw):
-    """A series ideal, shifted by -3..3, over the DVR, <2,3> or a small pool semigroup."""
+def entered_ideals(draw):
+    """A ``from_generators`` ideal over the DVR, <2,3> (c = e) or a small pool semigroup."""
     H = NumericalSemigroup(draw(st.sampled_from([[1]] + SERIES_POOL)))
     field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
-    return draw(generated_ideals(H, field)).shift(draw(st.integers(-3, 3)))
+    return draw(generated_ideals(H, field))
+
+
+@st.composite
+def duality_cases(draw):
+    """An entered ideal shifted by -3..3; the shift keeps no m I."""
+    return draw(entered_ideals()).shift(draw(st.integers(-3, 3)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -638,8 +649,27 @@ def test_canonical_duality_and_the_gap_colon(I):
 @example(series_ideal(NumericalSemigroup([2, 3]), GF(3), "t^-1 + 2*t^0", "t^2"))  # c = e
 @example(series_ideal(H37, GF(2), "t^3 + t^4", "t^7"))
 def test_maximal_product_is_the_product_with_m(I):
-    # m I, built as a span on I's own window, against the product ideal m I
-    # moved to that window; for c = 0 the window is empty and mu = 1
+    # m I, built as a span on I's own window (and checked, for a shifted
+    # ideal), against the product ideal m I moved to that window
+    assert_maximal_span_is_the_product(I)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entered_ideals())
+@example(series_ideal(NumericalSemigroup([1]), QQ, "t^-2 + t"))  # c = 0
+@example(series_ideal(NumericalSemigroup([2, 3]), GF(3), "t^-1 + 2*t^0", "t^2"))  # c = e
+@example(series_ideal(H37, GF(2), "t^3 + t^4", "t^7"))
+@example(series_ideal(H456, GF(32003), "t^4 + 5*t^5 - t^7", "t^6 + t^9", "t^11"))
+def test_the_kept_maximal_span_is_the_product_with_m(I):
+    # from_generators keeps the span of the translates t^h g, h > 0, as m I
+    # without checking it: it must be the product m I, row for row
+    assert I._mspan is not None
+    assert_maximal_span_is_the_product(I)
+
+
+def assert_maximal_span_is_the_product(I):
+    """``_maximal_span()`` is the product m I moved onto I's window, row for
+    row, and mu is l(I/mI); for c = 0 the window is empty and mu = 1."""
     span = I._maximal_span()
     expected = I.maximal_ideal().multiply(I)
     moved = fracideal._reframe(expected.matrix, I.delta - expected.delta, I.semigroup.conductor)
@@ -852,7 +882,7 @@ class TestWorkCounts:
     def test_predicates_reduce_once_without_member(self, monkeypatch, field):
         I = series_ideal(H37, field, "t^6 - t^7", "t^10")
         R = I.unit_ideal()
-        I.validate()  # m I on I's window, which mu and module_generators read
+        # from_generators kept m I on I's window, which mu and module_generators read
         members = self.count_calls(monkeypatch, linalg, "member")
         reductions = self.count_calls(monkeypatch, linalg, "_reduce_rows")
         counts = {}
@@ -874,20 +904,28 @@ class TestWorkCounts:
         assert members == []
 
     @pytest.mark.parametrize("H", [H37, H345])
-    def test_validate_builds_one_maximal_span_once(self, monkeypatch, H):
-        built = series_ideal(H, GF(7), "t^6 - t^7", "t^10")
-        I = FractionalIdeal(H, built.field, built.delta, built.matrix)  # no span kept yet
+    def test_one_maximal_span_per_ideal(self, monkeypatch, H):
         sums = self.count_calls(monkeypatch, linalg, "sum_spaces")
         reductions = self.count_calls(monkeypatch, linalg, "_reduce_rows")
-        I.validate()
-        # m I is one sum of I's moved bases; m I <= I is one reduction modulo I
+        built = series_ideal(H, GF(7), "t^6 - t^7", "t^10")
+        # the generators' own rows are added to the span of their translates,
+        # which is kept as m I: nothing more is summed or reduced to read it
         assert len(sums) == 1
+        before = len(reductions)
+        built._maximal_span()
+        built.mu()
+        built.module_generators()
+        assert len(sums) == 1 and len(reductions) == before
+        # an ideal made by __init__ builds m I and checks m I <= I once
+        I = FractionalIdeal(H, built.field, built.delta, built.matrix)
+        I._maximal_span()
+        assert len(sums) == 2
         assert sum(1 for _, _, basis in reductions if basis is I.matrix) == 1
         before = len(reductions)
-        I.validate()
-        I.mu()
         I._maximal_span()
-        assert len(sums) == 1 and len(reductions) == before  # checked once
+        I.mu()
+        assert len(sums) == 2 and len(reductions) == before  # checked once
+        assert I._maximal_span().rows == built._maximal_span().rows
 
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_classify_never_squares_a_principal_ideal(self, monkeypatch, field):

@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from cmtype.errors import ArgumentError, ConsistencyError
-from cmtype.semigroup import NumericalSemigroup, _apery_by_shortest_path
+from cmtype.errors import ArgumentError, ConsistencyError, ResourceLimitError
+from cmtype.semigroup import SEMIGROUP_CONDUCTOR_LIMIT, NumericalSemigroup, _apery_by_shortest_path
 from helpers import random_semigroup
 
 
@@ -227,3 +228,16 @@ def test_two_generator_apery_in_closed_form(e, b, multiples):
     members = brute_members(gens, (e - 1) * b)
     assert closed == [min(x for x in members if x % e == r) for r in range(e)]
     assert NumericalSemigroup(gens).frobenius == e * b - e - b
+
+
+@pytest.mark.parametrize("e", [SEMIGROUP_CONDUCTOR_LIMIT + 1, 20_000_003])
+def test_a_multiplicity_above_the_cap_allocates_nothing_of_its_size(e):
+    # c >= e, so H is refused before its e-entry Apery list
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"multiplicity {e}\\)"):
+            NumericalSemigroup([e, e + 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

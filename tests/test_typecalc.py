@@ -596,12 +596,14 @@ class TestWorkCounts:
         field = GF(5)
         gens = [parse_series(s, field) for s in ("t^3 - t^4", "t^5")]
         I = FractionalIdeal.from_generators(H345, field, gens)
-        record = []
+        record, lengths = [], []
         count_calls(monkeypatch, FractionalIdeal, "contains_ideal", record)
+        count_calls(monkeypatch, FractionalIdeal, "quotient_length", lengths)
         report = typecalc.classify(I)
         assert report.proper and report.consistent
-        # R >= I alone: the trace pre-test R:m <= I:I is the rank excess = r(R)
-        assert [sub for _, sub in record] == [I]
+        # R >= I alone, besides the containment each length checks first: the
+        # trace pre-test R:m <= I:I is the rank excess = r(R)
+        assert [sub for _, sub in record] == [I] + [sub for _, sub in lengths]
 
     @pytest.mark.parametrize("gens, exprs, ulrich", [
         ([3, 7], ("t^6 - t^7", "t^10"), True),
