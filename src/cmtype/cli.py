@@ -268,20 +268,22 @@ def _cmd_semigroup_info(args):
     return {"generators": args.generators}, body, lines, True
 
 
-def _report_lines(rep) -> list:
-    lines = [
+def _report_lines(rep):
+    """The text report, line by line; a generator, so --json formats none of it."""
+    yield (
         f"H = {rep.semigroup}  (e={rep.invariants.multiplicity}, "
-        f"r(R)={rep.invariants.type}, gorenstein={rep.invariants.is_symmetric})",
-        f"ideal  {rep.ideal}  [{rep.engine} engine]",
-        f"  mu = {rep.mu}   r_R(I) = {rep.module_type}   r(R/I) = {rep.quotient_type}",
+        f"r(R)={rep.invariants.type}, gorenstein={rep.invariants.is_symmetric})"
+    )
+    yield f"ideal  {rep.ideal}  [{rep.engine} engine]"
+    yield f"  mu = {rep.mu}   r_R(I) = {rep.module_type}   r(R/I) = {rep.quotient_type}"
+    yield (
         f"  r(R x I) = {rep.idealization.value}  "
         f"(socle {rep.idealization.socle_value}, cokernel {rep.idealization.cokernel_value}, "
-        f"excess {rep.idealization.socle_excess})",
-        "  flags: " + ", ".join(k for k, v in rep.flags.items() if v),
-    ]
+        f"excess {rep.idealization.socle_excess})"
+    )
+    yield "  flags: " + ", ".join(k for k, v in rep.flags.items() if v)
     for v in rep.verdicts:
-        lines.append(f"  [{'ok' if v.passed else 'FAIL'}] {v.name}: {v.detail}")
-    return lines
+        yield f"  [{'ok' if v.passed else 'FAIL'}] {v.name}: {v.detail}"
 
 
 def _cmd_ideal_analyze(args):

@@ -42,6 +42,7 @@ the rows must already be canonical and reduced, with those pivots.
 """
 
 import bisect
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,7 +112,9 @@ class FieldSpec:
 QQ = FieldSpec("rationals")
 
 
+@functools.cache
 def GF(p: int) -> FieldSpec:
+    """F_p, built once per prime: the primality test runs on the first call."""
     return FieldSpec("prime_field", p)
 
 

@@ -9,31 +9,39 @@ int is negative in two's complement, ``window | -1 << c``.  Two relative
 ideals are equal iff their (delta, mask) pairs coincide.
 
 Every operation is whole-int arithmetic on these infinite-tail ints, with
-h the mask of H (tail included) and _at(s) the mask of an ideal shifted to
-origin s (a left or an arithmetic right shift):
+h the mask of H (tail included), _at(s) the mask of an ideal shifted to
+origin s (a left or an arithmetic right shift), and the generator mask of
+E, E minus (E + M) with M = H minus 0, whose bit j is the minimal generator
+delta_E + j:
 
   * H-stability: (mask << a) & ~mask == 0 for each generator a;
   * the ideal generated by g_1 < ... < g_k: OR of h << (g_i - g_1);
   * E + F, E meet F: OR, AND of both masks at min, max of the deltas;
-  * E F: OR of F._at(delta_E + delta_F - g) over the generators g of E;
-  * E - F: AND of E._at(delta_E - delta_F + g) over the generators g of F,
-    and the members f of E - E among given exponents are bit tests of the
-    AND for F = E, with no ideal built;
-  * the image of X Y in M/mM: the sums g + h of generators that are
-    minimal generators of M;
+  * E F: OR of F's mask << j over the set bits j of E's generator mask,
+    at origin delta_E + delta_F;
+  * E - F: AND of E's mask >> j over the set bits j of F's generator mask,
+    at origin delta_E - delta_F; the members of E - E among given
+    exponents are the bit count of that AND for F = E against their mask,
+    with no ideal built;
+  * the image of X Y in M/mM: the OR of X's generator mask << (d0 + j)
+    over the set bits j of Y's, d0 = delta_X + delta_Y - delta_M, ANDed
+    with M's generator mask; its dimension is the bit count;
   * F <= E: F's mask AND NOT E._at(delta_F) is zero, and the length of
     E/F counts the bits of E's mask AND NOT F._at(delta_E);
-  * minimal generators: mask & ~OR of mask << a over the generators a of
-    H, read off the set bits;
+  * minimal generators: the generator mask, mask & ~OR of mask << a over
+    the generators a of H; mu is its bit count;
   * normalization to the least member j of a mask: mask >> j.
 
-A RelativeIdeal is immutable, so it keeps its minimal generators in a slot
-once they are read off, and every later ``mu``, ``multiply`` or ``colon``
-reuses them.  ``__init__`` checks every mask it is given: the bit of delta
-is set, the bits past the window match the tail, and the mask is H-stable.
-Those three checks read the mask alone, never delta, so ``shift`` copies a
-checked mask to a new delta without running them again (and moves the
-kept generators along); every other construction runs them.
+``__init__`` checks every mask it is given: the bit of delta is set, the
+bits past the window match the tail, and the mask is H-stable.  The
+stability check shifts the mask by each generator a of H, so the same loop
+ORs those shifts, and a RelativeIdeal keeps its generator mask in a slot
+from the start.  The operations above read only its set bits; generator
+positions are read off it only for output (``minimal_generators``, which
+``describe``, the CLI and the colon's error message call).  The three
+checks read the mask alone, never delta, so ``shift`` copies a checked mask
+and its generator mask to a new delta without running them again; every
+other construction runs them.
 """
 
 import functools
@@ -43,7 +51,7 @@ from .semigroup import NumericalSemigroup
 
 
 class RelativeIdeal:
-    __slots__ = ("semigroup", "delta", "_mask", "_gens")
+    __slots__ = ("semigroup", "delta", "_mask", "_gen_mask")
 
     engine = "monomial"
 
@@ -58,7 +66,6 @@ class RelativeIdeal:
         c = semigroup.conductor
         bits = mask | -1 << c
         self._mask = bits
-        self._gens = None
         if not bits & 1:
             raise ConsistencyError(
                 f"ideal over {semigroup} with delta {delta} does not contain {delta}: "
@@ -71,14 +78,18 @@ class RelativeIdeal:
                 f"ideal over {semigroup} with delta {delta} {'has' if mask >= 0 else 'lacks'} "
                 f"exponent {x} in its mask, past the window [{delta}, {delta + c})"
             )
+        covered = 0  # the mask of E + M, M = H \ {0}
         for a in semigroup.generators:
-            escaped = (bits << a) & ~bits
+            moved = bits << a
+            escaped = moved & ~bits
             if escaped:
                 x = delta + (escaped & -escaped).bit_length() - 1 - a
                 raise ConsistencyError(
                     f"ideal over {semigroup} with delta {delta} and mask {mask:#x} "
                     f"is not H-stable: {x} + {a} = {x + a} escapes it"
                 )
+            covered |= moved
+        self._gen_mask = bits & ~covered
 
     @classmethod
     def from_exponents(cls, semigroup: NumericalSemigroup, gens) -> "RelativeIdeal":
@@ -118,27 +129,17 @@ class RelativeIdeal:
         return self._at(start) & ((1 << length) - 1)
 
     def minimal_generators(self):
-        """E \\ (E + M) with M = H \\ {0}; always inside [delta, delta + c).
+        """E \\ (E + M) with M = H \\ {0}, increasing; always inside [delta, delta + c).
 
-        E + M is the union of the E + a over the generators a of H, whose
-        mask is mask << a.  Computed on the first call and kept.
+        Read off the generator mask that ``__init__`` keeps.
         """
-        if self._gens is None:
-            mask = self._mask
-            covered = 0
-            for a in self.semigroup.generators:
-                covered |= mask << a
-            free = mask & ~covered
-            out = []
-            while free:
-                low = free & -free
-                out.append(self.delta + low.bit_length() - 1)
-                free ^= low
-            self._gens = tuple(out)
-        return self._gens
+        delta = self.delta
+        return tuple(delta + j for j in _offsets(self._gen_mask))
 
     def mu(self) -> int:
-        return len(self.minimal_generators())
+        """dim_k E/mE, the number of minimal generators: the bit count of
+        the generator mask, with no position read."""
+        return self._gen_mask.bit_count()
 
     def is_principal(self) -> bool:
         return self.mu() == 1
@@ -160,31 +161,31 @@ class RelativeIdeal:
     def multiply(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Minkowski sum {x + y}: the ideal product."""
         self._check_same(other)
-        start = self.delta + other.delta
-        bits = 0
-        for g in self.minimal_generators():
-            bits |= other._at(start - g)
-        return RelativeIdeal(self.semigroup, start, bits)
+        mask, bits = other._mask, 0
+        for j in _offsets(self._gen_mask):  # the generator delta_E + j of E
+            bits |= mask << j
+        return RelativeIdeal(self.semigroup, self.delta + other.delta, bits)
 
     def colon(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """E - F = {z : z + F <= E}.
 
         Testing z against the minimal generators of F suffices (H-stability
-        of E covers the rest), so the mask is the AND of the masks of E at
-        start + g, start = delta_E - delta_F.  No z < start can pass, and
-        every z >= start + c must: the bound check covers each of them, and
-        names the least z that fails and a generator g of F it fails on.
+        of E covers the rest), so at origin start = delta_E - delta_F the
+        mask is the AND of E's mask >> j over the generators delta_F + j of
+        F.  No z < start can pass, and every z >= start + c must: the bound
+        check covers each of them, and names the least z that fails and a
+        generator g of F it fails on.
         """
         self._check_same(other)
         H = self.semigroup
         c = H.conductor
-        gens = other.minimal_generators()
         start = self.delta - other.delta
-        bits = -1
-        for g in gens:
-            bits &= self._at(start + g)
+        mask, bits = self._mask, -1
+        for j in _offsets(other._gen_mask):
+            bits &= mask >> j
         missing = ~bits >> c
         if missing:
+            gens = other.minimal_generators()
             z = start + c + (missing & -missing).bit_length() - 1
             g = next(g for g in gens if not self.contains(z + g))
             raise ConsistencyError(
@@ -200,24 +201,42 @@ class RelativeIdeal:
 
         M/mM has the minimal generators of M as a basis, and X Y is spanned
         by the t^(g + h) over the generators g of X and h of Y; each lies
-        in M, so in m M unless g + h is a minimal generator of M.
+        in M, so in m M unless g + h is a minimal generator of M.  On M's
+        origin, the sums for the generator h = delta_Y + j of Y are X's
+        generator mask << (d0 + j), d0 = delta_X + delta_Y - delta_M, so the
+        rank is the bit count of their OR over h ANDed with M's generator
+        mask, and no generator position is read.  X Y <= M needs d0 >= 0,
+        so every shift is a left shift.
         """
         self._check_same(X)
         self._check_same(Y)
-        sums = {g + h for g in X.minimal_generators() for h in Y.minimal_generators()}
-        return len(sums.intersection(self.minimal_generators()))
+        d0 = X.delta + Y.delta - self.delta
+        if d0 < 0:
+            raise ContainmentError(
+                f"the product of {X.describe()} and {Y.describe()} is not in {self.describe()}"
+            )
+        gx, sums = X._gen_mask, 0
+        for j in _offsets(Y._gen_mask):
+            sums |= gx << (d0 + j)
+        return (sums & self._gen_mask).bit_count()
 
     def endo_meet_dim(self, exponents) -> int:
         """dim_k(span{t^f : f in exponents} meet (E - E)), without building E - E.
 
-        The mask of E - E at origin 0 is the AND of E's masks at the
-        generators g of E (``colon``), so each f is one bit test; E - E has
-        no negative member.
+        The mask of E - E at origin 0 is the AND of E's mask >> j over the
+        generators delta + j of E (``colon``), so the answer is the bit
+        count of that AND against the mask of the exponents: E - E has no
+        negative member, so negative exponents are dropped, and a repeated
+        one sets one bit.
         """
-        bits = -1
-        for g in self.minimal_generators():
-            bits &= self._at(g)
-        return sum(1 for f in set(exponents) if f >= 0 and bits >> f & 1)
+        mask, bits = self._mask, -1
+        for j in _offsets(self._gen_mask):
+            bits &= mask >> j
+        wanted = 0
+        for f in exponents:
+            if f >= 0:
+                wanted |= 1 << f
+        return (bits & wanted).bit_count()
 
     def intersect(self, other: "RelativeIdeal") -> "RelativeIdeal":
         self._check_same(other)
@@ -230,11 +249,12 @@ class RelativeIdeal:
         """Multiplication by t^s: E + s, the same mask at delta + s.
 
         The checks of ``__init__`` read only the mask, which passed them
-        when E was built, so the copy skips them.
+        when E was built, so the copy skips them; the generator mask, bit
+        i <-> delta + i too, carries over unchanged.
         """
         out = object.__new__(RelativeIdeal)
-        out.semigroup, out.delta, out._mask = self.semigroup, self.delta + s, self._mask
-        out._gens = None if self._gens is None else tuple(g + s for g in self._gens)
+        out.semigroup, out.delta = self.semigroup, self.delta + s
+        out._mask, out._gen_mask = self._mask, self._gen_mask
         return out
 
     def quotient_length(self, sub: "RelativeIdeal") -> int:
@@ -291,6 +311,20 @@ class RelativeIdeal:
 
     def __repr__(self):
         return f"RelativeIdeal({self.describe()})"
+
+
+def _offsets(mask: int) -> list:
+    """Positions of the set bits of a nonnegative mask, increasing.
+
+    A generator mask has at most e set bits, so one step per bit beats
+    ``semigroup._set_bits``, whose cost grows with the mask's width.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @functools.cache

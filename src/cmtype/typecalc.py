@@ -62,6 +62,7 @@ R:I = (K I)^perp when K != R, the socle excess is r(R) and K I != I (see
 colons by the definitions.
 """
 
+import collections
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ConsistencyError, ContainmentError
@@ -152,14 +153,12 @@ def _cokernel_mu(ideal, K, dual):
     return K.mu() - K.top_rank(dual, ideal)
 
 
-@dataclass(frozen=True)
-class IdealizationType:
-    value: int
-    module_type: int
-    socle_excess: int
-    cokernel_mu: int
-    socle_value: int
-    cokernel_value: int
+# A named tuple: a frozen dataclass's __init__ sets each field through
+# object.__setattr__, and a sweep builds one record per enumerated ideal.
+IdealizationType = collections.namedtuple(
+    "IdealizationType",
+    ["value", "module_type", "socle_excess", "cokernel_mu", "socle_value", "cokernel_value"],
+)
 
 
 def idealization_type(ideal, a: int | None = None) -> IdealizationType:

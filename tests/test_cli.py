@@ -252,8 +252,16 @@ def test_usage_errors_and_help_leave_no_formatter_cycles(capsys, argv, code):
     assert not {"HelpFormatter", "_HelpFormatter", "_Section"} & set(kinds), kinds
 
 
-# text with quotes, backslashes, control and non-ASCII characters
-JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028'))
+# text with quotes, backslashes, control and non-ASCII characters: runs of
+# st.characters() and of the listed ones, joined.  A run is one draw, where a
+# text over the union of the two alphabets draws each character on its own.
+JSON_SPECIALS = '"\\\x00\x1f\x7f\u00e9\u2028'
+JSON_TEXT = st.lists(st.text() | st.text(JSON_SPECIALS), max_size=3).map("".join)
+# dict keys of at most 8 characters, from the same two alphabets: a key equal
+# to one already drawn is drawn again, so keys are kept cheap
+JSON_KEYS = st.lists(
+    st.text(max_size=4) | st.text(JSON_SPECIALS, max_size=4), max_size=2
+).map("".join)
 JSON_SCALARS = [
     st.none(),
     st.booleans(),
@@ -267,7 +275,7 @@ JSON_VALUES = st.recursive(
         st.lists(kids),
         st.lists(kids).map(tuple),
         st.one_of([st.lists(scalar, min_size=1) for scalar in JSON_SCALARS]),
-        st.dictionaries(JSON_TEXT, kids),
+        st.dictionaries(JSON_KEYS, kids),
     ),
     max_leaves=40,
 )

@@ -3,12 +3,17 @@ semigroup invariants against explicit-set oracles, at conductors up to 80.
 
 The oracles know H only through brute-force sums of the given generators
 and an ideal only through its given generators, so they share nothing with
-the member mask, the Apery set or the minimal generators they check.
+the member mask, the Apery set or the minimal generators they check.  The
+counts read off generator masks (mu, top_rank, endo_meet_dim) are checked
+against those oracles and against the series engine, which computes them
+as ranks of coefficient rows and shares no code with the masks.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmtype.fracideal import FractionalIdeal
+from cmtype.linalg import GF, QQ
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup, _set_bits
 from helpers import MAX_GENERATOR, semigroups
@@ -104,21 +109,19 @@ def test_ideal_operations_against_sets(case):
 @given(ideal_pairs(), st.integers(-40, 40))
 @example(([1], NumericalSemigroup([1]), [-1, 1], [0]), 3)
 def test_kept_generators_match_the_oracle(case, s):
-    """The generator set an ideal keeps, read before and after its operands'
-    sets are kept, and the set a shift carries, against the set oracle."""
+    """The generator mask each result keeps, read as positions and as mu,
+    after every operation and after shifting each result, against the set
+    oracle."""
     gens, H, ge, gf = case
     oracle = Oracle(gens)
     c = H.conductor
     E = RelativeIdeal.from_exponents(H, ge)
     F = RelativeIdeal.from_exponents(H, gf)
-    fresh = [E.shift(s), E.add(F), E.multiply(F), F.multiply(E), E.colon(F), E.intersect(F)]
-    E.mu(), F.mu()
-    kept = [E.shift(s), E.add(F), E.multiply(F), F.multiply(E), E.colon(F), E.intersect(F)]
-    assert fresh == kept
-    for X in [E, F] + fresh + kept + [X.shift(-s) for X in kept]:
+    results = [E.shift(s), E.add(F), E.multiply(F), F.multiply(E), E.colon(F),
+               E.intersect(F), E.canonical_dual()]
+    for X in [E, F] + results + [X.shift(-s) for X in results]:
         expected = oracle_generators(X, oracle, c)
         assert X.minimal_generators() == expected
-        assert X.minimal_generators() == expected  # the kept set, read again
         assert X.mu() == len(expected)
 
 
@@ -135,6 +138,118 @@ def test_shift_is_the_ideal_of_the_moved_generators(case, s):
         assert X == moved and hash(X) == hash(moved)
         assert X.minimal_generators() == moved.minimal_generators()
         assert X.shift(-s) == E
+
+
+def set_generators(oracle, member, lo, c):
+    """The minimal generators of the ideal {z >= lo : member(z)} by their
+    definition: the members that are no member plus a nonzero element of H.
+    None lies at or past delta + c."""
+    delta = lo
+    while not member(delta):
+        delta += 1
+    below = [z for z in range(delta, delta + c + 1) if member(z)]
+    return {x for i, x in enumerate(below) if not any(oracle.in_h(x - y) for y in below[:i])}
+
+
+@st.composite
+def rank_cases(draw, semigroup_strategy=semigroups()):
+    """X, Y and the exponents of a third ideal M = X Y + Z, so X Y <= M."""
+    gens, H = draw(semigroup_strategy)
+    c = max(H.conductor, 2)
+    exponents = st.lists(st.integers(-c, 2 * c), min_size=1, max_size=4)
+    gx, gy = draw(exponents), draw(exponents)
+    gz = draw(st.lists(st.integers(-2 * c, 4 * c), max_size=3))
+    return gens, H, gx, gy, [x + y for x in gx for y in gy] + gz
+
+
+DVR_RANK_CASE = ([1], NumericalSemigroup([1]), [-1, 2], [0, 3], [-1, 4])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_cases())
+@example(DVR_RANK_CASE)
+@example(([3, 7], NumericalSemigroup([3, 7]), [0], [0], [0]))  # M = X Y = R
+def test_top_rank_against_sums(case):
+    """M.top_rank(X, Y) = |{g + h} meet gens(M)| over the generators g of X and
+    h of Y, for M = X Y + Z and for the cokernel term's K, K : Y and Y."""
+    gens, H, gx, gy, gm = case
+    oracle = Oracle(gens)
+    c = H.conductor
+    X, Y, M = (RelativeIdeal.from_exponents(H, g) for g in (gx, gy, gm))
+    mx, my, mm = (
+        set_generators(oracle, lambda z, g=g: oracle.in_ideal(g, z), min(g), c)
+        for g in (gx, gy, gm)
+    )
+    assert M.top_rank(X, Y) == len({g + h for g in mx for h in my} & mm)
+
+    F = H.frobenius
+
+    def in_k(z):  # K = {z : F - z not in H}
+        return z >= 0 and not oracle.in_h(F - z)
+
+    # K : Y, tested on the given generators of Y, as K is H-stable
+    dual = set_generators(oracle, lambda z: all(in_k(z + y) for y in gy), -min(gy), c)
+    K = H.canonical_relative_ideal()
+    mk = set_generators(oracle, in_k, 0, c)
+    assert K.top_rank(K.colon(Y), Y) == len({g + h for g in dual for h in my} & mk)
+
+
+@st.composite
+def endo_cases(draw):
+    """An ideal's generators, exponents with repeats, negative numbers and
+    numbers >= c, and a shift."""
+    gens, H, ge, _ = draw(ideal_pairs())
+    c = max(H.conductor, 2)
+    exponents = draw(st.lists(st.integers(-2 * c, 3 * c), max_size=10))
+    return gens, H, ge, exponents + exponents[:3], draw(st.integers(-c, c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(endo_cases())
+@example(([1], NumericalSemigroup([1]), [-1, 1], [-1, 0, 5, 0], 2))
+def test_endo_meet_dim_against_its_definition(case):
+    """E.endo_meet_dim(F) = |{f in F : f + E <= E}|, for the drawn F, PF(H)
+    and the Apery differences that classify passes, on E and on a shift."""
+    gens, H, ge, drawn, s = case
+    oracle = Oracle(gens)
+    e = H.multiplicity
+    E = RelativeIdeal.from_exponents(H, ge)
+    for F in (drawn, H.pseudo_frobenius(), [w - e for w in H.apery(e) if w]):
+        # f + E <= E iff f + g is in E for each given generator g of E
+        endo = {f for f in F if all(oracle.in_ideal(ge, f + g) for g in ge)}
+        assert E.endo_meet_dim(F) == len(endo), F
+        assert E.shift(s).endo_meet_dim(F) == len(endo), F
+
+
+# small enough for the series engine's windows over QQ
+SMALL_SEMIGROUPS = st.sampled_from(
+    [[1], [2, 3], [2, 5], [3, 4], [3, 5], [3, 7], [4, 5, 6], [4, 6, 9], [5, 6, 7], [4, 5, 7]]
+).map(lambda gens: (gens, NumericalSemigroup(gens)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_cases(SMALL_SEMIGROUPS))
+@example(DVR_RANK_CASE)
+def test_mask_counts_match_the_series_engine(case):
+    """mu, top_rank and endo_meet_dim (at PF(H) and at the Apery differences)
+    on the monomial engine against the same ideals as series ideals over
+    GF(2) and QQ, where they are ranks of coefficient rows."""
+    _, H, gx, gy, gm = case
+    e = H.multiplicity
+    X, Y, M = (RelativeIdeal.from_exponents(H, g) for g in (gx, gy, gm))
+    K = H.canonical_relative_ideal()
+    dual = K.colon(Y)
+    apery = [w - e for w in H.apery(e) if w]
+    for field in (GF(2), QQ):
+        sX, sY, sM, sK, sdual = (
+            FractionalIdeal.from_relative(E, field) for E in (X, Y, M, K, dual)
+        )
+        assert sM.top_rank(sX, sY) == M.top_rank(X, Y)
+        assert sK.top_rank(sdual, sY) == K.top_rank(dual, Y)
+        for E, S in ((X, sX), (Y, sY), (M, sM), (dual, sdual)):
+            assert S.mu() == E.mu()
+            assert S.endo_meet_dim(H.pseudo_frobenius()) == E.endo_meet_dim(H.pseudo_frobenius())
+            assert S.endo_meet_dim(apery) == E.endo_meet_dim(apery)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from cmtype.errors import ArgumentError, ConsistencyError, ContainmentError
+from cmtype.fracideal import FractionalIdeal
+from cmtype.linalg import QQ
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from helpers import random_relative_ideal, random_semigroup
@@ -101,6 +103,15 @@ class TestGeneratorsAndLengths:
         K = H345.canonical_relative_ideal()
         with pytest.raises(ContainmentError):
             R.quotient_length(K)  # K is strictly bigger than R
+
+    def test_top_rank_refuses_a_product_below_the_ideal(self):
+        # delta_X + delta_Y = 3 < delta_M = 4: X Y is not in M, on both engines
+        X, Y, M = (RelativeIdeal.from_exponents(H345, {d}) for d in (1, 2, 4))
+        for field in (None, QQ):
+            ideals = [E if field is None else FractionalIdeal.from_relative(E, field)
+                      for E in (X, Y, M)]
+            with pytest.raises(ContainmentError, match="is not in"):
+                ideals[2].top_rank(ideals[0], ideals[1])
 
 
 class TestMalformedMasks:
