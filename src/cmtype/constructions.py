@@ -111,8 +111,9 @@ def enumerate_monomial_ideals(
     base_mask = H._member_mask
     gap_mask = ((1 << H.conductor) - 1) & ~base_mask
     # only gaps <= span_bound are chosen, so only they are walked; the masks
-    # are no wider than span_bound plus the largest generator
-    gaps_desc = _set_bits(gap_mask & ((2 << span_bound) - 1))[::-1]
+    # are no wider than span_bound plus the largest generator.  Every gap is
+    # below c, so a bound past c takes them all and sizes no mask of its own.
+    gaps_desc = _set_bits(gap_mask & ((2 << min(span_bound, H.conductor)) - 1))[::-1]
     # the gaps g + a (a a generator) that choosing gap g forces in as well;
     # one above span_bound is never chosen, so it keeps g out
     needed = [sum(1 << (g + a) for a in H.generators) & gap_mask for g in gaps_desc]

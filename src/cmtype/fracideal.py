@@ -39,6 +39,8 @@ v(x) + v(J) <= v(I), and the unknowns start at the least column that
 passes this test; when none does, the bound is the colon (R for I : I)
 and nothing is reduced.  ``endo_meet_dim`` keeps every exponent it is
 given: the socle excess and faithfulness tests do not share that bound.
+Both build their linear conditions, the residuals modulo I of the shifted
+generator rows, with the one ``_conditions``.
 ``canonical_dual`` gives K : I = I^perp, under the residue pairing that
 makes K = R^perp, with no reduction at all: the kernel of I's reduced
 basis, read off its free-column cells (``CoeffMatrix.tails``) and
@@ -349,16 +351,9 @@ class FractionalIdeal:
         unknowns = unknowns[least:]
         zero = self.field.zero()
         if unknowns:
-            # Window cell i of t^(start + k) g is g's cell i - k: every shift is
-            # a slice of g's row padded with c - 1 zeros on the left.
-            pad = [zero] * (c - 1)
-            constraint_rows = []
-            for g in other._generator_rows():
-                padded = pad + list(g)
-                vecs = [padded[c - 1 - k:2 * c - 1 - k] for k in unknowns]
-                residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
-                constraint_rows += [row for row in zip(*residuals) if any(row)]
-            solutions = linalg.nullspace(self.field, len(unknowns), constraint_rows)
+            # t^(start + k) g is g moved k cells right on I's window
+            conditions = self._conditions(other._generator_rows(), unknowns)
+            solutions = linalg.nullspace(self.field, len(unknowns), conditions)
             for cells, q in zip(solutions.rows, solutions.pivots):
                 row = [zero] * c
                 for k, x in zip(unknowns, cells):
@@ -415,19 +410,32 @@ class FractionalIdeal:
         """dim_k(span{t^f : f in exponents} meet (I : I)), without I : I.
 
         I : I lies in k[[t]], so only f >= 0 can contribute, and
-        sum_f a_f t^f is in I : I iff each t^f g, g a generator row, has
-        residuals modulo I that the a_f combine to zero.  So the answer is
-        the number of such f minus the rank of the rows r_f, each the
-        residuals of t^f g over every g, side by side.
+        sum_f a_f t^f is in I : I iff the a_f solve ``_conditions`` on the
+        generator rows: the answer is the number of such f minus its rank.
+        With no such f (PF(H) of the DVR) it is 0.
         """
-        rows = self._generator_rows()
-        c, zero = self.semigroup.conductor, self.field.zero()
         F = sorted({f for f in exponents if f >= 0})
-        vecs = [([zero] * f + list(g))[:c] for f in F for g in rows]
+        return len(F) - _rank(self.field, self._conditions(self._generator_rows(), F))
+
+    def _conditions(self, rows, shifts):
+        """The conditions on the a_k for (sum_k a_k t^k) g in I, g in ``rows``.
+
+        Each g is a row on I's window (``colon`` reads J's rows there, its
+        unknown t^(delta_I - delta_J + k) in the place of t^k), and k >= 0:
+        cell i of t^k g is g's cell i - k, cut at the window's end.  One
+        ``_reduce_rows`` call gives every residual modulo I; each g and free
+        column of I give the row of that column's residual cells over the k,
+        with zero rows dropped.
+        """
+        c, n = self.semigroup.conductor, len(shifts)
+        pad, cut = [self.field.zero()] * c, [min(k, c) for k in shifts]
+        vecs = []
+        for g in rows:
+            padded = pad + list(g)
+            vecs += [padded[c - k:2 * c - k] for k in cut]
         residuals = linalg._reduce_rows(self.field, vecs, self.matrix)
-        n = len(rows)
-        stacked = [sum(residuals[k:k + n], []) for k in range(0, len(vecs), n)]
-        return len(F) - _rank(self.field, stacked)
+        return [cells for i in range(len(rows))
+                for cells in zip(*residuals[i * n:i * n + n]) if any(cells)]
 
     def intersect(self, other):
         """I cap J on the window of the operand with the larger delta, where

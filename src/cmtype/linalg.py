@@ -66,27 +66,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_NOT_PRIME = "characteristic must be a prime < 2**31, got {}"
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """The coefficient field: the rationals or F_p with p prime, p < 2**31."""
+    """The coefficient field, named by its characteristic: 0 is the rationals,
+    a prime p < 2**31 is F_p.  Any other characteristic is refused."""
 
-    kind: str  # "rationals" | "prime_field"
-    characteristic: int = 0
+    characteristic: int
 
     def __post_init__(self):
-        if self.kind == "rationals":
-            if self.characteristic != 0:
-                raise ArgumentError("rationals carry no characteristic")
-        elif self.kind == "prime_field":
-            p = self.characteristic
-            if not (2 <= p < _PRIME_LIMIT) or not _is_prime(p):
-                raise ArgumentError(f"characteristic must be a prime < 2**31, got {p}")
-        else:
-            raise ArgumentError(f"unknown field kind {self.kind!r}")
+        p = self.characteristic
+        if p and not (p < _PRIME_LIMIT and _is_prime(p)):
+            raise ArgumentError(_NOT_PRIME.format(p))
 
     @property
     def is_prime_field(self) -> bool:
-        return self.kind == "prime_field"
+        return self.characteristic != 0
 
     def zero(self):
         return 0 if self.is_prime_field else kernels.ZERO
@@ -109,13 +106,16 @@ class FieldSpec:
         return "QQ" if not self.is_prime_field else f"F_{self.characteristic}"
 
 
-QQ = FieldSpec("rationals")
+QQ = FieldSpec(0)
 
 
 @functools.cache
 def GF(p: int) -> FieldSpec:
-    """F_p, built once per prime: the primality test runs on the first call."""
-    return FieldSpec("prime_field", p)
+    """F_p, built once per prime: the primality test runs on the first call.
+    p = 0 is refused here, as ``FieldSpec(0)`` is QQ."""
+    if not p:
+        raise ArgumentError(_NOT_PRIME.format(p))
+    return FieldSpec(p)
 
 
 class CoeffMatrix:

@@ -38,10 +38,8 @@ stability check shifts the mask by each generator a of H, so the same loop
 ORs those shifts, and a RelativeIdeal keeps its generator mask in a slot
 from the start.  The operations above read only its set bits; generator
 positions are read off it only for output (``minimal_generators``, which
-``describe``, the CLI and the colon's error message call).  The three
-checks read the mask alone, never delta, so ``shift`` copies a checked mask
-and its generator mask to a new delta without running them again; every
-other construction runs them.
+``describe``, the CLI and the colon's error message call).  Every
+construction, ``shift`` included, goes through ``__init__`` and its checks.
 """
 
 import functools
@@ -246,16 +244,8 @@ class RelativeIdeal:
         )
 
     def shift(self, s: int) -> "RelativeIdeal":
-        """Multiplication by t^s: E + s, the same mask at delta + s.
-
-        The checks of ``__init__`` read only the mask, which passed them
-        when E was built, so the copy skips them; the generator mask, bit
-        i <-> delta + i too, carries over unchanged.
-        """
-        out = object.__new__(RelativeIdeal)
-        out.semigroup, out.delta = self.semigroup, self.delta + s
-        out._mask, out._gen_mask = self._mask, self._gen_mask
-        return out
+        """Multiplication by t^s: E + s, the same mask at delta + s."""
+        return RelativeIdeal(self.semigroup, self.delta + s, self._mask)
 
     def quotient_length(self, sub: "RelativeIdeal") -> int:
         """The k-dimension of E/F for F <= E (finite: they share a tail)."""

@@ -100,18 +100,14 @@ class NumericalSemigroup:
         return _set_bits(((1 << self.conductor) - 1) & ~self._member_mask)
 
     def apery(self, n: int):
-        """Ap(H, n): for each residue class mod n, the least member of H."""
+        """Ap(H, n), ascending: the least member of H in each class mod n.
+        Ap(H, e) is kept from construction; any other n is one shortest-path
+        search on Z/n (``_apery_by_shortest_path``)."""
         if n <= 0 or not self.contains(n):
             raise ArgumentError(f"Apery set needs a positive member of H, got {n}")
         if n == self.multiplicity:
             return tuple(sorted(self._apery_mod_e))
-        out = []
-        for r in range(n):
-            x = r
-            while not self.contains(x):
-                x += n
-            out.append(x)
-        return tuple(sorted(out))
+        return tuple(sorted(_apery_by_shortest_path(self.generators, n)))
 
     def _maximal_apery_pf(self):
         # w in Ap(H, e) is maximal under <=_H iff no w + a (a a minimal
@@ -280,21 +276,21 @@ def _over_the_cap(what, gens):
     )
 
 
-def _apery_by_shortest_path(gens, e):
-    """Least member of H in each residue class mod e, via Dijkstra on Z/e.
+def _apery_by_shortest_path(gens, n):
+    """Least member of H in each residue class mod n, via Dijkstra on Z/n.
 
-    With one step b (the other generators multiples of e), gcd(b, e) = 1
-    and a member i e + j b lies in the class of k b iff j = k mod e, so
-    for k < e the least member of that class is k b: no search.
+    With one step b (the other generators multiples of n), gcd(b, n) = 1, as
+    gcd(H) = 1, and a member i n + j b lies in the class of k b iff j = k mod
+    n, so for k < n the least member of that class is k b: no search.
     """
-    steps = [a for a in gens if a % e]  # a multiple of e stays in its class
+    steps = [a for a in gens if a % n]  # a multiple of n stays in its class
     if len(steps) == 1:
         b = steps[0]
-        dist = [0] * e
-        for k in range(1, e):
-            dist[k * b % e] = k * b
+        dist = [0] * n
+        for k in range(1, n):
+            dist[k * b % n] = k * b
         return dist
-    dist = [None] * e
+    dist = [None] * n
     dist[0] = 0
     heap = [(0, 0)]
     while heap:
@@ -303,7 +299,7 @@ def _apery_by_shortest_path(gens, e):
             continue
         for a in steps:
             nd = d + a
-            nr = nd % e
+            nr = nd % n
             if dist[nr] is None or nd < dist[nr]:
                 dist[nr] = nd
                 heapq.heappush(heap, (nd, nr))

@@ -8,10 +8,14 @@ a product or sum stays exact.
 
 Grammar (whitespace insignificant, exponents may be negative):
 
-    expr  := term (('+'|'-') term)*
+    gens  := expr (',' expr)*         (``parse_generators``)
+    expr  := term (('+'|'-') term)*   (``parse_series``)
     term  := [coeff '*'] 't' ['^' int] | coeff
     coeff := int | int '/' int        (the fraction form only over QQ)
     int   := ['-'] digits
+
+Both entry points read their text with one scanner and the one
+``_parse_expr``, so a ParseError's position is an offset into the whole text.
 """
 
 import math
@@ -177,34 +181,41 @@ class _Scanner:
             raise ParseError("expected an integer", start)
         return int(self.text[start:self.pos])
 
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
 
 def parse_series(text: str, field: FieldSpec) -> TruncatedSeries:
     """Parse a generator expression into an exact Laurent polynomial."""
+    return _parse_expr(_Scanner(text), field, ("",))
+
+
+def parse_generators(text: str, field: FieldSpec):
+    """Comma-separated list of generator expressions, read in one scan, so
+    every error position is an offset into ``text``.  A generator with no
+    term is an "empty generator" at the offset where it starts."""
     sc = _Scanner(text)
-    coeffs = {}
-    first = True
+    out = []
     while True:
-        if first:
-            sign = 1
-            first = False
-        else:
-            if sc.done():
-                break
-            if sc.take("+"):
-                sign = 1
-            elif sc.take("-"):
-                sign = -1
-            else:
-                raise ParseError("expected '+' or '-'", sc.pos)
+        start = sc.pos
+        if sc.peek() in ("", ","):
+            raise ParseError("empty generator", start)
+        out.append(_parse_expr(sc, field, ("", ",")))
+        if not sc.take(","):
+            return out
+
+
+def _parse_expr(sc: _Scanner, field: FieldSpec, ends) -> TruncatedSeries:
+    """An expr, up to a character of ``ends`` ("" is the end of the text),
+    which is left unread."""
+    coeffs, sign = {}, 1
+    while True:
         exp, coeff = _parse_term(sc, field)
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
-    if not coeffs:
-        raise ParseError("empty expression", 0)
-    return TruncatedSeries(field, coeffs)  # which coerces each coefficient
+        ch = sc.peek()
+        if ch in ends:
+            return TruncatedSeries(field, coeffs)  # which coerces each coefficient
+        if ch not in ("+", "-"):
+            raise ParseError("expected '+' or '-'", sc.pos)
+        sc.pos += 1
+        sign = 1 if ch == "+" else -1
 
 
 def _parse_term(sc: _Scanner, field: FieldSpec):
@@ -232,18 +243,3 @@ def _parse_term(sc: _Scanner, field: FieldSpec):
             return exp, coeff
         return 0, coeff
     raise ParseError("expected a term", sc.pos)
-
-
-def parse_generators(text: str, field: FieldSpec):
-    """Comma-separated list of generator expressions."""
-    out = []
-    offset = 0
-    for chunk in text.split(","):
-        if not chunk.strip():
-            raise ParseError("empty generator", offset)
-        try:
-            out.append(parse_series(chunk, field))
-        except ParseError as exc:
-            raise ParseError(str(exc).rsplit(" (at", 1)[0], offset + exc.position) from None
-        offset += len(chunk) + 1
-    return out

@@ -5,9 +5,9 @@ family.  Cases compare computed integers and booleans against the stated
 values with exact equality; a group passes only if all its cases do.
 """
 
+import dataclasses
 import math
 import random
-from dataclasses import dataclass
 
 from .constructions import (
     blowup_ring,
@@ -33,7 +33,7 @@ from .typecalc import (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CaseResult:
     group: str
     case: str
@@ -41,14 +41,7 @@ class CaseResult:
     computed: str
     passed: bool
 
-    def to_dict(self):
-        return {
-            "group": self.group,
-            "case": self.case,
-            "expected": self.expected,
-            "computed": self.computed,
-            "passed": self.passed,
-        }
+    to_dict = dataclasses.asdict
 
 
 def _case(group, case, expected, computed):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,44 @@ def test_enumerate_walks_a_thousand_gaps(capsys):
     # <2,2001> has 1,000 gaps, one enumeration level each, past Python's recursion limit
     code, doc = run_json(capsys, ["enumerate", "--semigroup", "2,2001", "--bound", "1"])
     assert code == cli.EXIT_OK and doc["count"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["semigroup", "info", "3,x"], "could not read generators from '3,x'"),
+    (["semigroup", "info", ","], "no generators given"),
+    (["ideal", "analyze", "--semigroup", "3,5", "--gens", "t^3", "--field", "fp:x"],
+     "bad modulus in 'fp:x'"),
+    (["ideal", "analyze", "--semigroup", "3,5", "--gens", "t^3", "--field", "gf7"],
+     "unknown field 'gf7'; use qq or fp:<prime>"),
+    (["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4 + t^5", "--engine", "monomial"],
+     "the monomial engine needs single-term generators"),
+    (["sup-search", "--semigroup", "3,5", "--bound", "0"], "span bound must be at least 1"),
+])
+def test_input_errors_exit_2_with_their_message(capsys, argv, message):
+    assert cli.main(argv) == cli.EXIT_INPUT == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["sup-search", "enumerate"])
+def test_a_huge_bound_costs_what_the_conductor_does(capsys, command):
+    # every gap of <3,5> is below c + e = 11, so a larger bound adds no ideal;
+    # the bound must not size a mask of its own width (10**9 bits is 125 MB)
+    def document(bound):
+        code, doc = run_json(capsys, [command, "--semigroup", "3,5", "--bound", str(bound)])
+        assert code == cli.EXIT_OK
+        del doc["input"], doc["timing_ms"]
+        return doc
+
+    expected = document(11)
+    tracemalloc.start()
+    try:
+        huge = document(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge == expected
+    assert peak < 10 * 1024 * 1024
 
 
 def test_sup_search_json(capsys):

@@ -144,6 +144,19 @@ def test_families_reject_p_out_of_range():
             med_family_ideal(H, p)
 
 
+def test_families_reject_a_semigroup_they_do_not_apply_to():
+    with pytest.raises(ArgumentError, match=r"the family needs e >= 2 \(R not a DVR\)"):
+        pf_family_ideal(NumericalSemigroup([1]), 1)
+    with pytest.raises(ArgumentError, match="<3,7> does not have maximal embedding dimension >= 2"):
+        med_family_ideal(NumericalSemigroup([3, 7]), 2)
+
+
+def test_blowup_of_the_dvr_is_the_ring():
+    H = NumericalSemigroup([1])
+    A = blowup_ring(H)
+    assert A == RelativeIdeal.from_exponents(H, {0}) and A.mu() == 1
+
+
 @pytest.mark.parametrize("H", POOL, ids=str)
 def test_sup_search_witness_attains_the_value(H):
     bound = H.conductor + H.multiplicity

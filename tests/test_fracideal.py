@@ -70,6 +70,20 @@ class TestConstruction:
         with pytest.raises(ArgumentError):
             FractionalIdeal.from_generators(H345, QQ, [parse_series("t^3", GF(5))])
 
+    @pytest.mark.parametrize("other, message", [
+        (RelativeIdeal.from_exponents(H345, {3}), "expected a series-engine ideal"),
+        (FractionalIdeal.from_generators(H456, QQ, [parse_series("t^4", QQ)]),
+         "semigroup mismatch: <3,4,5> vs <4,5,6>"),
+        (FractionalIdeal.from_generators(H345, GF(5), [parse_series("t^3", GF(5))]),
+         "field mismatch: QQ vs F_5"),
+    ])
+    def test_operands_from_another_engine_semigroup_or_field_are_refused(self, other, message):
+        I = series_ideal(H345, QQ, "t^3 + t^4")
+        for op in (I.add, I.multiply, I.colon, I.intersect, I.contains_ideal):
+            with pytest.raises(ArgumentError) as err:
+                op(other)
+            assert str(err.value) == message
+
     def test_insufficient_precision_rejected(self):
         short = TruncatedSeries(QQ, {3: 1}, precision=4)
         with pytest.raises(ArgumentError, match="precision"):

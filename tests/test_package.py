@@ -46,3 +46,18 @@ def test_every_definition_is_used_exported_or_traced():
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_no_ideal_is_built_past_its_constructor():
+    """No code under src/cmtype calls object.__new__, so every ideal it makes
+    has passed its constructor's checks (tests may still build invalid ones)."""
+    package = Path(__file__).resolve().parents[1] / "src" / "cmtype"
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+    ]
+    assert calls == []

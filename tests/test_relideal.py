@@ -144,6 +144,13 @@ class TestMalformedMasks:
         assert "z + 2 = 13 is not in E" in str(err.value)
 
 
+def test_operands_over_another_semigroup_are_refused():
+    E, F = RelativeIdeal.from_exponents(H345, {3}), RelativeIdeal.from_exponents(H456, {4})
+    for op in (E.add, E.multiply, E.colon, E.intersect, E.contains_ideal):
+        with pytest.raises(ArgumentError, match=r"semigroup mismatch: <3,4,5> vs <4,5,6>"):
+            op(F)
+
+
 class TestCanonicalDual:
     def test_dual_of_ring_and_canonical(self):
         R = RelativeIdeal.from_exponents(H345, {0})

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cmtype.errors import ArgumentError, ConsistencyError, ResourceLimitError
 from cmtype.semigroup import SEMIGROUP_CONDUCTOR_LIMIT, NumericalSemigroup, _apery_by_shortest_path
-from helpers import random_semigroup
+from helpers import random_semigroup, semigroups
 
 
 def brute_members(gens, limit):
@@ -228,6 +228,26 @@ def test_two_generator_apery_in_closed_form(e, b, multiples):
     members = brute_members(gens, (e - 1) * b)
     assert closed == [min(x for x in members if x % e == r) for r in range(e)]
     assert NumericalSemigroup(gens).frobenius == e * b - e - b
+
+
+DVR = ([1], NumericalSemigroup([1]))
+
+
+@given(semigroups(), st.sampled_from(["e", "largest", "2e"]) | st.integers(0, 98))
+@example(DVR, "e")
+@example(DVR, "2e")
+@example(DVR, 6)
+@example(([3, 6, 7], NumericalSemigroup([3, 6, 7])), "2e")  # 2e is a redundant generator
+def test_apery_is_the_least_member_in_each_class(drawn, which):
+    # n is e, the largest minimal generator, 2e, or the which-th positive member
+    gens, H = drawn
+    e = H.multiplicity
+    named = {"e": e, "largest": H.generators[-1], "2e": 2 * e}
+    n = named[which] if which in named else H.members(1, H.conductor + 100)[which]
+    # each class mod n has a member in [c, c + n)
+    members = brute_members(gens, H.conductor + n)
+    least = [min(x for x in members if x % n == r) for r in range(n)]
+    assert H.apery(n) == tuple(sorted(least))
 
 
 @pytest.mark.parametrize("e", [SEMIGROUP_CONDUCTOR_LIMIT + 1, 20_000_003])

@@ -81,6 +81,38 @@ class TestParser:
             parse_generators("t^3, t^", QQ)
         assert err.value.position == 7
 
+    @pytest.mark.parametrize(
+        "text,message,pos",
+        [
+            (", t", "empty generator", 0),
+            ("t,,t", "empty generator", 2),
+            ("t, ", "empty generator", 2),  # where the generator starts, before its blank
+            ("t, t^3 ,  ,t", "empty generator", 8),
+            ("", "empty generator", 0),
+            ("t^3 t^4, t", "expected '+' or '-'", 4),
+            ("2*, t", "expected 't' after '*'", 2),
+            ("2* , t", "expected 't' after '*'", 3),
+            ("1/0, t", "zero denominator", 0),
+            ("t^, t", "expected an integer", 2),
+            ("t +, t", "expected a term", 3),
+        ],
+    )
+    def test_parse_generators_errors(self, text, message, pos):
+        with pytest.raises(ParseError) as err:
+            parse_generators(text, QQ)
+        assert str(err.value) == f"{message} (at position {pos})"
+        assert err.value.position == pos
+
+    def test_a_comma_ends_only_a_generator(self):
+        with pytest.raises(ParseError) as err:
+            parse_series("t, t", QQ)
+        assert str(err.value) == "expected '+' or '-' (at position 1)"
+
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError) as err:
+            parse_series("1/0", QQ)
+        assert str(err.value) == "zero denominator (at position 0)"
+
 
 # a term is (sign, numerator, denominator or None, exponent or None for a
 # constant, whether a coefficient of 1 is written out)
@@ -152,6 +184,18 @@ class TestArithmetic:
         assert z.order is None and z.coeffs == {} and z.precision == EXACT
         x = parse_series("t^3", QQ)
         assert series_mul(x, z).coeffs == {}
+
+    def test_fields_must_match(self):
+        x, y = parse_series("t", QQ), parse_series("t", GF(5))
+        for op in (x.add, x.mul):
+            with pytest.raises(ArgumentError, match="field mismatch: QQ vs F_5"):
+                op(y)
+
+    def test_text_of_the_zero_series_and_of_a_finite_precision(self):
+        assert str(TruncatedSeries.zero(QQ)) == "0"
+        x = TruncatedSeries(QQ, {2: 1, 3: -2}, precision=5)
+        assert repr(x) == "TruncatedSeries(t^2 - 2*t^3 + O(t^5))"
+        assert repr(parse_series("t^2", QQ)) == "TruncatedSeries(t^2)"
 
     def test_window_vector_needs_precision(self):
         x = TruncatedSeries(QQ, {3: 1}, precision=5)
