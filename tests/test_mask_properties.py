@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import GF, QQ
-from cmtype.relideal import RelativeIdeal
+from cmtype.relideal import RelativeIdeal, _offsets
 from cmtype.semigroup import NumericalSemigroup, _set_bits
 from helpers import MAX_GENERATOR, semigroups
 
@@ -111,7 +111,8 @@ def test_ideal_operations_against_sets(case):
 def test_kept_generators_match_the_oracle(case, s):
     """The generator mask each result keeps, read as positions and as mu,
     after every operation and after shifting each result, against the set
-    oracle."""
+    oracle; and the set-bit offsets of that mask, kept once read, against a
+    fresh read of the mask."""
     gens, H, ge, gf = case
     oracle = Oracle(gens)
     c = H.conductor
@@ -123,6 +124,9 @@ def test_kept_generators_match_the_oracle(case, s):
         expected = oracle_generators(X, oracle, c)
         assert X.minimal_generators() == expected
         assert X.mu() == len(expected)
+        # the offsets kept since the first walk, read again as generators
+        assert X._gen_offsets == _offsets(X._gen_mask)
+        assert X.minimal_generators() == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import QQ
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
-from helpers import random_relative_ideal, random_semigroup
+from helpers import random_relative_ideal, random_semigroup, stability_error_reference
 
 H345 = NumericalSemigroup([3, 4, 5])
 H456 = NumericalSemigroup([4, 5, 6])
@@ -132,6 +132,24 @@ class TestMalformedMasks:
             RelativeIdeal(H456, delta, mask)
         assert f"delta {delta}" in str(err.value)
         assert named in str(err.value)
+
+    @pytest.mark.parametrize("gens", [[2, 5], [3, 5], [4, 5, 6], [3, 7, 11], [5, 6, 7, 9]], ids=str)
+    def test_every_unstable_window_mask_is_named_as_the_reference_names_it(self, gens):
+        H = NumericalSemigroup(gens)
+        c = H.conductor
+        unstable = 0
+        for window in range(1 << c - 1):
+            mask = window << 1 | 1
+            for delta in (-3, 0, 2):
+                expected = stability_error_reference(H, delta, mask)
+                if expected is None:
+                    assert RelativeIdeal(H, delta, mask).contains(delta)
+                    continue
+                unstable += 1
+                with pytest.raises(ConsistencyError) as err:
+                    RelativeIdeal(H, delta, mask)
+                assert str(err.value) == expected
+        assert unstable > 0
 
     def test_colon_names_a_hole_past_the_window(self):
         # H456 without 13 = 8 + 5 is not an ideal, so it is built without __init__

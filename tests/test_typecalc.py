@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmtype import typecalc
+from cmtype import relideal, typecalc
 from cmtype.constructions import enumerate_monomial_ideals
 from cmtype.errors import ArgumentError, ConsistencyError, ContainmentError
 from cmtype.fracideal import FractionalIdeal
@@ -684,6 +684,20 @@ class TestWorkCounts:
         # and read no generator position, of I, K or K:I
         assert len(inits) == 1
         assert positions == []
+
+    def test_monomial_idealization_type_reads_generator_offsets_once(self, monkeypatch):
+        H = NumericalSemigroup([4, 5, 11])
+        ideals = enumerate_monomial_ideals(H, H.conductor + H.multiplicity)
+        typecalc.idealization_type(next(ideals))  # builds the companions
+        reads = []
+        original = relideal._offsets
+        monkeypatch.setattr(relideal, "_offsets", lambda mask: reads.append(mask) or original(mask))
+        for I in ideals:
+            reads.clear()
+            typecalc.idealization_type(I)
+            # the colon K:I, endo_meet_dim and K.top_rank(K:I, I) each walk the
+            # generators of I, which I keeps after the first walk
+            assert reads == [I._gen_mask]
 
     def test_monomial_idealization_type_makes_one_colon(self, monkeypatch):
         H = NumericalSemigroup([10, 13, 17])
