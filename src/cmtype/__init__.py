@@ -26,10 +26,9 @@ from .errors import (
 from .fracideal import FractionalIdeal
 from .linalg import GF, QQ, CoeffMatrix, FieldSpec, intersect, member, reduce_echelon
 from .relideal import RelativeIdeal
-from .semigroup import NumericalSemigroup, SemigroupInvariants
+from .semigroup import NumericalSemigroup
 from .series import TruncatedSeries, parse_generators, parse_series
 from .typecalc import (
-    IdealReport,
     classify,
     cokernel_formula,
     idealization_type,
@@ -55,13 +54,11 @@ __all__ = [
     "FieldSpec",
     "FractionalIdeal",
     "GF",
-    "IdealReport",
     "NumericalSemigroup",
     "ParseError",
     "QQ",
     "RelativeIdeal",
     "ResourceLimitError",
-    "SemigroupInvariants",
     "TruncatedSeries",
     "blowup_ring",
     "classify",

@@ -231,8 +231,12 @@ def _parse_field(text: str):
 
 
 def _build_ideal(H, field, gens, engine: str):
-    """Engine selection: monomial exponent sets when every generator is a
-    single term, the series engine otherwise (or when forced)."""
+    """Engine selection, once zero generators are dropped: monomial exponent
+    sets when every generator is a single term, the series engine otherwise
+    (or when forced)."""
+    gens = [g for g in gens if g.order is not None]
+    if not gens:
+        raise ArgumentError("need at least one nonzero generator")
     monomial = all(len(g.coeffs) == 1 for g in gens)
     if engine == "auto":
         engine = "monomial" if monomial else "series"
@@ -241,8 +245,8 @@ def _build_ideal(H, field, gens, engine: str):
             raise ArgumentError("the monomial engine needs single-term generators")
         return RelativeIdeal.from_exponents(H, {g.order for g in gens})
     c = H.conductor
-    orders = [g.order for g in gens if g.order is not None]
-    if orders and c > SERIES_CONDUCTOR_LIMIT:  # with none, from_generators names the error
+    if c > SERIES_CONDUCTOR_LIMIT:
+        orders = [g.order for g in gens]
         # the translates t^h g, h > 0, that from_generators row-reduces first
         rows = sum(len(H.members(1, min(orders) + c - o)) for o in orders)
         raise ResourceLimitError(
@@ -255,11 +259,10 @@ def _build_ideal(H, field, gens, engine: str):
 
 def _cmd_semigroup_info(args):
     H = _parse_semigroup(args.generators)
-    inv = H.invariants()
     body = {
         "semigroup": {
             "generators": list(H.generators),
-            **inv.to_dict(),
+            **H.invariants(),
             "pseudo_frobenius": list(H.pseudo_frobenius()),
             "apery_of_multiplicity": list(H.apery(H.multiplicity)),
             "gaps": H.gaps(),
@@ -277,21 +280,22 @@ def _cmd_semigroup_info(args):
 
 
 def _report_lines(rep):
-    """The text report, line by line; a generator, so --json formats none of it."""
+    """The text report of the ``classify`` document ``rep``, line by line; a
+    generator, so --json formats none of it."""
+    sg = rep["semigroup"]
     yield (
-        f"H = {rep.semigroup}  (e={rep.invariants.multiplicity}, "
-        f"r(R)={rep.invariants.type}, gorenstein={rep.invariants.is_symmetric})"
+        f"H = <{','.join(map(str, sg['generators']))}>  (e={sg['multiplicity']}, "
+        f"r(R)={sg['type']}, gorenstein={sg['gorenstein']})"
     )
-    yield f"ideal  {rep.ideal}  [{rep.engine} engine]"
-    yield f"  mu = {rep.mu}   r_R(I) = {rep.module_type}   r(R/I) = {rep.quotient_type}"
+    yield f"ideal  {rep['ideal']}  [{rep['engine']} engine]"
+    yield f"  mu = {rep['mu']}   r_R(I) = {rep['module_type']}   r(R/I) = {rep['quotient_type']}"
     yield (
-        f"  r(R x I) = {rep.idealization.value}  "
-        f"(socle {rep.idealization.socle_value}, cokernel {rep.idealization.cokernel_value}, "
-        f"excess {rep.idealization.socle_excess})"
+        f"  r(R x I) = {rep['r_idealization']}  (socle {rep['methods']['socle']}, "
+        f"cokernel {rep['methods']['cokernel']}, excess {rep['socle_excess']})"
     )
-    yield "  flags: " + ", ".join(k for k, v in rep.flags.items() if v)
-    for v in rep.verdicts:
-        yield f"  [{'ok' if v.passed else 'FAIL'}] {v.name}: {v.detail}"
+    yield "  flags: " + ", ".join(k for k, v in rep["flags"].items() if v)
+    for v in rep["verdicts"]:
+        yield f"  [{'ok' if v['passed'] else 'FAIL'}] {v['name']}: {v['detail']}"
 
 
 def _cmd_ideal_analyze(args):
@@ -306,7 +310,7 @@ def _cmd_ideal_analyze(args):
         "field": str(field),
         "engine": args.engine,
     }
-    return echo, {"report": rep.to_dict()}, _report_lines(rep), rep.consistent
+    return echo, {"report": rep}, _report_lines(rep), rep["consistent"]
 
 
 def _cmd_verify_paper(args):
@@ -316,15 +320,15 @@ def _cmd_verify_paper(args):
             f"no verification group matches {args.filter!r}; "
             f"available: {', '.join(verify.available_groups())}"
         )
-    failures = [r for r in results if not r.passed]
+    failures = [r for r in results if not r["passed"]]
     body = {
-        "cases": [r.to_dict() for r in results],
+        "cases": results,
         "total": len(results),
         "failed": len(failures),
     }
     lines = [
-        f"[{'ok' if r.passed else 'FAIL'}] {r.group} :: {r.case} "
-        f"(expected {r.expected}, computed {r.computed})"
+        f"[{'ok' if r['passed'] else 'FAIL'}] {r['group']} :: {r['case']} "
+        f"(expected {r['expected']}, computed {r['computed']})"
         for r in results
     ]
     lines.append(f"{len(results) - len(failures)}/{len(results)} cases passed")
@@ -353,15 +357,15 @@ def _cmd_enumerate(args):
     entries = []
     for ideal in enumerate_monomial_ideals(H, args.bound, max_count=args.limit):
         rep = classify(ideal)
-        if flag and not rep.flags[flag]:
+        flags = rep["flags"]
+        if flag and not flags[flag]:
             continue
         entries.append(
             {
                 "generators": list(ideal.minimal_generators()),
-                "mu": rep.mu,
-                "r_idealization": rep.idealization.value,
-                "flags": {k: v for k, v in rep.flags.items()
-                          if v and k in _FILTER_FLAGS.values()},
+                "mu": rep["mu"],
+                "r_idealization": rep["r_idealization"],
+                "flags": {k: v for k, v in flags.items() if v and k in _FILTER_FLAGS.values()},
             }
         )
     lines = [

@@ -41,7 +41,7 @@ def pf_family_ideal(H: NumericalSemigroup, p: int) -> RelativeIdeal:
 def med_family_ideal(H: NumericalSemigroup, p: int) -> RelativeIdeal:
     """(t^{a_1}) + (t^{a_p}, ..., t^{a_l}) for maximal embedding dimension."""
     inv = H.invariants()
-    if not inv.is_med or inv.multiplicity < 2:
+    if not inv["med"] or inv["multiplicity"] < 2:
         raise ArgumentError(f"{H} does not have maximal embedding dimension >= 2")
     gens = H.generators
     ell = len(gens)

@@ -20,7 +20,6 @@ Semigroups, 2009, ch. 1-4):
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import ArgumentError, ConsistencyError, ResourceLimitError
 
@@ -92,8 +91,11 @@ class NumericalSemigroup:
         return bool(self._member_mask >> z & 1)
 
     def members(self, start: int, stop: int):
-        """Members of H in [start, stop)."""
-        return [z for z in range(max(start, 0), stop) if self.contains(z)]
+        """Members of H in [start, stop), ascending: the set bits of the
+        member mask in [start, min(stop, c)), then every integer from c on."""
+        start, c = max(start, 0), self.conductor
+        window = self._member_mask >> start << start & ((1 << min(max(stop, 0), c)) - 1)
+        return _set_bits(window) + list(range(max(start, c), stop))
 
     def gaps(self):
         """All nonnegative integers not in H, in increasing order."""
@@ -156,7 +158,11 @@ class NumericalSemigroup:
         reversed_mask = int(format(self._member_mask, f"0{c}b")[::-1], 2)
         return ((1 << c) - 1) & ~reversed_mask
 
-    def invariants(self) -> "SemigroupInvariants":
+    def invariants(self) -> dict:
+        """The eight invariant keys of the ``"semigroup"`` object that
+        ``semigroup info --json`` and ``ideal analyze --json`` print, after
+        three consistency checks: symmetric iff type 1, max PF(H) = F, and
+        type e - 1 for maximal embedding dimension."""
         pf = self.pseudo_frobenius()
         r = len(pf)
         sym = self.is_symmetric()
@@ -172,16 +178,16 @@ class NumericalSemigroup:
         med = v == e
         if med and e >= 2 and r != e - 1:
             raise ConsistencyError(f"MED semigroup {self} has type {r} != e - 1 = {e - 1}")
-        return SemigroupInvariants(
-            multiplicity=e,
-            embedding_dimension=v,
-            frobenius=self.frobenius,
-            conductor=self.conductor,
-            type=r,
-            is_symmetric=sym,
-            is_med=med,
-            is_dvr=e == 1,
-        )
+        return {
+            "multiplicity": e,
+            "embedding_dimension": v,
+            "frobenius": self.frobenius,
+            "conductor": self.conductor,
+            "type": r,
+            "gorenstein": sym,
+            "med": med,
+            "dvr": e == 1,
+        }
 
     def canonical_exponents(self):
         """Window part of the gap-dual set K = {x : F - x not in H}.
@@ -229,30 +235,6 @@ class NumericalSemigroup:
 
     def __repr__(self):
         return f"<{','.join(map(str, self.generators))}>"
-
-
-@dataclass(frozen=True)
-class SemigroupInvariants:
-    multiplicity: int
-    embedding_dimension: int
-    frobenius: int
-    conductor: int
-    type: int
-    is_symmetric: bool
-    is_med: bool
-    is_dvr: bool
-
-    def to_dict(self):
-        return {
-            "multiplicity": self.multiplicity,
-            "embedding_dimension": self.embedding_dimension,
-            "frobenius": self.frobenius,
-            "conductor": self.conductor,
-            "type": self.type,
-            "gorenstein": self.is_symmetric,
-            "med": self.is_med,
-            "dvr": self.is_dvr,
-        }
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")

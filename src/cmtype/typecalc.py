@@ -63,7 +63,6 @@ colons by the definitions.
 """
 
 import collections
-from dataclasses import dataclass
 
 from .errors import ArgumentError, ConsistencyError, ContainmentError
 
@@ -263,60 +262,11 @@ def _is_ulrich(module, ideal) -> bool:
 # -- the full report ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool
-    detail: str
-
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
-@dataclass
-class IdealReport:
-    semigroup: object
-    invariants: object
-    engine: str
-    ideal: str
-    in_ring: bool
-    proper: bool
-    mu: int
-    module_type: int
-    quotient_type: int | None
-    idealization: IdealizationType
-    flags: dict
-    verdicts: list
-    consistent: bool
-
-    def to_dict(self):
-        return {
-            "semigroup": {
-                "generators": list(self.semigroup.generators),
-                **self.invariants.to_dict(),
-            },
-            "engine": self.engine,
-            "ideal": self.ideal,
-            "in_ring": self.in_ring,
-            "proper": self.proper,
-            "mu": self.mu,
-            "module_type": self.module_type,
-            "quotient_type": self.quotient_type,
-            "r_idealization": self.idealization.value,
-            "methods": {
-                "socle": self.idealization.socle_value,
-                "cokernel": self.idealization.cokernel_value,
-            },
-            "socle_excess": self.idealization.socle_excess,
-            "flags": dict(self.flags),
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "consistent": self.consistent,
-        }
-
-
-def classify(ideal) -> IdealReport:
-    """Full report: invariants, both type computations, predicate flags, and
-    every applicable identity recorded as a named verdict."""
+def classify(ideal) -> dict:
+    """The ``"report"`` object of the ``ideal analyze --json`` document:
+    the semigroup and its invariants, both type computations, the predicate
+    flags, and every applicable identity as a ``{"name", "passed",
+    "detail"}`` verdict; ``consistent`` is whether every verdict passed."""
     H = ideal.semigroup
     inv = H.invariants()
     K = ideal.canonical_ideal()
@@ -333,7 +283,7 @@ def classify(ideal) -> IdealReport:
     r_mod = itype.module_type
     value = itype.value
     r_quot = _quotient_type(K, dual, R) if proper else None
-    r_ring = inv.type
+    r_ring = inv["type"]
 
     endo = ideal.colon(ideal)
     closed = endo == R
@@ -354,96 +304,82 @@ def classify(ideal) -> IdealReport:
         "is_principal": principal,
     }
 
-    verdicts = [
-        Verdict(
-            "type-bounds",
-            r_mod <= value <= r_ring + r_mod,
-            f"{r_mod} <= {value} <= {r_ring} + {r_mod}",
-        ),
-        Verdict(
-            "two-method-agreement",
-            itype.socle_value == itype.cokernel_value,
-            f"socle {itype.socle_value}, cokernel {itype.cokernel_value}",
-        ),
-        Verdict(
-            "closed-iff-residually-faithful",
-            closed == faithful == (itype.socle_excess == 0),
-            f"closed={closed}, faithful={faithful}, excess={itype.socle_excess}",
-        ),
-    ]
+    verdicts = []
 
-    ok_v = (closed == (value == r_mod)) and (
-        not (closed and proper) or value == r_quot
+    def check(name, passed, detail):
+        verdicts.append({"name": name, "passed": passed, "detail": detail})
+
+    check(
+        "type-bounds",
+        r_mod <= value <= r_ring + r_mod,
+        f"{r_mod} <= {value} <= {r_ring} + {r_mod}",
     )
-    verdicts.append(
-        Verdict(
-            "closed-iff-type-drop",
-            ok_v,
-            f"closed={closed}, r(idealization)={value}, r_R={r_mod}, r(R/I)={r_quot}",
-        )
+    check(
+        "two-method-agreement",
+        itype.socle_value == itype.cokernel_value,
+        f"socle {itype.socle_value}, cokernel {itype.cokernel_value}",
+    )
+    check(
+        "closed-iff-residually-faithful",
+        closed == faithful == (itype.socle_excess == 0),
+        f"closed={closed}, faithful={faithful}, excess={itype.socle_excess}",
+    )
+    check(
+        "closed-iff-type-drop",
+        closed == (value == r_mod) and (not (closed and proper) or value == r_quot),
+        f"closed={closed}, r(idealization)={value}, r_R={r_mod}, r(R/I)={r_quot}",
     )
     if ulrich_ideal:
-        verdicts.append(
-            Verdict(
-                "ulrich-ideal-type",
-                value == (2 * mu - 1) * r_quot,
-                f"{value} == (2*{mu} - 1) * {r_quot}",
-            )
+        check(
+            "ulrich-ideal-type",
+            value == (2 * mu - 1) * r_quot,
+            f"{value} == (2*{mu} - 1) * {r_quot}",
         )
-    if ulrich_wrt_m and not inv.is_dvr:
-        verdicts.append(
-            Verdict(
-                "ulrich-wrt-m-type",
-                r_mod == mu and value == r_ring + r_mod,
-                f"r_R={r_mod}, mu={mu}, value={value}, r(R)={r_ring}",
-            )
+    if ulrich_wrt_m and not inv["dvr"]:
+        check(
+            "ulrich-wrt-m-type",
+            r_mod == mu and value == r_ring + r_mod,
+            f"r_R={r_mod}, mu={mu}, value={value}, r(R)={r_ring}",
         )
-    if inv.is_symmetric and proper:
-        ok = r_quot <= r_mod <= 1 + r_quot and (mu <= 1 or value == 1 + r_mod)
-        verdicts.append(
-            Verdict(
-                "gorenstein-bounds",
-                ok,
-                f"{r_quot} <= {r_mod} <= 1 + {r_quot}; mu={mu}, value={value}",
-            )
+    gorenstein = inv["gorenstein"]
+    if gorenstein and proper:
+        check(
+            "gorenstein-bounds",
+            r_quot <= r_mod <= 1 + r_quot and (mu <= 1 or value == 1 + r_mod),
+            f"{r_quot} <= {r_mod} <= 1 + {r_quot}; mu={mu}, value={value}",
         )
-    if inv.is_symmetric and trace and proper:
-        verdicts.append(
-            Verdict(
-                "gorenstein-trace-type",
-                r_mod == 1 + r_quot and value == 2 + r_quot,
-                f"r_R={r_mod}, value={value}, r(R/I)={r_quot}",
-            )
+    if gorenstein and trace and proper:
+        check(
+            "gorenstein-trace-type",
+            r_mod == 1 + r_quot and value == 2 + r_quot,
+            f"r_R={r_mod}, value={value}, r(R/I)={r_quot}",
         )
-    if ideal == m and not inv.is_dvr:
-        verdicts.append(
-            Verdict(
-                "maximal-ideal-type",
-                r_mod == r_ring + 1 and value == 2 * r_ring + 1,
-                f"r_R(m)={r_mod}, value={value}, r(R)={r_ring}",
-            )
+    if ideal == m and not inv["dvr"]:
+        check(
+            "maximal-ideal-type",
+            r_mod == r_ring + 1 and value == 2 * r_ring + 1,
+            f"r_R(m)={r_mod}, value={value}, r(R)={r_ring}",
         )
-    if inv.is_symmetric:
-        verdicts.append(
-            Verdict(
-                "gorenstein-closed-principal",
-                (not closed) or principal,
-                f"closed={closed}, principal={principal}",
-            )
+    if gorenstein:
+        check(
+            "gorenstein-closed-principal",
+            (not closed) or principal,
+            f"closed={closed}, principal={principal}",
         )
 
-    return IdealReport(
-        semigroup=H,
-        invariants=inv,
-        engine=ideal.engine,
-        ideal=ideal.describe(),
-        in_ring=in_ring,
-        proper=proper,
-        mu=mu,
-        module_type=r_mod,
-        quotient_type=r_quot,
-        idealization=itype,
-        flags=flags,
-        verdicts=verdicts,
-        consistent=all(v.passed for v in verdicts),
-    )
+    return {
+        "semigroup": {"generators": list(H.generators), **inv},
+        "engine": ideal.engine,
+        "ideal": ideal.describe(),
+        "in_ring": in_ring,
+        "proper": proper,
+        "mu": mu,
+        "module_type": r_mod,
+        "quotient_type": r_quot,
+        "r_idealization": value,
+        "methods": {"socle": itype.socle_value, "cokernel": itype.cokernel_value},
+        "socle_excess": itype.socle_excess,
+        "flags": flags,
+        "verdicts": verdicts,
+        "consistent": all(v["passed"] for v in verdicts),
+    }

@@ -5,7 +5,6 @@ family.  Cases compare computed integers and booleans against the stated
 values with exact equality; a group passes only if all its cases do.
 """
 
-import dataclasses
 import math
 import random
 
@@ -33,19 +32,16 @@ from .typecalc import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class CaseResult:
-    group: str
-    case: str
-    expected: str
-    computed: str
-    passed: bool
-
-    to_dict = dataclasses.asdict
-
-
 def _case(group, case, expected, computed):
-    return CaseResult(group, case, str(expected), str(computed), expected == computed)
+    """One ``cases`` entry of the ``verify paper --json`` document; it passes
+    when the raw values are equal, before both are printed as strings."""
+    return {
+        "group": group,
+        "case": case,
+        "expected": str(expected),
+        "computed": str(computed),
+        "passed": expected == computed,
+    }
 
 
 def random_non_dvr_semigroup(rng: random.Random, max_gen: int = 30) -> NumericalSemigroup:
@@ -64,19 +60,19 @@ def _closing_example():
     m = RelativeIdeal.from_exponents(H, {3, 4, 5})
     ri = classify(I)
     out += [
-        _case("closing-example", "I=(t3,t4) r(RxI)", 1, ri.idealization.value),
-        _case("closing-example", "I=(t3,t4) r_R(I)", 1, ri.module_type),
-        _case("closing-example", "I=(t3,t4) closed", True, ri.flags["is_closed"]),
+        _case("closing-example", "I=(t3,t4) r(RxI)", 1, ri["r_idealization"]),
+        _case("closing-example", "I=(t3,t4) r_R(I)", 1, ri["module_type"]),
+        _case("closing-example", "I=(t3,t4) closed", True, ri["flags"]["is_closed"]),
     ]
     rj = classify(J)
     out += [
-        _case("closing-example", "J=(t3,t5) r(RxJ)", 3, rj.idealization.value),
-        _case("closing-example", "J=(t3,t5) r_R(J)", 2, rj.module_type),
+        _case("closing-example", "J=(t3,t5) r(RxJ)", 3, rj["r_idealization"]),
+        _case("closing-example", "J=(t3,t5) r_R(J)", 2, rj["module_type"]),
     ]
     rm = classify(m)
     out += [
-        _case("closing-example", "m r_R(m)", 3, rm.module_type),
-        _case("closing-example", "m r(Rxm)", 5, rm.idealization.value),
+        _case("closing-example", "m r_R(m)", 3, rm["module_type"]),
+        _case("closing-example", "m r(Rxm)", 5, rm["r_idealization"]),
     ]
     return out
 
@@ -86,9 +82,9 @@ def _remark_456():
     I = RelativeIdeal.from_exponents(H, {8, 9})
     rep = classify(I)
     return [
-        _case("remark-4-5-6", "r(R/I)", 2, rep.quotient_type),
-        _case("remark-4-5-6", "r_R(I)", 2, rep.module_type),
-        _case("remark-4-5-6", "r(RxI)", 3, rep.idealization.value),
+        _case("remark-4-5-6", "r(R/I)", 2, rep["quotient_type"]),
+        _case("remark-4-5-6", "r_R(I)", 2, rep["module_type"]),
+        _case("remark-4-5-6", "r(RxI)", 3, rep["r_idealization"]),
     ]
 
 
@@ -205,7 +201,7 @@ def _maximal_ideal_random():
                 "maximal-ideal-random",
                 f"#{i} {H} r_R(m) = r+1 and r(Rxm) = 2r+1",
                 (r + 1, 2 * r + 1),
-                (rep.module_type, rep.idealization.value),
+                (rep["module_type"], rep["r_idealization"]),
             )
         )
     return out

@@ -16,8 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cmtype
-from cmtype import cli, constructions, semigroup
+from cmtype import cli, constructions, semigroup, typecalc
+from cmtype.fracideal import FractionalIdeal
+from cmtype.linalg import QQ
+from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import SEMIGROUP_CONDUCTOR_LIMIT, NumericalSemigroup
+from cmtype.series import parse_series
 
 DOCUMENT_KEYS = {"schema_version", "command", "input", "timing_ms"}
 KEPT_FLAGS = {
@@ -383,6 +387,26 @@ def test_a_huge_bound_costs_what_the_conductor_does(capsys, command):
     assert peak < 10 * 1024 * 1024
 
 
+@pytest.mark.parametrize("gens, build", [
+    ("t^4 - t^5, t^6", lambda H: FractionalIdeal.from_generators(
+        H, QQ, [parse_series("t^4 - t^5", QQ), parse_series("t^6", QQ)])),
+    ("t^8, t^9", lambda H: RelativeIdeal.from_exponents(H, {8, 9})),
+], ids=["series", "monomial"])
+def test_classify_returns_the_report_that_json_prints(capsys, gens, build):
+    H = NumericalSemigroup([4, 5, 6])
+    code, doc = run_json(capsys, ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", gens])
+    assert code == cli.EXIT_OK
+    assert typecalc.classify(build(H)) == doc["report"]
+
+
+@pytest.mark.parametrize("gens", ["4,5,6", "3,4,5", "1"])
+def test_invariants_are_a_part_of_the_semigroup_info_document(capsys, gens):
+    inv = NumericalSemigroup(map(int, gens.split(","))).invariants()
+    code, doc = run_json(capsys, ["semigroup", "info", gens])
+    assert code == cli.EXIT_OK
+    assert len(inv) == 8 and inv.items() <= doc["semigroup"].items()
+
+
 def test_sup_search_json(capsys):
     code, doc = run_json(capsys, ["sup-search", "--semigroup", "4,5,6", "--bound", "8"])
     assert code == cli.EXIT_OK and doc["command"] == "sup-search"
@@ -511,10 +535,40 @@ def test_series_engine_refuses_conductors_above_the_cap(capsys):
     assert f"SERIES_CONDUCTOR_LIMIT = {cli.SERIES_CONDUCTOR_LIMIT}" in capsys.readouterr().out
 
 
+def test_series_cap_refuses_without_scanning_the_members(capsys, monkeypatch):
+    # <100,101> has conductor 9900; the message counts the rows without a
+    # contains call per integer below c
+    H = NumericalSemigroup([100, 101])
+    c = H.conductor
+    rows = sum(1 for o in (100, 200) for z in range(1, 100 + c - o) if H.contains(z))
+    calls = []
+    contains = NumericalSemigroup.contains
+    monkeypatch.setattr(NumericalSemigroup, "contains",
+                        lambda self, z: calls.append(z) or contains(self, z))
+    argv = ["ideal", "analyze", "--semigroup", "100,101", "--gens", "t^100 + t^101, t^200"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: conductor {c} of <100,101> exceeds the series engine's cap "
+        f"SERIES_CONDUCTOR_LIMIT = {cli.SERIES_CONDUCTOR_LIMIT}: its first matrix "
+        f"alone is {rows} x {c}\n"
+    )
+    assert len(calls) < 100
+
+
+@pytest.mark.parametrize("engine", ["auto", "monomial"])
+def test_a_zero_generator_does_not_change_the_engine(capsys, engine):
+    analyze = ["ideal", "analyze", "--semigroup", "3,5", "--engine", engine, "--gens"]
+    code, with_zero = run_json(capsys, analyze + ["t^3, 0"])
+    assert code == cli.EXIT_OK
+    assert with_zero["report"] == run_json(capsys, analyze + ["t^3"])[1]["report"]
+    assert with_zero["report"]["engine"] == "monomial"
+
+
+@pytest.mark.parametrize("engine", ["auto", "monomial", "series"])
 @pytest.mark.parametrize("semigroup", ["3,4", "30,31"])
-def test_all_zero_generators_are_named_at_every_conductor(capsys, semigroup):
+def test_all_zero_generators_are_named_at_every_conductor(capsys, semigroup, engine):
     # <30,31> has conductor 870, above the series engine's cap
-    argv = ["ideal", "analyze", "--semigroup", semigroup, "--gens", "0"]
+    argv = ["ideal", "analyze", "--semigroup", semigroup, "--gens", "0", "--engine", engine]
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err == "error: need at least one nonzero generator\n"
 

@@ -61,3 +61,19 @@ def test_no_ideal_is_built_past_its_constructor():
         and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
     ]
     assert calls == []
+
+
+def test_no_result_has_a_serializer():
+    """A result is built as the dict its --json document prints, so no
+    to_dict is defined or assigned under src/cmtype."""
+    package = Path(__file__).resolve().parents[1] / "src" / "cmtype"
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_dict"
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "to_dict"
+        or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr == "to_dict"
+    ]
+    assert sites == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cmtype.errors import ArgumentError, ConsistencyError, ResourceLimitError
 from cmtype.semigroup import SEMIGROUP_CONDUCTOR_LIMIT, NumericalSemigroup, _apery_by_shortest_path
-from helpers import random_semigroup, semigroups
+from helpers import MAX_CONDUCTOR, random_semigroup, semigroups
 
 
 def brute_members(gens, limit):
@@ -109,17 +109,17 @@ class TestPseudoFrobenius:
 class TestInvariants:
     def test_3_4_5(self):
         inv = NumericalSemigroup([3, 4, 5]).invariants()
-        assert (inv.multiplicity, inv.embedding_dimension, inv.frobenius) == (3, 3, 2)
-        assert (inv.conductor, inv.type) == (3, 2)
-        assert not inv.is_symmetric and inv.is_med and not inv.is_dvr
+        assert (inv["multiplicity"], inv["embedding_dimension"], inv["frobenius"]) == (3, 3, 2)
+        assert (inv["conductor"], inv["type"]) == (3, 2)
+        assert not inv["gorenstein"] and inv["med"] and not inv["dvr"]
 
     def test_3_7_symmetric(self):
         inv = NumericalSemigroup([3, 7]).invariants()
-        assert inv.type == 1 and inv.is_symmetric and not inv.is_med
+        assert inv["type"] == 1 and inv["gorenstein"] and not inv["med"]
 
     def test_dvr(self):
         inv = NumericalSemigroup([1]).invariants()
-        assert inv.is_dvr and inv.multiplicity == 1 and inv.is_symmetric
+        assert inv["dvr"] and inv["multiplicity"] == 1 and inv["gorenstein"]
 
 
 class TestCanonicalIdeal:
@@ -174,7 +174,7 @@ def test_random_invariant_properties():
         assert len(ap) == n
         assert len({x % n for x in ap}) == n
         assert max(ap) == H.frobenius + n
-        if H.invariants().is_med and H.multiplicity >= 2:
+        if H.invariants()["med"] and H.multiplicity >= 2:
             assert len(pf) == H.multiplicity - 1
         K = H.canonical_relative_ideal()
         assert K.colon(K) == K.unit_ideal()  # K : K = R
@@ -248,6 +248,19 @@ def test_apery_is_the_least_member_in_each_class(drawn, which):
     members = brute_members(gens, H.conductor + n)
     least = [min(x for x in members if x % n == r) for r in range(n)]
     assert H.apery(n) == tuple(sorted(least))
+
+
+BOUNDS = st.integers(-30, MAX_CONDUCTOR + 30)  # below 0 and past every c <= 80
+
+
+@given(semigroups(), BOUNDS, BOUNDS)
+@example(DVR, -5, 3)
+@example(DVR, 2, -1)
+@example(([3, 5], NumericalSemigroup([3, 5])), -4, 8)  # across the conductor 8
+@example(([3, 5], NumericalSemigroup([3, 5])), 9, 4)
+def test_members_match_the_contains_loop(drawn, start, stop):
+    _, H = drawn
+    assert H.members(start, stop) == [z for z in range(max(start, 0), stop) if H.contains(z)]
 
 
 @pytest.mark.parametrize("e", [SEMIGROUP_CONDUCTOR_LIMIT + 1, 20_000_003])

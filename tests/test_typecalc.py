@@ -214,10 +214,10 @@ class TestFormulas:
 
     def test_classify_matches_the_public_predicates(self, name, ideal):
         report = typecalc.classify(ideal)
-        if report.proper:
-            assert report.quotient_type == typecalc.quotient_type(ideal)
-            assert report.flags["is_ulrich_ideal"] == typecalc.is_ulrich_ideal(ideal)
-        for target in [ideal.unit_ideal()] + ([] if report.proper else [ideal]):
+        if report["proper"]:
+            assert report["quotient_type"] == typecalc.quotient_type(ideal)
+            assert report["flags"]["is_ulrich_ideal"] == typecalc.is_ulrich_ideal(ideal)
+        for target in [ideal.unit_ideal()] + ([] if report["proper"] else [ideal]):
             for public in (typecalc.quotient_type, typecalc.is_ulrich_ideal):
                 with pytest.raises(ArgumentError):
                     public(target)
@@ -327,7 +327,7 @@ def test_series_socle_excess_matches_its_definition(case):
 
 
 def report_without_label(ideal):
-    doc = typecalc.classify(ideal).to_dict()
+    doc = typecalc.classify(ideal)
     del doc["ideal"]  # the generators the ideal was built from, printed as given
     return doc
 
@@ -496,14 +496,14 @@ def test_classify_flags_match_the_definitions(lift):
                     "is_closed": typecalc.is_closed(I),
                     "is_trace": typecalc.is_trace(I),
                     "is_residually_faithful": typecalc.is_residually_faithful(I),
-                    "is_ulrich_ideal": report.proper and typecalc.is_ulrich_ideal(I),
+                    "is_ulrich_ideal": report["proper"] and typecalc.is_ulrich_ideal(I),
                     "is_ulrich_module_wrt_m": typecalc.is_ulrich_module_wrt(I),
                     "is_principal": I.is_principal(),
                 }
-                assert {k: report.flags[k] for k in expected} == expected, I.describe()
-                r_quot = typecalc.quotient_type(I) if report.proper else None
-                assert report.quotient_type == r_quot, I.describe()
-                outcomes.add((report.flags["is_residually_faithful"], r_quot))
+                assert {k: report["flags"][k] for k in expected} == expected, I.describe()
+                r_quot = typecalc.quotient_type(I) if report["proper"] else None
+                assert report["quotient_type"] == r_quot, I.describe()
+                outcomes.add((report["flags"]["is_residually_faithful"], r_quot))
     assert {faithful for faithful, _ in outcomes} == {True, False}
     assert len({r for _, r in outcomes if r is not None}) > 2
 
@@ -515,14 +515,14 @@ def test_a_faithfulness_rank_off_by_one_is_reported(monkeypatch, lift, exps, ste
     # over <3,7> the flag's exponents {4, 11} differ from PF(H) = {11}; only
     # the flag's rank is off, so classify sees closed != faithful
     I = lift(RelativeIdeal.from_exponents(H37, exps))
-    assert typecalc.classify(I).consistent
+    assert typecalc.classify(I)["consistent"]
     pf, cls = set(H37.pseudo_frobenius()), type(I)
     original = cls.endo_meet_dim
     monkeypatch.setattr(cls, "endo_meet_dim",
                         lambda self, f: original(self, f) + (0 if set(f) == pf else step))
     report = typecalc.classify(I)
-    assert not report.consistent
-    failed = [v.name for v in report.verdicts if not v.passed]
+    assert not report["consistent"]
+    failed = [v["name"] for v in report["verdicts"] if not v["passed"]]
     assert failed == ["closed-iff-residually-faithful"], I.describe()
 
 
@@ -547,7 +547,7 @@ class TestWorkCounts:
         count_calls(monkeypatch, FractionalIdeal, "multiply", products)
         count_calls(monkeypatch, FractionalIdeal, "mu", mus)
         report = typecalc.classify(I)
-        assert report.consistent and report.flags["is_ulrich_ideal"]
+        assert report["consistent"] and report["flags"]["is_ulrich_ideal"]
         pairs = Counter((a is I, a is m, b is I) for a, b in products)
         assert pairs[(True, False, True)] <= 1  # I I
         assert pairs[(False, True, True)] <= 1  # m I
@@ -569,7 +569,7 @@ class TestWorkCounts:
         count_calls(monkeypatch, FractionalIdeal, "multiply", products)
         count_calls(monkeypatch, FractionalIdeal, "intersect", meets)
         count_calls(monkeypatch, FractionalIdeal, "shift", shifts)
-        assert typecalc.classify(I).consistent
+        assert typecalc.classify(I)["consistent"]
         # m I and m (K:I) are spans on their own windows; the faithful flag is a rank
         assert not any(m in pair for pair in products)
         assert meets == [] and shifts == []
@@ -585,7 +585,7 @@ class TestWorkCounts:
         products = []
         count_calls(monkeypatch, FractionalIdeal, "multiply", products)
         for I in ideals:
-            assert typecalc.classify(I).consistent
+            assert typecalc.classify(I)["consistent"]
         # no m K: the cokernel route reduces modulo the m K that K keeps; and no
         # (K:I) I: the only products with I are m I and, for the Ulrich test, I I
         assert not any(b is K for _, b in products)
@@ -600,7 +600,7 @@ class TestWorkCounts:
         count_calls(monkeypatch, FractionalIdeal, "contains_ideal", record)
         count_calls(monkeypatch, FractionalIdeal, "quotient_length", lengths)
         report = typecalc.classify(I)
-        assert report.proper and report.consistent
+        assert report["proper"] and report["consistent"]
         # R >= I alone, besides the containment each length checks first: the
         # trace pre-test R:m <= I:I is the rank excess = r(R)
         assert [sub for _, sub in record] == [I] + [sub for _, sub in lengths]
@@ -618,7 +618,7 @@ class TestWorkCounts:
         count_calls(monkeypatch, FractionalIdeal, "find_reduction", searches)
         count_calls(monkeypatch, FractionalIdeal, "multiply", products)
         report = typecalc.classify(I)
-        assert report.consistent and report.flags["is_ulrich_ideal"] is ulrich
+        assert report["consistent"] and report["flags"]["is_ulrich_ideal"] is ulrich
         assert searches == []
         assert sum(1 for a, b in products if a is I and b is I) <= 1
 
@@ -650,7 +650,7 @@ class TestWorkCounts:
         colons, duals = [], []
         count_calls(monkeypatch, FractionalIdeal, "colon", colons)
         count_calls(monkeypatch, FractionalIdeal, "canonical_dual", duals)
-        assert typecalc.classify(I).consistent
+        assert typecalc.classify(I)["consistent"]
         # I:I is the one colon; K:I = I^perp and, only when K != R, R:m <= I:I
         # and K I != I, R:I = (K I)^perp are canonical duals; none of them twice
         assert colons == [(I, I)]
@@ -666,7 +666,7 @@ class TestWorkCounts:
         I = RelativeIdeal.from_exponents(H, exps)
         record = []
         count_calls(monkeypatch, RelativeIdeal, "colon", record)
-        assert typecalc.classify(I).consistent
+        assert typecalc.classify(I)["consistent"]
         # K:I, I:I, and R:I = K:(K I) only when K != R, R:m <= I:I and K I != I
         assert len(record) == colons
         assert max(Counter(record).values()) == 1
