@@ -68,8 +68,8 @@ SERIES_CONDUCTOR_LIMIT = 600
 # ResourceLimitError as soon as the Apery set gives c, before H's member mask.
 
 # `sup-search` and `enumerate` raise ResourceLimitError past ENUMERATION_LIMIT
-# ideals unless --limit sets another cap; `constructions` defines it, as the
-# default of its enumeration.
+# ideals unless --limit sets another cap, which bounds the enumeration's walk
+# too; `constructions` defines it, as the default of its enumeration.
 
 # `enumerate` yields the delta-0 shift of each ideal, which contains R, so only
 # the flags that do not change under a shift mean anything there: is_trace

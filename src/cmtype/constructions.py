@@ -10,11 +10,11 @@ for the supremum of the idealization type.
 
 from .errors import ArgumentError, ConsistencyError, ResourceLimitError
 from .relideal import RelativeIdeal, _maximal, _unit
-from .semigroup import NumericalSemigroup, _set_bits
+from .semigroup import NumericalSemigroup
 from .typecalc import idealization_type, is_ulrich_module_wrt
 
-# The enumeration raises ResourceLimitError past this many ideals; it is the
-# default of `sup-search --limit` and `enumerate --limit` too.
+# The enumeration raises ResourceLimitError past this many ideals, which caps its
+# walk too; it is the default of `sup-search --limit` and `enumerate --limit`.
 ENUMERATION_LIMIT = 200_000
 
 
@@ -99,12 +99,17 @@ def enumerate_monomial_ideals(
 ):
     """All relative ideals with delta = 0 whose chosen gaps lie in [0, span_bound].
 
-    Every such ideal contains H (hence all of the conductor tail), so it is
-    H plus an upward-closed set of gaps; upward closure under the generators
-    suffices.  Yields each ideal once (canonical masks are distinct).  A
-    nonempty such set of gaps holds its maximal elements under <=_H, which
-    are pseudo-Frobenius numbers, so a span bound below min PF(H) yields R
-    alone.
+    Each contains H (hence all of the conductor tail), so it is H plus a set
+    of gaps closed under adding the generators, and each comes once.  Such a
+    nonempty set holds its maximal elements under <=_H, which are
+    pseudo-Frobenius numbers, so a span bound below min PF(H) yields R alone.
+    The walk takes the gaps <= min(span_bound, c) from the top, on whole
+    masks.  An open (not yet passed) gap h with some gap h + a outside the
+    mask, a a generator, stays out in every branch below, so a node passes
+    over such gaps to the top open gap g left, or is a leaf if there is none:
+    it yields the ideal without g, then with g, keeping the gaps below g open.
+    N ideals cost at most 2N - 1 nodes of O(e) mask operations each, so
+    max_count bounds the work as well.
     """
     if span_bound < 1:
         raise ArgumentError("span bound must be at least 1")
@@ -112,30 +117,25 @@ def enumerate_monomial_ideals(
         raise ArgumentError("enumeration cap must be at least 1")
     base_mask = H._member_mask
     gap_mask = ((1 << H.conductor) - 1) & ~base_mask
-    # only gaps <= span_bound are chosen, so only they are walked; the masks
-    # are no wider than span_bound plus the largest generator.  Every gap is
-    # below c, so a bound past c takes them all and sizes no mask of its own.
-    gaps_desc = _set_bits(gap_mask & ((2 << min(span_bound, H.conductor)) - 1))[::-1]
-    # the gaps g + a (a a generator) that choosing gap g forces in as well;
-    # one above span_bound is never chosen, so it keeps g out
-    needed = [sum(1 << (g + a) for a in H.generators) & gap_mask for g in gaps_desc]
     count = 0
-    # depth first on a stack, as recursion overflows near a thousand gaps;
-    # "choose" is pushed before "skip", so the ideal without gap g comes first
-    stack = [(0, 0)]
+    # depth first on a stack, as recursion overflows near a thousand gaps; "skip" pops first
+    stack = [(base_mask, gap_mask & ((2 << min(span_bound, H.conductor)) - 1))]
     while stack:
-        i, chosen_mask = stack.pop()
-        if i == len(gaps_desc):
+        mask, open_gaps = stack.pop()
+        free, outside = open_gaps, gap_mask & ~mask
+        for a in H.generators:
+            free &= ~(outside >> a)
+        if not free:
             count += 1
             if count > max_count:
                 raise ResourceLimitError(
                     f"more than {max_count} ideals below span bound {span_bound}"
                 )
-            yield RelativeIdeal(H, 0, base_mask | chosen_mask)
+            yield RelativeIdeal(H, 0, mask)
             continue
-        if not needed[i] & ~chosen_mask:
-            stack.append((i + 1, chosen_mask | 1 << gaps_desc[i]))
-        stack.append((i + 1, chosen_mask))
+        top = 1 << (free.bit_length() - 1)  # the top gap g that the node branches on
+        below = open_gaps & (top - 1)
+        stack += [(mask | top, below), (mask, below)]
 
 
 def sup_search(H: NumericalSemigroup, span_bound: int, max_count: int = ENUMERATION_LIMIT):

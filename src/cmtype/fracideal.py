@@ -544,6 +544,9 @@ def _reframe(matrix, shift, width):
     if shift == 0 and width == matrix.ncols:
         return matrix  # the same window: the matrix itself
     zero, one = matrix.field.zero(), matrix.field.one()
+    # a window that ends before the old one starts, or starts past its end,
+    # keeps none of its rows; clamped there, no tuple is longer than width
+    shift = min(max(shift, -width), matrix.ncols)
     lo, hi = max(shift, 0), shift + width  # the new window, in old columns
     first = bisect.bisect_left(matrix.pivots, lo)
     keep = bisect.bisect_left(matrix.pivots, hi)

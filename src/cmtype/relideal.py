@@ -16,7 +16,8 @@ delta_E + j:
 
   * H-stability: (OR of mask << a over the generators a) & ~mask == 0;
   * the ideal generated by g_1 < ... < g_k: OR of h << (g_i - g_1);
-  * E + F, E meet F: OR, AND of both masks at min, max of the deltas;
+  * E + F, E meet F: OR, AND of both masks at min, max of the deltas,
+    with a left shift cut at c (past c the lower ideal holds every bit);
   * E F: OR of F's mask << j over the set bits j of E's generator mask,
     at origin delta_E + delta_F;
   * E - F: AND of E's mask >> j over the set bits j of F's generator mask,
@@ -25,9 +26,11 @@ delta_E + j:
     with no ideal built;
   * the image of X Y in M/mM: the OR of X's generator mask << (d0 + j)
     over the set bits j of Y's, d0 = delta_X + delta_Y - delta_M, ANDed
-    with M's generator mask; its dimension is the bit count;
-  * F <= E: F's mask AND NOT E._at(delta_F) is zero, and the length of
-    E/F counts the bits of E's mask AND NOT F._at(delta_E);
+    with M's generator mask; its dimension is the bit count, 0 with no
+    shift when d0 passes M's last generator;
+  * F <= E: delta_F >= delta_E and F's mask AND NOT E._at(delta_F) is
+    zero, and the length of E/F is delta_F - delta_E plus the bit count of
+    ~F's mask minus that of ~E's;
   * minimal generators: the generator mask, mask & ~OR of mask << a over
     the generators a of H; mu is its bit count;
   * normalization to the least member j of a mask: mask >> j.
@@ -157,8 +160,11 @@ class RelativeIdeal:
     def add(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Set union: the fractional ideal sum E + F (as R-modules)."""
         self._check_same(other)
-        start = min(self.delta, other.delta)
-        return RelativeIdeal(self.semigroup, start, self._at(start) | other._at(start))
+        low, high = (self, other) if self.delta <= other.delta else (other, self)
+        # low holds every integer from delta_low + c on, so a shift of high past
+        # c adds nothing there and is cut at c: no mask grows with the orders
+        shift = min(high.delta - low.delta, self.semigroup.conductor)
+        return RelativeIdeal(self.semigroup, low.delta, low._mask | high._mask << shift)
 
     def multiply(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Minkowski sum {x + y}: the ideal product."""
@@ -217,6 +223,8 @@ class RelativeIdeal:
             raise ContainmentError(
                 f"the product of {X.describe()} and {Y.describe()} is not in {self.describe()}"
             )
+        if d0 >= self._gen_mask.bit_length():
+            return 0  # every sum lies past the last generator of M
         gx, sums = X._gen_mask, 0
         for j in Y._generator_offsets():
             sums |= gx << (d0 + j)
@@ -252,13 +260,17 @@ class RelativeIdeal:
         return RelativeIdeal(self.semigroup, self.delta + s, self._mask)
 
     def quotient_length(self, sub: "RelativeIdeal") -> int:
-        """The k-dimension of E/F for F <= E (finite: they share a tail)."""
+        """The k-dimension of E/F for F <= E (finite: they share a tail):
+        delta_F - delta_E + g(F) - g(E), g(X) the count of the integers
+        above delta_X outside X, the set bits of ~X's mask."""
         if not self.contains_ideal(sub):
             raise ContainmentError(f"{sub.describe()} is not contained in {self.describe()}")
-        return (self._mask & ~sub._at(self.delta)).bit_count()
+        return sub.delta - self.delta + (~sub._mask).bit_count() - (~self._mask).bit_count()
 
     def contains_ideal(self, sub: "RelativeIdeal") -> bool:
         self._check_same(sub)
+        if sub.delta < self.delta:
+            return False
         return sub._mask & ~self._at(sub.delta) == 0
 
     # -- companions in the same engine --------------------------------------

@@ -1,8 +1,10 @@
 """The command-line contract: exit codes, JSON documents, error carets."""
 
+import contextlib
 import gc
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -385,6 +387,73 @@ def test_a_huge_bound_costs_what_the_conductor_does(capsys, command):
         tracemalloc.stop()
     assert huge == expected
     assert peak < 10 * 1024 * 1024
+
+
+@pytest.mark.parametrize("command", ["sup-search", "enumerate"])
+def test_the_enumeration_cap_bounds_the_walk(capsys, command):
+    # <101,102> has 5,050 gaps below the bound; the walk makes under two nodes
+    # per ideal, so the cap is reached in time that does not grow with them
+    argv = [command, "--semigroup", "101,102", "--bound", "10201", "--limit", "5000", "--json"]
+    started = time.perf_counter()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    elapsed = time.perf_counter() - started
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: more than 5000 ideals below span bound 10201\n"
+    assert elapsed < 3
+
+
+@pytest.mark.parametrize("engine, gens", [
+    ("monomial", lambda x: f"t^{x}"),
+    ("monomial", lambda x: f"t^{x}, t^{x + 1}"),
+    ("series", lambda x: f"t^{x}"),
+    ("series", lambda x: f"t^{x} + t^{x + 1}, t^{x + 3}"),
+], ids=["monomial", "monomial-2", "series", "series-2"])
+@pytest.mark.parametrize("order, near", [(10**20, 10**6), (10**9, 10**6), (-10**20, -10**6)])
+def test_a_huge_order_costs_what_the_conductor_does(capsys, engine, gens, order, near):
+    # the report of an ideal does not change under a shift that keeps it in or
+    # out of R, and no mask or window may grow with the order
+    def report(x):
+        argv = ["ideal", "analyze", "--semigroup", "4,5,7", "--gens", gens(x), "--engine", engine]
+        code, doc = run_json(capsys, argv)
+        assert code == cli.EXIT_OK
+        del doc["report"]["ideal"]
+        return doc["report"]
+
+    expected = report(near)
+    tracemalloc.start()
+    try:
+        huge = report(order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge == expected
+    assert peak < 10 * 1024 * 1024
+
+
+FAR_TERMS = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-10**20, 10**20)), min_size=1, max_size=2
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["2,3", "3,5", "4,5,7", "3,4,5", "5,6,7"]),
+    st.sampled_from(["qq", "fp:32003"]),
+    st.lists(FAR_TERMS, min_size=1, max_size=3),
+)
+@example("3,5", "qq", [[(1, 10**20)], [(1, -10**20)]])
+@example("4,5,7", "fp:32003", [[(1, 10**20), (2, 10**20 + 1)], [(1, -10**20)]])
+def test_ideal_analyze_exits_0_or_2_at_any_order(semigroup, field, terms):
+    gens = ", ".join(" + ".join(f"{c}*t^{x}" for c, x in gen) for gen in terms)
+    # one argument, as a leading "-" would read as an option
+    argv = ["ideal", "analyze", "--semigroup", semigroup, f"--gens={gens}", "--field", field,
+            "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT), err.getvalue()
+    if code == cli.EXIT_OK:
+        assert json.loads(out.getvalue())["report"]["consistent"]
 
 
 @pytest.mark.parametrize("gens, build", [

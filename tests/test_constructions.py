@@ -68,6 +68,13 @@ def test_enumeration_order_matches_the_recursive_walk():
         got = [I.members_mask(0, H.conductor) for I in enumerate_monomial_ideals(H, bound)]
         expected = [I.members_mask(0, H.conductor) for I in recursive_monomial_ideals(H, bound)]
         assert got == expected, (H, bound)
+    # <31,32> at c + 1: long runs of gaps left out by the gaps above them
+    H = NumericalSemigroup([31, 32])
+    got, expected = (
+        [I.members_mask(0, H.conductor) for I in itertools.islice(walk(H, 961), 3000)]
+        for walk in (enumerate_monomial_ideals, recursive_monomial_ideals)
+    )
+    assert got == expected
 
 
 def test_a_small_span_bound_walks_no_conductor_wide_masks():

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -708,3 +709,28 @@ class TestWorkCounts:
         typecalc.idealization_type(I, 13)
         # K:I alone: neither I:I nor the parameter socle (t^13 R : m) meet R
         assert len(colons) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda H: RelativeIdeal.from_exponents(H, {4, 7}),
+    lambda H: FractionalIdeal.from_generators(
+        H, QQ, [parse_series("t^4 - t^5", QQ), parse_series("t^7", QQ)]),
+], ids=["monomial", "series"])
+def test_public_functions_take_orders_far_apart(build):
+    # no mask or window may grow with the distance of two orders
+    I = build(NumericalSemigroup([4, 5, 7]))
+    far, near, low = I.shift(10**20), I.shift(10**6), I.shift(-10**20)
+    tracemalloc.start()
+    try:
+        assert typecalc.quotient_type(far) == typecalc.quotient_type(near)
+        faithful = [typecalc.is_residually_faithful(J) for J in (I, far, low)]
+        assert faithful[0] == faithful[1] == faithful[2]
+        assert I.add(far) == far.add(I) == I and low.add(far) == low
+        assert I.intersect(far) == far.intersect(I) == far and low.intersect(far) == far
+        assert I.contains_ideal(far) and low.contains_ideal(far)
+        assert not far.contains_ideal(I) and not far.contains_ideal(low)
+        assert I.quotient_length(far) == low.quotient_length(I) == 10**20  # len(I/xI) = v(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024
