@@ -133,7 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     ideal_sub = p_ideal.add_subparsers(dest="subcommand", required=True)
     p_an = add(ideal_sub, "analyze", "classify an ideal and compute its types")
     p_an.add_argument("--semigroup", required=True, help=semigroup_help)
-    p_an.add_argument("--gens", required=True, help="comma-separated series expressions")
+    p_an.add_argument(
+        "--gens", required=True,
+        help="comma-separated series expressions; a list that starts with '-' "
+        "must be attached with '=', as in --gens=-1*t^3",
+    )
     p_an.add_argument("--field", default="qq", help="qq or fp:<prime> (default qq)")
     p_an.add_argument(
         "--engine", default="auto", choices=["auto", "monomial", "series"],

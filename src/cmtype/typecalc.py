@@ -1,7 +1,9 @@
 """Cohen-Macaulay types of idealizations and ideal classifications.
 
-Everything here is generic over the two ideal engines (RelativeIdeal and
-FractionalIdeal expose the same operation surface).  The central quantity
+Everything here is generic over the two ideal engines: RelativeIdeal and
+FractionalIdeal expose the same operation surface, and
+tests/test_ideal_laws.py checks the laws this module relies on, one suite
+over both engines (the series one over four fields).  The central quantity
 is the type of the idealization ring built from R and a fractional ideal I,
 computed by two independent routes:
 

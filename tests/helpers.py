@@ -1,17 +1,31 @@
-"""Shared generators for randomized tests (all explicitly seeded) and references."""
+"""Shared generators for randomized tests (all explicitly seeded) and references.
 
+``ideal_cases(engine)`` is the one hypothesis strategy for ideals that any
+engine can take: it draws (I, J, a, s) on one of the five ``ENGINES`` (the
+monomial engine, and the series engine over QQ, GF(2), GF(3) and F_32003),
+with I a fractional ideal, J a proper ideal of R drawn independently of I,
+a a positive member of H and s a shift; ``ideal_examples(engine)`` are its
+explicit cases, the DVR <1> and ideals of negative order among them.
+``tests/test_ideal_laws.py`` runs every law on both, and the series tests
+that need only ideals of that shape draw from ``series_cases``, or from
+``series_ideals``, its I alone.  The other strategies draw shapes it does
+not: the exponents a set oracle reads, a product below a third ideal, or
+orders more than c apart; each says which in its docstring.
+"""
+
+import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from hypothesis import assume
 from hypothesis import strategies as st
 
 from cmtype import linalg
 from cmtype.fracideal import FractionalIdeal, _reframe
-from cmtype.linalg import CoeffMatrix
+from cmtype.linalg import GF, QQ, CoeffMatrix
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
-from cmtype.series import TruncatedSeries
+from cmtype.series import TruncatedSeries, parse_series
 
 
 def random_semigroup(rng, lo=2, hi=16, max_gens=3):
@@ -48,13 +62,13 @@ MAX_CONDUCTOR = 80
 MAX_GENERATOR = 24
 
 
-@st.composite
-def semigroups(draw):
-    gens = draw(st.lists(st.integers(2, MAX_GENERATOR), min_size=2, max_size=4, unique=True))
-    assume(math.gcd(*gens) == 1)
-    H = NumericalSemigroup(gens)
-    assume(H.conductor <= MAX_CONDUCTOR)
-    return gens, H
+@functools.cache
+def semigroups():
+    """(gens, H), built once.  The filter redraws a rejected semigroup on the
+    spot, so a test that draws several keeps its example."""
+    gens = st.lists(st.integers(2, MAX_GENERATOR), min_size=2, max_size=4, unique=True)
+    coprime = gens.map(lambda g: (g, NumericalSemigroup(g)) if math.gcd(*g) == 1 else None)
+    return coprime.filter(lambda case: case is not None and case[1].conductor <= MAX_CONDUCTOR)
 
 
 def nonzero_coefficient(field):
@@ -65,7 +79,10 @@ def nonzero_coefficient(field):
 
 @st.composite
 def generated_ideals(draw, H, field, single_terms=True):
-    """An ideal from 1-3 generators; without single_terms, each has >= 2 terms."""
+    """An ideal from 1-3 generators; without single_terms, each has >= 2 terms.
+
+    The series ideals of ``ideal_cases``, and the building block of strategies
+    that need two unrelated entered ideals."""
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         order = draw(st.integers(-2, H.conductor + 1))
@@ -73,6 +90,98 @@ def generated_ideals(draw, H, field, single_terms=True):
         exponents = [order] + sorted(draw(extra))
         gens.append(TruncatedSeries(field, {e: draw(nonzero_coefficient(field)) for e in exponents}))
     return FractionalIdeal.from_generators(H, field, gens)
+
+
+@dataclass(frozen=True)
+class Engine:
+    """One engine configuration: the monomial engine (no field) or the series
+    engine over one field.  ``lift`` puts a monomial ideal on it."""
+
+    name: str
+    field: object = None
+
+    def lift(self, E):
+        return E if self.field is None else FractionalIdeal.from_relative(E, self.field)
+
+
+ENGINES = (
+    Engine("monomial"),
+    Engine("series-QQ", QQ),
+    Engine("series-F2", GF(2)),
+    Engine("series-F3", GF(3)),
+    Engine("series-F32003", GF(32003)),
+)
+SERIES_ENGINES = ENGINES[1:]
+
+
+@st.composite
+def entered_ideals(draw, engine):
+    """The I of ``ideal_cases`` on a series engine: an ideal entered by
+    generators over the DVR or a SERIES_POOL semigroup."""
+    H = NumericalSemigroup(draw(st.sampled_from([[1]] + SERIES_POOL)))
+    return draw(generated_ideals(H, engine.field, draw(st.booleans())))
+
+
+@st.composite
+def ideal_cases(draw, engine, monomial=False):
+    """(I, J, a, s) on one engine: a fractional ideal I, a proper ideal J of R
+    drawn independently of I, a positive a in H and a shift s with
+    |s| <= c + 3.
+
+    On the monomial engine, and with ``monomial`` on any engine, H is a
+    ``semigroups()`` draw (c <= 80) and I and J start as ideals of 1-5
+    exponents in [-c - 2, 2c + 2], lifted to the engine.  Otherwise H is the
+    DVR or a SERIES_POOL semigroup and both come from ``generated_ideals``, I
+    with or without single-term generators.  J is then moved to an order in
+    [1, c + 1] and met with R, so J <= m; a <= 2c + e.
+    """
+    if engine.field is None or monomial:
+        H = draw(semigroups())[1]
+        c = H.conductor
+        exponents = st.lists(st.integers(-c - 2, 2 * c + 2), min_size=1, max_size=5)
+        I, J = (engine.lift(RelativeIdeal.from_exponents(H, draw(exponents))) for _ in range(2))
+    else:
+        I = draw(entered_ideals(engine))
+        H = I.semigroup
+        J = draw(generated_ideals(H, engine.field))
+    c, e = H.conductor, H.multiplicity
+    J = J.shift(draw(st.integers(1, c + 1)) - J.delta).intersect(J.unit_ideal())
+    a = draw(st.sampled_from(H.members(1, 2 * c + e + 1)))
+    return I, J, a, draw(st.integers(-c - 3, c + 3))
+
+
+# any series engine, for the tests of one engine's representation; drawing
+# I alone costs a third less, for the tests that need no J
+series_cases = st.sampled_from(SERIES_ENGINES).flatmap(ideal_cases)
+series_ideals = st.sampled_from(SERIES_ENGINES).flatmap(entered_ideals)
+
+
+def ideal_examples(engine, monomial=False):
+    """The explicit cases of ``ideal_cases(engine, monomial)``: the DVR <1>
+    (c = 0, PF(H) = {-1}), and I of negative order over <3,7>; on the series
+    engine, unless ``monomial``, also ideals with no monomial generator over
+    both."""
+    H1, H37 = NumericalSemigroup([1]), NumericalSemigroup([3, 7])
+
+    def lifted(H, exponents):
+        return engine.lift(RelativeIdeal.from_exponents(H, exponents))
+
+    cases = [
+        (lifted(H1, {-2}), lifted(H1, {2}), 1, -2),
+        (lifted(H1, {0}), lifted(H1, {1}), 3, 4),
+        (lifted(H37, {-5, 2}), lifted(H37, {3}), 3, 4),
+    ]
+    if engine.field is None or monomial:
+        return cases
+    F = engine.field
+    return cases + [
+        (series_ideal(H1, F, "t^-2 + 3*t^4"), series_ideal(H1, F, "2*t^2 - t^3"), 3, 1),
+        (series_ideal(H37, F, "t^-4 + t^-1"), series_ideal(H37, F, "t^6 - t^7"), 3, -5),
+    ]
+
+
+def series_ideal(H, field, *exprs):
+    return FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
 
 
 def rref_qq_reference(rows):

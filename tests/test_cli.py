@@ -50,6 +50,7 @@ def test_semigroup_info_json(capsys):
     assert doc["semigroup"]["pseudo_frobenius"] == [7]
 
 
+@pytest.mark.pin
 def test_ideal_analyze_json(capsys):
     argv = ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4 - t^5, t^6"]
     code, doc = run_json(capsys, argv)
@@ -197,6 +198,7 @@ COMMAND_IDS = [
 COMMANDS = [argv for argv, _, _ in BYTE_STABLE]
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("argv, text_sha, json_sha", BYTE_STABLE, ids=COMMAND_IDS)
 def test_documents_are_byte_stable(capsys, argv, text_sha, json_sha):
     for extra, expected in (([], text_sha), (["--json"], json_sha)):
@@ -338,9 +340,12 @@ def test_enumerate_prints_only_shift_invariant_flags(capsys):
 
 
 def test_enumerate_walks_a_thousand_gaps(capsys):
-    # <2,2001> has 1,000 gaps, one enumeration level each, past Python's recursion limit
-    code, doc = run_json(capsys, ["enumerate", "--semigroup", "2,2001", "--bound", "1"])
-    assert code == cli.EXIT_OK and doc["count"] == 1
+    # <2,2001>: the ideals are R and R plus each tail of its 1,000 odd gaps,
+    # 1,001 in all.  The mask walk branches on the top open gap (skip it: a
+    # leaf; take it: the next gap down), so it is 1,000 levels deep, past
+    # Python's recursion limit, and makes 2 * 1,001 - 1 nodes.
+    code, doc = run_json(capsys, ["enumerate", "--semigroup", "2,2001", "--bound", "2001"])
+    assert code == cli.EXIT_OK and doc["count"] == 1001
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -640,6 +645,17 @@ def test_all_zero_generators_are_named_at_every_conductor(capsys, semigroup, eng
     argv = ["ideal", "analyze", "--semigroup", semigroup, "--gens", "0", "--engine", engine]
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err == "error: need at least one nonzero generator\n"
+
+
+def test_a_generator_list_that_starts_with_a_minus_is_attached_with_equals(capsys, monkeypatch):
+    # argparse reads a separate "-1*t^3" as an option; the help says how to write it
+    code, doc = run_json(capsys, ["ideal", "analyze", "--semigroup", "3,5", "--gens=-1*t^3"])
+    assert code == cli.EXIT_OK and doc["report"]["ideal"] == "(t^3) over <3,5>"
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    with pytest.raises(SystemExit):
+        cli.main(["ideal", "analyze", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "a list that starts with '-' must be attached with '=', as in --gens=-1*t^3" in text
 
 
 @pytest.mark.parametrize("command", ["sup-search", "enumerate"])

@@ -13,7 +13,6 @@ from cmtype.linalg import (
     GF,
     QQ,
     CoeffMatrix,
-    FieldSpec,
     intersect,
     member,
     nullspace,

@@ -5,15 +5,14 @@ The oracles know H only through brute-force sums of the given generators
 and an ideal only through its given generators, so they share nothing with
 the member mask, the Apery set or the minimal generators they check.  The
 counts read off generator masks (mu, top_rank, endo_meet_dim) are checked
-against those oracles and against the series engine, which computes them
-as ranks of coefficient rows and shares no code with the masks.
+against those oracles here, and against the series engine, which computes
+them as ranks of coefficient rows, by the agreement law of
+test_ideal_laws.py.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmtype.fracideal import FractionalIdeal
-from cmtype.linalg import GF, QQ
 from cmtype.relideal import RelativeIdeal, _offsets
 from cmtype.semigroup import NumericalSemigroup, _set_bits
 from helpers import MAX_GENERATOR, semigroups
@@ -50,6 +49,8 @@ class Oracle:
 
 @st.composite
 def ideal_pairs(draw):
+    """(gens, H, ge, gf): the given exponents of two monomial ideals, which
+    the set oracles read, a shape ideal_cases does not draw."""
     gens, H = draw(semigroups())
     c = max(H.conductor, 2)
     exponents = st.lists(st.integers(-c, 2 * c), min_size=1, max_size=5)
@@ -156,9 +157,10 @@ def set_generators(oracle, member, lo, c):
 
 
 @st.composite
-def rank_cases(draw, semigroup_strategy=semigroups()):
-    """X, Y and the exponents of a third ideal M = X Y + Z, so X Y <= M."""
-    gens, H = draw(semigroup_strategy)
+def rank_cases(draw):
+    """X, Y and the exponents of a third ideal M = X Y + Z, so X Y <= M: a
+    shape ideal_cases does not draw."""
+    gens, H = draw(semigroups())
     c = max(H.conductor, 2)
     exponents = st.lists(st.integers(-c, 2 * c), min_size=1, max_size=4)
     gx, gy = draw(exponents), draw(exponents)
@@ -201,7 +203,7 @@ def test_top_rank_against_sums(case):
 @st.composite
 def endo_cases(draw):
     """An ideal's generators, exponents with repeats, negative numbers and
-    numbers >= c, and a shift."""
+    numbers >= c, and a shift: exponent lists ideal_cases does not draw."""
     gens, H, ge, _ = draw(ideal_pairs())
     c = max(H.conductor, 2)
     exponents = draw(st.lists(st.integers(-2 * c, 3 * c), max_size=10))
@@ -223,37 +225,6 @@ def test_endo_meet_dim_against_its_definition(case):
         endo = {f for f in F if all(oracle.in_ideal(ge, f + g) for g in ge)}
         assert E.endo_meet_dim(F) == len(endo), F
         assert E.shift(s).endo_meet_dim(F) == len(endo), F
-
-
-# small enough for the series engine's windows over QQ
-SMALL_SEMIGROUPS = st.sampled_from(
-    [[1], [2, 3], [2, 5], [3, 4], [3, 5], [3, 7], [4, 5, 6], [4, 6, 9], [5, 6, 7], [4, 5, 7]]
-).map(lambda gens: (gens, NumericalSemigroup(gens)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(rank_cases(SMALL_SEMIGROUPS))
-@example(DVR_RANK_CASE)
-def test_mask_counts_match_the_series_engine(case):
-    """mu, top_rank and endo_meet_dim (at PF(H) and at the Apery differences)
-    on the monomial engine against the same ideals as series ideals over
-    GF(2) and QQ, where they are ranks of coefficient rows."""
-    _, H, gx, gy, gm = case
-    e = H.multiplicity
-    X, Y, M = (RelativeIdeal.from_exponents(H, g) for g in (gx, gy, gm))
-    K = H.canonical_relative_ideal()
-    dual = K.colon(Y)
-    apery = [w - e for w in H.apery(e) if w]
-    for field in (GF(2), QQ):
-        sX, sY, sM, sK, sdual = (
-            FractionalIdeal.from_relative(E, field) for E in (X, Y, M, K, dual)
-        )
-        assert sM.top_rank(sX, sY) == M.top_rank(X, Y)
-        assert sK.top_rank(sdual, sY) == K.top_rank(dual, Y)
-        for E, S in ((X, sX), (Y, sY), (M, sM), (dual, sdual)):
-            assert S.mu() == E.mu()
-            assert S.endo_meet_dim(H.pseudo_frobenius()) == E.endo_meet_dim(H.pseudo_frobenius())
-            assert S.endo_meet_dim(apery) == E.endo_meet_dim(apery)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,5 @@
 """The type formulas and the work one report does, on both ideal engines."""
 
-import inspect
 import itertools
 import random
 import re
@@ -9,7 +8,6 @@ from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from cmtype import relideal, typecalc
 from cmtype.constructions import enumerate_monomial_ideals
@@ -20,14 +18,9 @@ from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import parse_series
 from helpers import (
-    SERIES_POOL,
-    cokernel_mu_reference,
-    generated_ideals,
-    parameter_socle_reference,
-    quotient_type_reference,
     random_relative_ideal,
     reduction_search_reference,
-    semigroups,
+    series_ideals,
     socle_excess_reference,
     ulrich_module_reference,
 )
@@ -36,7 +29,6 @@ H345 = NumericalSemigroup([3, 4, 5])
 H37 = NumericalSemigroup([3, 7])
 H35 = NumericalSemigroup([3, 5])
 H1 = NumericalSemigroup([1])  # the DVR k[[t]]: c = 0, PF(H) = {-1}
-DVR = ([1], H1)  # as semigroups() draws it
 # semigroups with ideals I <= m whose I^2 is not xI, so (x) reduces only a higher power
 REDUCTION_POOL = ([3, 5], [3, 7], [4, 5, 6], [4, 6, 9], [5, 6, 7], [3, 4, 5])
 
@@ -58,23 +50,6 @@ def cases():
 
 
 CASES = cases()
-
-# Every operation typecalc and constructions call on an ideal, whichever the engine.
-ENGINE_CONTRACT = (
-    "add", "multiply", "colon", "intersect", "shift", "contains_ideal", "quotient_length",
-    "mu", "is_principal", "find_reduction", "unit_ideal", "canonical_ideal",
-    "maximal_ideal", "describe", "top_rank", "endo_meet_dim", "canonical_dual",
-)
-
-
-@pytest.mark.parametrize("name", ENGINE_CONTRACT)
-def test_both_engines_define_the_contract_alike(name):
-    params = []
-    for cls in (RelativeIdeal, FractionalIdeal):
-        assert name in vars(cls), f"{cls.__name__} lacks {name}"
-        params.append(list(inspect.signature(vars(cls)[name]).parameters))
-    assert params[0] == params[1]
-
 
 def proper_ideals(H, field, rng):
     """Proper monomial ideals (enumerated, shifted into R) and random series ideals."""
@@ -178,16 +153,6 @@ def test_ulrich_wrt_m_is_the_length_formula():
     assert outcomes == {True, False}
 
 
-def check_socle_excess(ideal, other):
-    """For a = e and a = other: the socle excess by its definition, with the
-    parameter socle Soc = (t^a R : m) meet R built afresh, against
-    socle_formula, which reads it off PF(H) with no Soc built."""
-    H = ideal.semigroup
-    for a in (H.multiplicity, other):
-        fresh = socle_excess_reference(ideal, a)
-        assert typecalc.socle_formula(ideal, a)[0] == fresh, (ideal.describe(), a)
-
-
 @pytest.mark.parametrize("name, ideal", CASES, ids=[name for name, _ in CASES])
 class TestFormulas:
     def test_idealization_type_agrees_with_the_public_routes(self, name, ideal):
@@ -202,9 +167,11 @@ class TestFormulas:
         assert itype.value == socle_value == coker_value
 
     def test_cached_parameter_socle_matches_a_fresh_one(self, name, ideal):
+        # the socle excess by its definition, with the parameter socle built
+        # afresh, against socle_formula, which reads it off PF(H)
         H = ideal.semigroup
-        other = next(a for a in H.members(H.multiplicity + 1, H.conductor + 2))
-        check_socle_excess(ideal, other)
+        for a in (H.multiplicity, H.members(H.multiplicity + 1, H.conductor + 2)[0]):
+            assert typecalc.socle_formula(ideal, a)[0] == socle_excess_reference(ideal, a)
 
     def test_a_parameter_outside_h_is_refused(self, name, ideal):
         H = ideal.semigroup
@@ -246,102 +213,14 @@ class TestFormulas:
             typecalc.idealization_type(ideal)
 
 
-# -- the two identities classify computes by -----------------------------------
-
-
-def check_identities(I, J):
-    """For the ideals L = I, J, the residually faithful flag as a rank,
-    L.endo_meet_dim({w - e : w in Ap(H, e), w != 0}) = 0, against
-    (t^e L : L) meet R = t^e R by its definition; and for the proper ideal
-    J, r(R/J) by its definition = len((K:J) / (m(K:J) + K))."""
-    H = I.semigroup
-    e = H.multiplicity
-    for L in (I, J):
-        faithful = L.endo_meet_dim([w - e for w in H.apery(e) if w]) == 0
-        assert faithful == typecalc.is_residually_faithful(L), L.describe()
-    r_quot = typecalc._quotient_type(J.canonical_ideal(), J.canonical_dual(), J.unit_ideal())
-    assert r_quot == typecalc.quotient_type(J)
-
-
-def dvr_series_case(field):
-    I, J = (FractionalIdeal.from_generators(H1, field, [parse_series(s, field)])
-            for s in ("t^-2 + 3*t^4", "2*t^2 - t^3"))
-    return I, J, 3
-
-
-@st.composite
-def monomial_identity_cases(draw):
-    """An enumerated ideal shifted anywhere, and one shifted into m."""
-    _, H = draw(semigroups())
-    c = H.conductor
-    stream = enumerate_monomial_ideals(H, draw(st.integers(1, c)))
-    E = draw(st.sampled_from(list(itertools.islice(stream, 64))))
-    J = E.shift(draw(st.integers(1, c))).intersect(E.unit_ideal())
-    a = draw(st.sampled_from(H.members(1, 2 * c + 1)))
-    return E.shift(draw(st.integers(-c, 2 * c))), J, a
-
-
-@st.composite
-def series_identity_cases(draw):
-    """A generated ideal, and its shift to order >= 1 cut down to R."""
-    H = NumericalSemigroup(draw(st.sampled_from(SERIES_POOL)))
-    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
-    I = draw(generated_ideals(H, field))
-    J = I.shift(draw(st.integers(1, H.conductor + 1)) - I.delta).intersect(I.unit_ideal())
-    a = draw(st.sampled_from(H.members(1, 2 * H.conductor + 1)))
-    return I, J, a
-
-
-@settings(max_examples=150, deadline=None)
-@given(monomial_identity_cases())
-@example((RelativeIdeal.from_exponents(H1, {-2}), RelativeIdeal.from_exponents(H1, {2}), 1))
-@example((RelativeIdeal.from_exponents(H37, {-5, 2}), RelativeIdeal.from_exponents(H37, {3}), 3))
-def test_monomial_colon_identities(case):
-    check_identities(*case[:2])
-
-
-@settings(max_examples=100, deadline=None)
-@given(series_identity_cases())
-@example(dvr_series_case(QQ))
-@example(dvr_series_case(GF(2)))
-@example(dvr_series_case(GF(32003)))
-@example((FractionalIdeal.from_generators(H37, GF(3), [parse_series("t^-4 + t^-1", GF(3))]),
-          FractionalIdeal.from_generators(H37, GF(3), [parse_series("t^6 - t^7", GF(3))]), 3))
-def test_series_colon_identities(case):
-    check_identities(*case[:2])
-
-
-@settings(max_examples=100, deadline=None)
-@given(monomial_identity_cases())
-def test_monomial_socle_excess_matches_its_definition(case):
-    I, J, a = case
-    check_socle_excess(I, a)
-    check_socle_excess(J, a)
-
-
-@settings(max_examples=60, deadline=None)
-@given(series_identity_cases())
-def test_series_socle_excess_matches_its_definition(case):
-    I, J, a = case
-    check_socle_excess(I, a)
-    check_socle_excess(J, a)
-
-
 def report_without_label(ideal):
     doc = typecalc.classify(ideal)
     del doc["ideal"]  # the generators the ideal was built from, printed as given
     return doc
 
 
-@st.composite
-def presented_ideals(draw):
-    H = NumericalSemigroup(draw(st.sampled_from(SERIES_POOL)))
-    field = draw(st.sampled_from([QQ, GF(2), GF(32003)]))
-    return draw(generated_ideals(H, field, draw(st.booleans())))
-
-
 @settings(max_examples=60, deadline=None)
-@given(presented_ideals())
+@given(series_ideals)
 @example(FractionalIdeal.from_generators(H1, QQ, [parse_series("t^-2 + 3*t^4", QQ)]))
 @example(FractionalIdeal.from_generators(H37, GF(2), [parse_series(s, GF(2)) for s in
                                                        ("t^3 + t^4", "t^7 + t^8", "t^6")]))
@@ -356,128 +235,6 @@ def test_the_report_does_not_depend_on_the_presentation(I):
     for other in (minimal, redundant):
         assert other == I
         assert report_without_label(other) == expected, (I.describe(), other.describe())
-
-
-# -- the ranks that replace the derived ideals ---------------------------------
-
-
-def check_rank_routes(I, J, a):
-    """For L = I, J: mu(K) - K.top_rank(K:L, L) against len(K / ((K:L)L + mK)),
-    and L.endo_meet_dim(PF(H)) against the socle excess by its definition at
-    a and at e; for the proper ideal J, mu(K:J) - (K:J).top_rank(K, R)
-    against len((K:J) / (m(K:J) + K))."""
-    H = I.semigroup
-    K, R = I.canonical_ideal(), I.unit_ideal()
-    for L in (I, J):
-        assert K.mu() - K.top_rank(K.colon(L), L) == cokernel_mu_reference(L), L.describe()
-        excess = L.endo_meet_dim(H.pseudo_frobenius())
-        for b in (a, H.multiplicity):
-            assert excess == socle_excess_reference(L, b), (L.describe(), b)
-    dual = K.colon(J)
-    assert dual.mu() - dual.top_rank(K, R) == quotient_type_reference(J), J.describe()
-
-
-@settings(max_examples=100, deadline=None)
-@given(monomial_identity_cases())
-@example((RelativeIdeal.from_exponents(H1, {-2}), RelativeIdeal.from_exponents(H1, {2}), 1))
-@example((RelativeIdeal.from_exponents(H1, {0}), RelativeIdeal.from_exponents(H1, {1}), 3))
-def test_monomial_ranks_match_the_built_ideals(case):
-    check_rank_routes(*case)
-
-
-@settings(max_examples=60, deadline=None)
-@given(series_identity_cases())
-@example(dvr_series_case(QQ))
-@example(dvr_series_case(GF(2)))
-@example(dvr_series_case(GF(3)))
-@example(dvr_series_case(GF(32003)))
-def test_series_ranks_match_the_built_ideals(case):
-    check_rank_routes(*case)
-
-
-def check_parameter_socle(R):
-    """(t^a R : m) meet R = t^a R + span{t^(a+f) : f in PF(H)} for several a in H."""
-    H = R.semigroup
-    e, c = H.multiplicity, H.conductor
-    for a in {e, *H.members(e + 1, c + e + 1)[:2], c + e, max(H.generators)}:
-        expected = RelativeIdeal.from_exponents(H, {a} | {a + f for f in H.pseudo_frobenius()})
-        if R.engine == "series":
-            expected = FractionalIdeal.from_relative(expected, R.field)
-        assert parameter_socle_reference(R, a) == expected, (H, a)
-
-
-@settings(max_examples=60, deadline=None)
-@given(semigroups(), st.sampled_from([None, QQ, GF(2), GF(3), GF(32003)]))
-@example(DVR, None)
-@example(DVR, QQ)
-@example(DVR, GF(2))
-def test_parameter_socle_is_spanned_by_the_pseudo_frobenius_monomials(drawn, field):
-    """field None is the monomial engine."""
-    R = RelativeIdeal.from_exponents(drawn[1], {0})
-    check_parameter_socle(R if field is None else FractionalIdeal.from_relative(R, field))
-
-
-# -- the two tests classify makes before it builds an ideal --------------------
-
-
-def ulrich_by_the_old_chain(M, I):
-    """len(M/IM) = delta_I = mu(M) len(R/I), with the product IM built first."""
-    length = M.quotient_length(I.multiply(M))
-    return length == I.delta == M.mu() * M.unit_ideal().quotient_length(I)
-
-
-def check_decisions(J):
-    """For J, R and m: _is_ulrich against the old chain for M in R, I, K, m,
-    is_trace against R : I = I : I, and classify's trace pre-test, the socle
-    excess I.endo_meet_dim(PF(H)) = r(R), against R : m <= I : I."""
-    H = J.semigroup
-    R, m = J.unit_ideal(), J.maximal_ideal()
-    maximal_colon = R.colon(m)
-    for I in (J, R, m):
-        for M in (R, I, I.canonical_ideal(), m):
-            assert typecalc._is_ulrich(M, I) == ulrich_by_the_old_chain(M, I), M.describe()
-        assert typecalc.is_trace(I) == (R.colon(I) == I.colon(I)), I.describe()
-        full = I.endo_meet_dim(H.pseudo_frobenius()) == H.type()
-        assert full == I.colon(I).contains_ideal(maximal_colon), I.describe()
-
-
-@settings(max_examples=100, deadline=None)
-@given(monomial_identity_cases())
-@example((RelativeIdeal.from_exponents(H1, {-2}), RelativeIdeal.from_exponents(H1, {2}), 1))
-def test_monomial_decisions_match_their_definitions(case):
-    check_decisions(case[1])
-
-
-@settings(max_examples=60, deadline=None)
-@given(series_identity_cases())
-@example(dvr_series_case(QQ))
-@example(dvr_series_case(GF(2)))
-def test_series_decisions_match_their_definitions(case):
-    check_decisions(case[1])
-
-
-def check_maximal_colon(R):
-    """R : m by its colon is the ideal with exponents H union PF(H), and the
-    parameter socle (t^e R : m) meet R moved back by t^e."""
-    H = R.semigroup
-    expected = RelativeIdeal.from_exponents(H, {0, *H.pseudo_frobenius()})
-    if R.engine == "series":
-        expected = FractionalIdeal.from_relative(expected, R.field)
-    colon = R.colon(R.maximal_ideal())
-    assert colon == expected, H
-    assert colon == parameter_socle_reference(R, H.multiplicity).shift(-H.multiplicity)
-
-
-@settings(max_examples=60, deadline=None)
-@given(semigroups(), st.sampled_from([None, QQ, GF(2), GF(3)]))
-@example(DVR, None)
-@example(DVR, QQ)
-@example(DVR, GF(2))
-@example(DVR, GF(3))
-def test_maximal_colon_is_the_parameter_socle_moved_back(drawn, field):
-    """field None is the monomial engine."""
-    R = RelativeIdeal.from_exponents(drawn[1], {0})
-    check_maximal_colon(R if field is None else FractionalIdeal.from_relative(R, field))
 
 
 @pytest.mark.parametrize("lift", [lambda E: E, lambda E: FractionalIdeal.from_relative(E, QQ)],
