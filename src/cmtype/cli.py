@@ -106,22 +106,38 @@ class _HelpFormatter(argparse.HelpFormatter):
         return text
 
 
+# argparse reads a separate argument that starts with '-', such as -1*t^3, as
+# an option, so it never reaches --gens
+_GENS_HINT = "a list that starts with '-' must be attached with '=', as in --gens=-1*t^3"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with ``_HelpFormatter``, for the root parser and,
+    as argparse makes each subparser of its parent's class, for every
+    subparser; a usage error for a missing --gens value names the '=' form.
+    The leaf parsers that ``main`` calls directly print the same error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
+    def error(self, message):
+        if message == "argument --gens: expected one argument":
+            message = f"{message}; {_GENS_HINT}"
+        super().error(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every ``main`` call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cmtype",
         description="Cohen-Macaulay types of idealizations over numerical semigroup rings",
-        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(subparsers, name, help_text):  # a subparser does not inherit formatter_class
-        return subparsers.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
-
-    p_sg = add(sub, "semigroup", "numerical semigroup queries")
+    p_sg = sub.add_parser("semigroup", help="numerical semigroup queries")
     sg_sub = p_sg.add_subparsers(dest="subcommand", required=True)
-    p_info = add(sg_sub, "info", "invariants of a numerical semigroup")
+    p_info = sg_sub.add_parser("info", help="invariants of a numerical semigroup")
     semigroup_help = (
         "comma-separated generators, e.g. 3,7; conductors above "
         f"SEMIGROUP_CONDUCTOR_LIMIT = {SEMIGROUP_CONDUCTOR_LIMIT} are refused"
@@ -129,14 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("generators", help=semigroup_help)
     p_info.set_defaults(run=_cmd_semigroup_info)
 
-    p_ideal = add(sub, "ideal", "fractional ideal analysis")
+    p_ideal = sub.add_parser("ideal", help="fractional ideal analysis")
     ideal_sub = p_ideal.add_subparsers(dest="subcommand", required=True)
-    p_an = add(ideal_sub, "analyze", "classify an ideal and compute its types")
+    p_an = ideal_sub.add_parser("analyze", help="classify an ideal and compute its types")
     p_an.add_argument("--semigroup", required=True, help=semigroup_help)
     p_an.add_argument(
-        "--gens", required=True,
-        help="comma-separated series expressions; a list that starts with '-' "
-        "must be attached with '=', as in --gens=-1*t^3",
+        "--gens", required=True, help=f"comma-separated series expressions; {_GENS_HINT}"
     )
     p_an.add_argument("--field", default="qq", help="qq or fp:<prime> (default qq)")
     p_an.add_argument(
@@ -146,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.set_defaults(run=_cmd_ideal_analyze)
 
-    p_ver = add(sub, "verify", "verification suites")
+    p_ver = sub.add_parser("verify", help="verification suites")
     ver_sub = p_ver.add_subparsers(dest="subcommand", required=True)
-    p_paper = add(ver_sub, "paper", "run the built-in example suite")
+    p_paper = ver_sub.add_parser("paper", help="run the built-in example suite")
     p_paper.add_argument("--filter", default=None, help="substring of a group name")
     p_paper.set_defaults(run=_cmd_verify_paper)
 
@@ -159,13 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     limit_help = f"enumeration cap (default ENUMERATION_LIMIT = {ENUMERATION_LIMIT})"
 
-    p_sup = add(sub, "sup-search", "maximize the idealization type")
+    p_sup = sub.add_parser("sup-search", help="maximize the idealization type")
     p_sup.add_argument("--semigroup", required=True, help=semigroup_help)
     p_sup.add_argument("--bound", type=int, required=True, help=bound_help)
     p_sup.add_argument("--limit", type=int, default=ENUMERATION_LIMIT, help=limit_help)
     p_sup.set_defaults(run=_cmd_sup_search)
 
-    p_enum = add(sub, "enumerate", "list shift-normalized monomial ideals")
+    p_enum = sub.add_parser("enumerate", help="list shift-normalized monomial ideals")
     p_enum.add_argument("--semigroup", required=True, help=semigroup_help)
     p_enum.add_argument("--bound", type=int, required=True, help=bound_help)
     p_enum.add_argument("--filter", default=None, choices=sorted(_FILTER_FLAGS),

@@ -1,4 +1,5 @@
-"""Shared generators for randomized tests (all explicitly seeded) and references.
+"""Shared generators for randomized tests (all explicitly seeded), references
+and test utilities.
 
 ``ideal_cases(engine)`` is the one hypothesis strategy for ideals that any
 engine can take: it draws (I, J, a, s) on one of the five ``ENGINES`` (the
@@ -11,6 +12,34 @@ that need only ideals of that shape draw from ``series_cases``, or from
 ``series_ideals``, its I alone.  The other strategies draw shapes it does
 not: the exponents a set oracle reads, a product below a third ideal, or
 orders more than c apart; each says which in its docstring.
+
+Each operation has one reference under tests/, which computes it by its
+definition or by an older algorithm:
+
+  * ``FractionalIdeal.multiply``: ``multiply_reference``, products of
+    TruncatedSeries.
+  * ``FractionalIdeal.add``: ``full_stack_add``.
+  * ``colon`` and ``canonical_dual`` on both engines: ``colon_reference``;
+    ``TestColonBruteForce`` in test_fracideal.py enumerates small colons.
+  * ``contains_ideal``, ``quotient_length`` and ``intersect`` of the series
+    engine: ``common_window``, both ideals on one window.
+  * ``module_generators``: ``assert_minimal_generators`` in
+    test_fracideal.py.
+  * ``is_ulrich_module_wrt`` and ``typecalc._is_ulrich``:
+    ``ulrich_module_reference``.
+  * ``find_reduction``: ``reduction_search_reference``.
+  * The rank routes and the socle excess: ``cokernel_mu_reference``,
+    ``quotient_type_reference``, ``socle_excess_reference`` and
+    ``parameter_socle_reference``.
+  * ``kernels.rref_qq``, ``linalg.intersect``, ``linalg.nullspace`` and
+    ``linalg._reduce_rows``: ``rref_qq_reference``, ``zassenhaus_intersect``,
+    ``two_step_nullspace`` and ``full_width_residuals``.
+  * ``enumerate_monomial_ideals``: ``recursive_monomial_ideals``.
+  * ``RelativeIdeal``'s H-stability message: ``stability_error_reference``.
+  * Membership in H: ``brute_members``, sums of the given generators.
+
+``members`` lists an ideal's exponents in a range, and ``record_calls``
+records the calls a test counts.
 """
 
 import functools
@@ -41,6 +70,37 @@ def random_relative_ideal(rng, H, lo=None, hi=None):
     hi = 2 * c if hi is None else hi
     k = rng.randint(1, 4)
     return RelativeIdeal.from_exponents(H, set(rng.sample(range(lo, hi), k)))
+
+
+def brute_members(gens, limit):
+    """The sums of the given generators up to ``limit``, as a set, by a
+    breadth-first search: the oracle for membership in H."""
+    reachable = {0}
+    frontier = {0}
+    while frontier:
+        nxt = set()
+        for x in frontier:
+            for g in gens:
+                y = x + g
+                if y <= limit and y not in reachable:
+                    reachable.add(y)
+                    nxt.add(y)
+        frontier = nxt
+    return reachable
+
+
+def members(E, lo, hi):
+    """The exponents of the ideal E in [lo, hi), as a set."""
+    return {z for z in range(lo, hi) if E.contains(z)}
+
+
+def record_calls(monkeypatch, owner, name, calls=None):
+    """Wrap ``owner.name`` so that each call appends its positional arguments
+    to ``calls`` (a new list unless given) before it runs; returns the list."""
+    calls = [] if calls is None else calls
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+    return calls
 
 
 # small semigroups whose series-engine windows stay cheap
@@ -276,8 +336,9 @@ def colon_reference(I, J):
     the reference for FractionalIdeal.colon, whose unknowns skip R's columns
     for J = I, and for canonical_dual (K : I).
 
-    A series pair is one nullspace over all c columns, its constraints the
-    residuals modulo I of every shift of J's generator rows.  A monomial
+    A series pair is one nullspace over all c columns: z is in I : J iff
+    z g is in I for every module generator g of J, so the constraints are
+    the residuals modulo I of each g shifted by every column.  A monomial
     pair is solved on exponent sets: z is in E - F iff z + f is in E for
     every f in F below delta_F + c (past it both hold the tail).
     """
@@ -287,14 +348,12 @@ def colon_reference(I, J):
         members = [f for f in range(J.delta, J.delta + c) if J.contains(f)]
         window = [z for z in range(start, start + c) if all(I.contains(z + f) for f in members)]
         return RelativeIdeal.from_exponents(H, window + list(range(start + c, start + 2 * c + 1)))
-    pad = [I.field.zero()] * (c - 1)
-    constraint_rows = []
-    for g in J._generator_rows():
-        padded = pad + list(g)
-        vecs = [padded[c - 1 - k:2 * c - 1 - k] for k in range(c)]
+    constraint = []
+    for g in J.module_generators():
+        vecs = [g.shift(u).window_vector(I.delta, c) for u in range(start, start + c)]
         residuals = linalg._reduce_rows(I.field, vecs, I.matrix)
-        constraint_rows += [row for row in zip(*residuals) if any(row)]
-    return FractionalIdeal._build(H, start, linalg.nullspace(I.field, c, constraint_rows))
+        constraint += [list(col) for col in zip(*residuals) if any(col)]
+    return FractionalIdeal._build(H, start, linalg.nullspace(I.field, c, constraint))
 
 
 def recursive_monomial_ideals(H, span_bound):
@@ -339,21 +398,18 @@ def stability_error_reference(H, delta, mask):
     return None
 
 
-def full_stack_multiply(I, J):
-    """I J from every (generator) x (basis row) product, the whole stack
-    reduced at full width: the reference for FractionalIdeal.multiply.
+def multiply_reference(I, J):
+    """I J from every (generator of I) x (basis row of J) product, taken as
+    TruncatedSeries and cut to the product's window: the reference for
+    FractionalIdeal.multiply.
     """
-    gens = I.generators or I.module_generators()
-    width = I.semigroup.conductor
-    rows = []
-    for g in gens:
-        terms = [(e - I.delta, v) for e, v in g.coeffs.items() if e - I.delta < width]
-        for b in J.matrix.rows:
-            row = [0] * width
-            for d, v in terms:
-                row[d:] = [x + v * y for x, y in zip(row[d:], b)]
-            rows.append(row)
-    return FractionalIdeal._build(I.semigroup, I.delta + J.delta, CoeffMatrix(I.field, width, rows))
+    start, c = I.delta + J.delta, I.semigroup.conductor
+    rows = [
+        g.mul(J._as_series(b)).window_vector(start, c)
+        for g in I.generators or I.module_generators()
+        for b in J.matrix.rows
+    ]
+    return FractionalIdeal._build(I.semigroup, start, CoeffMatrix(I.field, c, rows))
 
 
 def full_stack_add(I, J):
@@ -400,16 +456,17 @@ def ulrich_module_reference(module, ideal):
     """M Ulrich for an ideal I <= R by the definition: the reference for
     typecalc.is_ulrich_module_wrt.
 
-    Takes x of order delta_I (t^delta on the monomial engine, the lowest
-    basis row on the series engine), confirms that (x) is a reduction of I
+    Takes x of order delta_I (t^delta on the monomial engine and for c = 0,
+    else the lowest basis row), confirms that (x) is a reduction of I
     by iterating I^(n+1) = x I^n (v(I^n) - n delta_I can grow at most c
     times), then tests IM = xM and len(M/IM) = mu(M) len(R/I).
     """
     if isinstance(ideal, RelativeIdeal):
         x = ideal.unit_ideal().shift(ideal.delta)
     else:
-        gen = ideal._as_series(ideal.matrix.rows[0])
-        x = FractionalIdeal.from_generators(ideal.semigroup, ideal.field, [gen])
+        rows, F = ideal.matrix.rows, ideal.field
+        gen = ideal._as_series(rows[0]) if rows else TruncatedSeries.monomial(F, ideal.delta)
+        x = FractionalIdeal.from_generators(ideal.semigroup, F, [gen])
     power = ideal
     for _ in range(ideal.semigroup.conductor + 1):
         following = power.multiply(ideal)

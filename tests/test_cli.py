@@ -24,6 +24,7 @@ from cmtype.linalg import QQ
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import SEMIGROUP_CONDUCTOR_LIMIT, NumericalSemigroup
 from cmtype.series import parse_series
+from helpers import record_calls
 
 DOCUMENT_KEYS = {"schema_version", "command", "input", "timing_ms"}
 KEPT_FLAGS = {
@@ -50,7 +51,6 @@ def test_semigroup_info_json(capsys):
     assert doc["semigroup"]["pseudo_frobenius"] == [7]
 
 
-@pytest.mark.pin
 def test_ideal_analyze_json(capsys):
     argv = ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4 - t^5, t^6"]
     code, doc = run_json(capsys, argv)
@@ -62,6 +62,7 @@ def test_ideal_analyze_json(capsys):
     assert report["methods"]["socle"] == report["methods"]["cokernel"] == report["r_idealization"]
 
 
+@pytest.mark.pin
 def test_main_builds_the_parser_once(capsys):
     cli.build_parser.cache_clear()
     for _ in range(3):
@@ -129,6 +130,7 @@ EXITING_ARGV = [
     ["ideal"], ["ideal", "-h"], ["ideal", "analyze", "-h"],
     ["ideal", "analyze", "--semigroup", "4,5,6"],
     ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "t^4", "--engine", "fast"],
+    ["ideal", "analyze", "--semigroup", "4,5,6", "--gens", "-1*t^4"],
     ["verify", "-h"], ["verify", "paper", "--filter"],
     ["sup-search"], ["sup-search", "-h"],
     ["sup-search", "--semigroup", "4,5,6", "--bound", "x"],
@@ -615,10 +617,7 @@ def test_series_cap_refuses_without_scanning_the_members(capsys, monkeypatch):
     H = NumericalSemigroup([100, 101])
     c = H.conductor
     rows = sum(1 for o in (100, 200) for z in range(1, 100 + c - o) if H.contains(z))
-    calls = []
-    contains = NumericalSemigroup.contains
-    monkeypatch.setattr(NumericalSemigroup, "contains",
-                        lambda self, z: calls.append(z) or contains(self, z))
+    calls = record_calls(monkeypatch, NumericalSemigroup, "contains")
     argv = ["ideal", "analyze", "--semigroup", "100,101", "--gens", "t^100 + t^101, t^200"]
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err == (
@@ -648,9 +647,17 @@ def test_all_zero_generators_are_named_at_every_conductor(capsys, semigroup, eng
 
 
 def test_a_generator_list_that_starts_with_a_minus_is_attached_with_equals(capsys, monkeypatch):
-    # argparse reads a separate "-1*t^3" as an option; the help says how to write it
+    # argparse reads a separate "-1*t^3" as an option; the usage error and
+    # the help say how to write it
     code, doc = run_json(capsys, ["ideal", "analyze", "--semigroup", "3,5", "--gens=-1*t^3"])
     assert code == cli.EXIT_OK and doc["report"]["ideal"] == "(t^3) over <3,5>"
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["ideal", "analyze", "--semigroup", "3,5", "--gens", "-1*t^3"])
+    assert caught.value.code == cli.EXIT_INPUT
+    assert capsys.readouterr().err.endswith(
+        "cmtype ideal analyze: error: argument --gens: expected one argument; a list that "
+        "starts with '-' must be attached with '=', as in --gens=-1*t^3\n"
+    )
     monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
     with pytest.raises(SystemExit):
         cli.main(["ideal", "analyze", "--help"])

@@ -49,6 +49,7 @@ from helpers import (
     parameter_socle_reference,
     quotient_type_reference,
     socle_excess_reference,
+    ulrich_module_reference,
 )
 
 # The operations both engines define with one signature.  typecalc, cli,
@@ -205,15 +206,10 @@ def test_the_socle_excess_matches_its_definition(engine, I, J, a, s):
             assert typecalc.socle_formula(L, b)[0] == socle_excess_reference(L, b), (L.describe(), b)
 
 
-def ulrich_by_the_old_chain(M, I):
-    """len(M/IM) = delta_I = mu(M) len(R/I), with the product IM built first."""
-    length = M.quotient_length(I.multiply(M))
-    return length == I.delta == M.mu() * M.unit_ideal().quotient_length(I)
-
-
 @law(30, 12)
 def test_decisions_match_their_definitions(engine, I, J, a, s):
-    """For J, R and m: _is_ulrich against the old chain for M in R, I, K, m,
+    """For J, R and m: _is_ulrich against its definition (IM = xM for an x of
+    order delta_I, then freeness by lengths) for M in R, I, K, m,
     is_trace against R : I = I : I, and classify's trace pre-test, the socle
     excess I.endo_meet_dim(PF(H)) = r(R), against R : m <= I : I."""
     H = J.semigroup
@@ -221,7 +217,7 @@ def test_decisions_match_their_definitions(engine, I, J, a, s):
     maximal_colon = R.colon(m)
     for L in (J, R, m):
         for M in (R, L, L.canonical_ideal(), m):
-            assert typecalc._is_ulrich(M, L) == ulrich_by_the_old_chain(M, L), M.describe()
+            assert typecalc._is_ulrich(M, L) == ulrich_module_reference(M, L), M.describe()
         assert typecalc.is_trace(L) == (R.colon(L) == L.colon(L)), L.describe()
         full = L.endo_meet_dim(H.pseudo_frobenius()) == H.type()
         assert full == L.colon(L).contains_ideal(maximal_colon), L.describe()

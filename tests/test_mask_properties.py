@@ -15,32 +15,21 @@ from hypothesis import strategies as st
 
 from cmtype.relideal import RelativeIdeal, _offsets
 from cmtype.semigroup import NumericalSemigroup, _set_bits
-from helpers import MAX_GENERATOR, semigroups
+from helpers import MAX_GENERATOR, brute_members, members, semigroups
 
 # The Frobenius number is below a_1 a_2 <= 24 * 24, so every larger
 # integer is in H and the brute-force table need not reach further.
 TABLE = MAX_GENERATOR * MAX_GENERATOR
 
 
-def brute_members(gens, limit):
-    reachable = [False] * (limit + 1)
-    reachable[0] = True
-    for x in range(limit + 1):
-        if reachable[x]:
-            for g in gens:
-                if x + g <= limit:
-                    reachable[x + g] = True
-    return reachable
-
-
 class Oracle:
-    """H as a table of sums of its given generators."""
+    """H as the set of sums of its given generators up to TABLE."""
 
     def __init__(self, gens):
-        self.table = brute_members(gens, TABLE)
+        self.sums = brute_members(gens, TABLE)
 
     def in_h(self, z):
-        return z >= 0 and (z > TABLE or self.table[z])
+        return z >= 0 and (z > TABLE or z in self.sums)
 
     def in_ideal(self, gens, z):
         """z in the union of the g + H."""
@@ -55,10 +44,6 @@ def ideal_pairs(draw):
     c = max(H.conductor, 2)
     exponents = st.lists(st.integers(-c, 2 * c), min_size=1, max_size=5)
     return gens, H, draw(exponents), draw(exponents)
-
-
-def members(E, lo, hi):
-    return {z for z in range(lo, hi) if E.contains(z)}
 
 
 def oracle_generators(E, oracle, c):

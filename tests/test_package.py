@@ -77,3 +77,17 @@ def test_no_result_has_a_serializer():
         and node.attr == "to_dict"
     ]
     assert sites == []
+
+
+def test_each_test_helper_is_defined_once():
+    """No two modules under tests/ define a top-level function or class of
+    one name, pytest's test_ functions and Test classes aside: a helper that
+    two test modules need lives once, in tests/helpers.py."""
+    defined = {}
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            collected = "Test" if isinstance(node, ast.ClassDef) else "test_"
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith(collected)):
+                defined.setdefault(node.name, []).append(path.name)
+    assert {name: files for name, files in defined.items() if len(files) > 1} == {}

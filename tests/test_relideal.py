@@ -7,14 +7,10 @@ from cmtype.fracideal import FractionalIdeal
 from cmtype.linalg import QQ
 from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
-from helpers import random_relative_ideal, random_semigroup, stability_error_reference
+from helpers import members, random_relative_ideal, random_semigroup, stability_error_reference
 
 H345 = NumericalSemigroup([3, 4, 5])
 H456 = NumericalSemigroup([4, 5, 6])
-
-
-def members(E, lo, hi):
-    return {z for z in range(lo, hi) if E.contains(z)}
 
 
 class TestFromExponents:

@@ -8,23 +8,7 @@ from hypothesis import strategies as st
 
 from cmtype.errors import ArgumentError, ConsistencyError, ResourceLimitError
 from cmtype.semigroup import SEMIGROUP_CONDUCTOR_LIMIT, NumericalSemigroup, _apery_by_shortest_path
-from helpers import MAX_CONDUCTOR, random_semigroup, semigroups
-
-
-def brute_members(gens, limit):
-    """Independent oracle: all sums of generators up to a limit."""
-    reachable = {0}
-    frontier = {0}
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for g in gens:
-                y = x + g
-                if y <= limit and y not in reachable:
-                    reachable.add(y)
-                    nxt.add(y)
-        frontier = nxt
-    return reachable
+from helpers import MAX_CONDUCTOR, brute_members, random_semigroup, semigroups
 
 
 class TestCreate:

@@ -18,7 +18,9 @@ from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import parse_series
 from helpers import (
+    ENGINES,
     random_relative_ideal,
+    record_calls,
     reduction_search_reference,
     series_ideals,
     socle_excess_reference,
@@ -120,10 +122,15 @@ def test_ulrich_module_test_matches_the_definition():
     assert outcomes == set(itertools.product(("monomial", "series"), (True, False)))
 
 
-@pytest.mark.parametrize("lift", [lambda E: E, lambda E: FractionalIdeal.from_relative(E, QQ)],
-                         ids=["monomial", "series"])
-def test_ulrich_module_pinned_cases(lift):
-    R, m, K = (lift(E) for E in (
+def engines(*names):
+    """Parametrize ``engine`` over the named ``helpers.ENGINES`` entries."""
+    return pytest.mark.parametrize("engine", [e for e in ENGINES if e.name in names],
+                                   ids=lambda e: e.name)
+
+
+@engines("monomial", "series-QQ")
+def test_ulrich_module_pinned_cases(engine):
+    R, m, K = (engine.lift(E) for E in (
         RelativeIdeal.from_exponents(H35, {0}),
         RelativeIdeal.from_exponents(H35, {3, 5}),
         H35.canonical_relative_ideal(),
@@ -133,7 +140,7 @@ def test_ulrich_module_pinned_cases(lift):
         assert typecalc.is_ulrich_module_wrt(M, R) is True
     # M = I = (t^4, t^5) has IM <= M and len(M/IM) = 3, not delta_I = 4
     for exps in ({-1, 3}, {-3}, {1, 3}, {4, 5}):
-        I = lift(RelativeIdeal.from_exponents(H35, exps))
+        I = engine.lift(RelativeIdeal.from_exponents(H35, exps))
         for M in (R, I):
             with pytest.raises(ContainmentError):
                 typecalc.is_ulrich_module_wrt(M, I)
@@ -237,9 +244,8 @@ def test_the_report_does_not_depend_on_the_presentation(I):
         assert report_without_label(other) == expected, (I.describe(), other.describe())
 
 
-@pytest.mark.parametrize("lift", [lambda E: E, lambda E: FractionalIdeal.from_relative(E, QQ)],
-                         ids=["monomial", "series"])
-def test_classify_flags_match_the_definitions(lift):
+@engines("monomial", "series-QQ")
+def test_classify_flags_match_the_definitions(engine):
     # classify reads the annihilator and r(R/I) off I:I and K:I; the public
     # functions compute them by their definitions
     outcomes = set()
@@ -248,7 +254,7 @@ def test_classify_flags_match_the_definitions(lift):
         R, c = RelativeIdeal.from_exponents(H, {0}), H.conductor
         for E in enumerate_monomial_ideals(H, c):
             a = next(a for a in H.members(1, c + 1) if R.contains_ideal(E.shift(a)))
-            for I in (lift(E), lift(E.shift(a))):
+            for I in (engine.lift(E), engine.lift(E.shift(a))):
                 report = typecalc.classify(I)
                 expected = {
                     "is_closed": typecalc.is_closed(I),
@@ -266,13 +272,12 @@ def test_classify_flags_match_the_definitions(lift):
     assert len({r for _, r in outcomes if r is not None}) > 2
 
 
-@pytest.mark.parametrize("lift", [lambda E: E, lambda E: FractionalIdeal.from_relative(E, GF(3))],
-                         ids=["monomial", "series"])
+@engines("monomial", "series-F3")
 @pytest.mark.parametrize("exps, step", [({0}, 1), ({3, 7}, -1)], ids=["R plus one", "m minus one"])
-def test_a_faithfulness_rank_off_by_one_is_reported(monkeypatch, lift, exps, step):
+def test_a_faithfulness_rank_off_by_one_is_reported(monkeypatch, engine, exps, step):
     # over <3,7> the flag's exponents {4, 11} differ from PF(H) = {11}; only
     # the flag's rank is off, so classify sees closed != faithful
-    I = lift(RelativeIdeal.from_exponents(H37, exps))
+    I = engine.lift(RelativeIdeal.from_exponents(H37, exps))
     assert typecalc.classify(I)["consistent"]
     pf, cls = set(H37.pseudo_frobenius()), type(I)
     original = cls.endo_meet_dim
@@ -284,26 +289,15 @@ def test_a_faithfulness_rank_off_by_one_is_reported(monkeypatch, lift, exps, ste
     assert failed == ["closed-iff-residually-faithful"], I.describe()
 
 
-def count_calls(monkeypatch, cls, name, record):
-    """Wrap cls.name so each call appends its arguments to ``record``."""
-    original = getattr(cls, name)
-
-    def wrapper(*args):
-        record.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(cls, name, wrapper)
-
-
+@pytest.mark.pin
 class TestWorkCounts:
     """One report computes each shared ideal once; no time is measured."""
 
     def test_series_classify_shares_squares_and_maximal_products(self, monkeypatch):
         I = ulrich_ideal()
         m = I.maximal_ideal()
-        products, mus = [], []
-        count_calls(monkeypatch, FractionalIdeal, "multiply", products)
-        count_calls(monkeypatch, FractionalIdeal, "mu", mus)
+        products = record_calls(monkeypatch, FractionalIdeal, "multiply")
+        mus = record_calls(monkeypatch, FractionalIdeal, "mu")
         report = typecalc.classify(I)
         assert report["consistent"] and report["flags"]["is_ulrich_ideal"]
         pairs = Counter((a is I, a is m, b is I) for a, b in products)
@@ -323,10 +317,9 @@ class TestWorkCounts:
         H, field = NumericalSemigroup(gens), GF(5)
         I = FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
         m = I.maximal_ideal()
-        products, meets, shifts = [], [], []
-        count_calls(monkeypatch, FractionalIdeal, "multiply", products)
-        count_calls(monkeypatch, FractionalIdeal, "intersect", meets)
-        count_calls(monkeypatch, FractionalIdeal, "shift", shifts)
+        products = record_calls(monkeypatch, FractionalIdeal, "multiply")
+        meets = record_calls(monkeypatch, FractionalIdeal, "intersect")
+        shifts = record_calls(monkeypatch, FractionalIdeal, "shift")
         assert typecalc.classify(I)["consistent"]
         # m I and m (K:I) are spans on their own windows; the faithful flag is a rank
         assert not any(m in pair for pair in products)
@@ -340,8 +333,7 @@ class TestWorkCounts:
         ]
         K, m = ideals[0].canonical_ideal(), ideals[0].maximal_ideal()
         K.mu()  # K's own m K, which K keeps, built here, outside the count
-        products = []
-        count_calls(monkeypatch, FractionalIdeal, "multiply", products)
+        products = record_calls(monkeypatch, FractionalIdeal, "multiply")
         for I in ideals:
             assert typecalc.classify(I)["consistent"]
         # no m K: the cokernel route reduces modulo the m K that K keeps; and no
@@ -354,9 +346,8 @@ class TestWorkCounts:
         field = GF(5)
         gens = [parse_series(s, field) for s in ("t^3 - t^4", "t^5")]
         I = FractionalIdeal.from_generators(H345, field, gens)
-        record, lengths = [], []
-        count_calls(monkeypatch, FractionalIdeal, "contains_ideal", record)
-        count_calls(monkeypatch, FractionalIdeal, "quotient_length", lengths)
+        record = record_calls(monkeypatch, FractionalIdeal, "contains_ideal")
+        lengths = record_calls(monkeypatch, FractionalIdeal, "quotient_length")
         report = typecalc.classify(I)
         assert report["proper"] and report["consistent"]
         # R >= I alone, besides the containment each length checks first: the
@@ -372,9 +363,8 @@ class TestWorkCounts:
     ):
         H, field = NumericalSemigroup(gens), GF(5)
         I = FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
-        searches, products = [], []
-        count_calls(monkeypatch, FractionalIdeal, "find_reduction", searches)
-        count_calls(monkeypatch, FractionalIdeal, "multiply", products)
+        searches = record_calls(monkeypatch, FractionalIdeal, "find_reduction")
+        products = record_calls(monkeypatch, FractionalIdeal, "multiply")
         report = typecalc.classify(I)
         assert report["consistent"] and report["flags"]["is_ulrich_ideal"] is ulrich
         assert searches == []
@@ -385,9 +375,8 @@ class TestWorkCounts:
         I, square = ulrich_ideal(), True
         if cls is RelativeIdeal:  # its value set (t^6, t^10, t^14) needs three generators
             I, square = I.support_ideal(), False
-        searches, products = [], []
-        count_calls(monkeypatch, cls, "find_reduction", searches)
-        count_calls(monkeypatch, cls, "multiply", products)
+        searches = record_calls(monkeypatch, cls, "find_reduction")
+        products = record_calls(monkeypatch, cls, "multiply")
         R = I.unit_ideal()
         for M, built in ((R, False), (I, square), (I.canonical_ideal(), False)):
             typecalc.is_ulrich_module_wrt(M, I)
@@ -405,9 +394,8 @@ class TestWorkCounts:
     def test_series_classify_computes_each_colon_once(self, monkeypatch, gens, exprs, built):
         H, field = NumericalSemigroup(gens), GF(5)
         I = FractionalIdeal.from_generators(H, field, [parse_series(s, field) for s in exprs])
-        colons, duals = [], []
-        count_calls(monkeypatch, FractionalIdeal, "colon", colons)
-        count_calls(monkeypatch, FractionalIdeal, "canonical_dual", duals)
+        colons = record_calls(monkeypatch, FractionalIdeal, "colon")
+        duals = record_calls(monkeypatch, FractionalIdeal, "canonical_dual")
         assert typecalc.classify(I)["consistent"]
         # I:I is the one colon; K:I = I^perp and, only when K != R, R:m <= I:I
         # and K I != I, R:I = (K I)^perp are canonical duals; none of them twice
@@ -422,8 +410,7 @@ class TestWorkCounts:
     def test_monomial_classify_computes_each_colon_once(self, monkeypatch, gens, exps, colons):
         H = NumericalSemigroup(gens)
         I = RelativeIdeal.from_exponents(H, exps)
-        record = []
-        count_calls(monkeypatch, RelativeIdeal, "colon", record)
+        record = record_calls(monkeypatch, RelativeIdeal, "colon")
         assert typecalc.classify(I)["consistent"]
         # K:I, I:I, and R:I = K:(K I) only when K != R, R:m <= I:I and K I != I
         assert len(record) == colons
@@ -433,9 +420,8 @@ class TestWorkCounts:
         H = NumericalSemigroup([10, 13, 17])
         I = RelativeIdeal.from_exponents(H, {0, 13, 21})
         typecalc.idealization_type(I)  # builds the companions
-        inits, positions = [], []
-        count_calls(monkeypatch, RelativeIdeal, "__init__", inits)
-        count_calls(monkeypatch, RelativeIdeal, "minimal_generators", positions)
+        inits = record_calls(monkeypatch, RelativeIdeal, "__init__")
+        positions = record_calls(monkeypatch, RelativeIdeal, "minimal_generators")
         typecalc.idealization_type(I)
         # K:I alone, and only __init__ computes a generator mask, so one is
         # computed; mu, top_rank and endo_meet_dim are bit counts of masks
@@ -447,22 +433,19 @@ class TestWorkCounts:
         H = NumericalSemigroup([4, 5, 11])
         ideals = enumerate_monomial_ideals(H, H.conductor + H.multiplicity)
         typecalc.idealization_type(next(ideals))  # builds the companions
-        reads = []
-        original = relideal._offsets
-        monkeypatch.setattr(relideal, "_offsets", lambda mask: reads.append(mask) or original(mask))
+        reads = record_calls(monkeypatch, relideal, "_offsets")
         for I in ideals:
             reads.clear()
             typecalc.idealization_type(I)
             # the colon K:I, endo_meet_dim and K.top_rank(K:I, I) each walk the
             # generators of I, which I keeps after the first walk
-            assert reads == [I._gen_mask]
+            assert reads == [(I._gen_mask,)]
 
     def test_monomial_idealization_type_makes_one_colon(self, monkeypatch):
         H = NumericalSemigroup([10, 13, 17])
         I = RelativeIdeal.from_exponents(H, {0, 13, 21})
         typecalc.idealization_type(I)  # builds the companions
-        colons = []
-        count_calls(monkeypatch, RelativeIdeal, "colon", colons)
+        colons = record_calls(monkeypatch, RelativeIdeal, "colon")
         typecalc.idealization_type(I, 13)
         # K:I alone: neither I:I nor the parameter socle (t^13 R : m) meet R
         assert len(colons) == 1
