@@ -107,9 +107,12 @@ def enumerate_monomial_ideals(
     masks.  An open (not yet passed) gap h with some gap h + a outside the
     mask, a a generator, stays out in every branch below, so a node passes
     over such gaps to the top open gap g left, or is a leaf if there is none:
-    it yields the ideal without g, then with g, keeping the gaps below g open.
-    N ideals cost at most 2N - 1 nodes of O(e) mask operations each, so
-    max_count bounds the work as well.
+    it yields the ideals without g, then those with g, keeping the gaps
+    below g open.  The walk goes on down "without g" itself and pushes only
+    "with g", so each node it pops ends in one leaf: N ideals cost N pops of
+    O(e) mask operations and N - 1 pushes, and max_count bounds the work as
+    well.  The masks come in strictly increasing order: below a node, they
+    agree above g, and those without g lack bit g while those with g have it.
     """
     if span_bound < 1:
         raise ArgumentError("span bound must be at least 1")
@@ -118,24 +121,26 @@ def enumerate_monomial_ideals(
     base_mask = H._member_mask
     gap_mask = ((1 << H.conductor) - 1) & ~base_mask
     count = 0
-    # depth first on a stack, as recursion overflows near a thousand gaps; "skip" pops first
+    # on a stack, as recursion overflows near a thousand gaps
     stack = [(base_mask, gap_mask & ((2 << min(span_bound, H.conductor)) - 1))]
     while stack:
         mask, open_gaps = stack.pop()
-        free, outside = open_gaps, gap_mask & ~mask
+        # every node down the "without g" branches shares this mask, so the
+        # blocked gaps and the free ones below each g are read off it once
+        outside, blocked = gap_mask & ~mask, 0
         for a in H.generators:
-            free &= ~(outside >> a)
-        if not free:
-            count += 1
-            if count > max_count:
-                raise ResourceLimitError(
-                    f"more than {max_count} ideals below span bound {span_bound}"
-                )
-            yield RelativeIdeal(H, 0, mask)
-            continue
-        top = 1 << (free.bit_length() - 1)  # the top gap g that the node branches on
-        below = open_gaps & (top - 1)
-        stack += [(mask | top, below), (mask, below)]
+            blocked |= outside >> a
+        free = open_gaps & ~blocked
+        while free:
+            top = 1 << (free.bit_length() - 1)  # the top gap g that the node branches on
+            free ^= top
+            stack.append((mask | top, open_gaps & (top - 1)))
+        count += 1
+        if count > max_count:
+            raise ResourceLimitError(
+                f"more than {max_count} ideals below span bound {span_bound}"
+            )
+        yield RelativeIdeal(H, 0, mask)
 
 
 def sup_search(H: NumericalSemigroup, span_bound: int, max_count: int = ENUMERATION_LIMIT):

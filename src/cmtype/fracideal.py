@@ -559,6 +559,9 @@ def _reframe(matrix, shift, width):
     return CoeffMatrix(matrix.field, width, rows, pivots)
 
 
+# The companions over (H, field), keyed by value and kept for the life of the
+# process, so commands that each build their own equal H share them.  The
+# monomial companions they lift live on H itself (relideal), as long as H.
 @functools.cache
 def _unit(H: NumericalSemigroup, field: FieldSpec) -> FractionalIdeal:
     return FractionalIdeal.from_relative(relideal._unit(H), field)

@@ -33,7 +33,8 @@ delta_E + j:
     ~F's mask minus that of ~E's;
   * minimal generators: the generator mask, mask & ~OR of mask << a over
     the generators a of H; mu is its bit count;
-  * normalization to the least member j of a mask: mask >> j.
+  * normalization to the least member j of a mask: mask >> j, done in
+    place by ``colon`` and ``intersect``.
 
 ``__init__`` checks every mask it is given: the bit of delta is set, the
 bits past the window match the tail, and the mask is H-stable.  The
@@ -47,9 +48,14 @@ read off it the first time ``multiply``, ``colon``, ``top_rank``,
 second slot: a sweep's K : I, endo_meet_dim and K.top_rank(K : I, I) all
 walk the generators of I, which is read once.  Every construction,
 ``shift`` included, goes through ``__init__`` and its checks.
-"""
 
-import functools
+A binary operation calls ``_check_same`` only when the operands' semigroups
+are not one object, so over one H it compares nothing, and a mismatch still
+raises ArgumentError.  The companions R, K and m of H (``_unit``,
+``_canonical``, ``_maximal``) live in a slot of the NumericalSemigroup, each
+built on first use: a lookup hashes nothing, and they live exactly as long
+as H does.
+"""
 
 from .errors import ArgumentError, ConsistencyError, ContainmentError
 from .semigroup import NumericalSemigroup
@@ -106,12 +112,6 @@ class RelativeIdeal:
                 mask |= h << (g - delta)
         return cls(semigroup, delta, mask)
 
-    @classmethod
-    def _normalized(cls, semigroup, start, bits) -> "RelativeIdeal":
-        """Build from the mask ``bits`` of an ideal at origin ``start``."""
-        j = (bits & -bits).bit_length() - 1
-        return cls(semigroup, start + j, bits >> j)
-
     def _at(self, start: int) -> int:
         """The mask shifted to origin ``start``: bit i <-> start + i."""
         s = self.delta - start
@@ -152,14 +152,17 @@ class RelativeIdeal:
     # -- arithmetic --------------------------------------------------------
 
     def _check_same(self, other: "RelativeIdeal"):
-        if self.semigroup is not other.semigroup and self.semigroup != other.semigroup:
+        """Raise ArgumentError unless both semigroups are equal; the callers
+        skip it when they are one object."""
+        if self.semigroup != other.semigroup:
             raise ArgumentError(
                 f"semigroup mismatch: {self.semigroup} vs {other.semigroup}"
             )
 
     def add(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Set union: the fractional ideal sum E + F (as R-modules)."""
-        self._check_same(other)
+        if other.semigroup is not self.semigroup:
+            self._check_same(other)
         low, high = (self, other) if self.delta <= other.delta else (other, self)
         # low holds every integer from delta_low + c on, so a shift of high past
         # c adds nothing there and is cut at c: no mask grows with the orders
@@ -168,7 +171,8 @@ class RelativeIdeal:
 
     def multiply(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """Minkowski sum {x + y}: the ideal product."""
-        self._check_same(other)
+        if other.semigroup is not self.semigroup:
+            self._check_same(other)
         mask, bits = other._mask, 0
         for j in self._generator_offsets():  # the generator delta_E + j of E
             bits |= mask << j
@@ -184,8 +188,9 @@ class RelativeIdeal:
         check covers each of them, and names the least z that fails and a
         generator g of F it fails on.
         """
-        self._check_same(other)
         H = self.semigroup
+        if other.semigroup is not H:
+            self._check_same(other)
         c = H.conductor
         start = self.delta - other.delta
         mask, bits = self._mask, -1
@@ -202,7 +207,8 @@ class RelativeIdeal:
                 f"z = {z} lies past the window [{start}, {start + c}) of E - F "
                 f"but z + {g} = {z + g} is not in E"
             )
-        return RelativeIdeal._normalized(H, start, bits)
+        j = (bits & -bits).bit_length() - 1
+        return RelativeIdeal(H, start + j, bits >> j)
 
     def top_rank(self, X: "RelativeIdeal", Y: "RelativeIdeal") -> int:
         """dim_k of the image of X Y in M/mM, M this ideal, for X Y <= M.
@@ -216,8 +222,10 @@ class RelativeIdeal:
         mask, and no generator position is read.  X Y <= M needs d0 >= 0,
         so every shift is a left shift.
         """
-        self._check_same(X)
-        self._check_same(Y)
+        if X.semigroup is not self.semigroup:
+            self._check_same(X)
+        if Y.semigroup is not self.semigroup:
+            self._check_same(Y)
         d0 = X.delta + Y.delta - self.delta
         if d0 < 0:
             raise ContainmentError(
@@ -234,26 +242,30 @@ class RelativeIdeal:
         """dim_k(span{t^f : f in exponents} meet (E - E)), without building E - E.
 
         The mask of E - E at origin 0 is the AND of E's mask >> j over the
-        generators delta + j of E (``colon``), so the answer is the bit
-        count of that AND against the mask of the exponents: E - E has no
-        negative member, so negative exponents are dropped, and a repeated
-        one sets one bit.
+        generators delta + j of E (``colon``).  E - E has no negative
+        member, and it holds R, so every f >= c: those count once each, with
+        no bit set, and the answer adds the bit count of that AND against
+        the mask of the f in [0, c), where a repeated f sets one bit.
         """
         mask, bits = self._mask, -1
         for j in self._generator_offsets():
             bits &= mask >> j
-        wanted = 0
+        c = self.semigroup.conductor
+        wanted, tail = 0, set()
         for f in exponents:
-            if f >= 0:
+            if f >= c:
+                tail.add(f)
+            elif f >= 0:
                 wanted |= 1 << f
-        return (bits & wanted).bit_count()
+        return (bits & wanted).bit_count() + len(tail)
 
     def intersect(self, other: "RelativeIdeal") -> "RelativeIdeal":
-        self._check_same(other)
+        if other.semigroup is not self.semigroup:
+            self._check_same(other)
         start = max(self.delta, other.delta)
-        return RelativeIdeal._normalized(
-            self.semigroup, start, self._at(start) & other._at(start)
-        )
+        bits = self._at(start) & other._at(start)
+        j = (bits & -bits).bit_length() - 1  # normalized to the least member
+        return RelativeIdeal(self.semigroup, start + j, bits >> j)
 
     def shift(self, s: int) -> "RelativeIdeal":
         """Multiplication by t^s: E + s, the same mask at delta + s."""
@@ -268,7 +280,8 @@ class RelativeIdeal:
         return sub.delta - self.delta + (~sub._mask).bit_count() - (~self._mask).bit_count()
 
     def contains_ideal(self, sub: "RelativeIdeal") -> bool:
-        self._check_same(sub)
+        if sub.semigroup is not self.semigroup:
+            self._check_same(sub)
         if sub.delta < self.delta:
             return False
         return sub._mask & ~self._at(sub.delta) == 0
@@ -347,16 +360,26 @@ def _offsets(mask: int) -> list:
     return out
 
 
-@functools.cache
+# The companions of H, kept in H's own slot (module docstring).
 def _unit(H: NumericalSemigroup) -> RelativeIdeal:
-    return RelativeIdeal.from_exponents(H, {0})
+    companions = H._relative_companions
+    R = companions[0]
+    if R is None:
+        R = companions[0] = RelativeIdeal.from_exponents(H, {0})
+    return R
 
 
-@functools.cache
 def _canonical(H: NumericalSemigroup) -> RelativeIdeal:
-    return H.canonical_relative_ideal()
+    companions = H._relative_companions
+    K = companions[1]
+    if K is None:
+        K = companions[1] = H.canonical_relative_ideal()
+    return K
 
 
-@functools.cache
 def _maximal(H: NumericalSemigroup) -> RelativeIdeal:
-    return RelativeIdeal.from_exponents(H, H.generators)
+    companions = H._relative_companions
+    m = companions[2]
+    if m is None:
+        m = companions[2] = RelativeIdeal.from_exponents(H, H.generators)
+    return m

@@ -44,6 +44,7 @@ class NumericalSemigroup:
         "_apery_mod_e",
         "_member_mask",
         "_pseudo_frobenius",
+        "_relative_companions",
     )
 
     def __init__(self, generators):
@@ -82,6 +83,8 @@ class NumericalSemigroup:
         )
         self.embedding_dimension = len(self.generators)
         self._pseudo_frobenius = self._maximal_apery_pf()
+        # R, K and m as relative ideals, each built by ``relideal`` on first use
+        self._relative_companions = [None, None, None]
 
     def contains(self, z: int) -> bool:
         if z < 0:

@@ -155,7 +155,8 @@ def _cokernel_mu(ideal, K, dual):
 
 
 # A named tuple: a frozen dataclass's __init__ sets each field through
-# object.__setattr__, and a sweep builds one record per enumerated ideal.
+# object.__setattr__, and a sweep builds one record per enumerated ideal, with
+# tuple.__new__ and no hop through the generated __new__.
 IdealizationType = collections.namedtuple(
     "IdealizationType",
     ["value", "module_type", "socle_excess", "cokernel_mu", "socle_value", "cokernel_value"],
@@ -187,7 +188,9 @@ def _idealization_type(ideal, K, dual, a):
             f"type {socle_value} escapes [{r_mod}, {r_ring + r_mod}] for {ideal.describe()}"
         )
     # in field order: with six keywords the call takes about twice as long
-    return IdealizationType(socle_value, r_mod, excess, mu_coker, socle_value, coker_value)
+    return tuple.__new__(
+        IdealizationType, (socle_value, r_mod, excess, mu_coker, socle_value, coker_value)
+    )
 
 
 # -- predicates ---------------------------------------------------------------

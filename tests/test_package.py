@@ -63,6 +63,21 @@ def test_no_ideal_is_built_past_its_constructor():
     assert calls == []
 
 
+def test_the_monomial_engine_keeps_no_process_wide_cache():
+    """relideal applies no functools.cache or lru_cache: the companions of a
+    semigroup live in its own slot, as long as it does."""
+    path = Path(__file__).resolve().parents[1] / "src" / "cmtype" / "relideal.py"
+    names = [
+        f"relideal.py:{node.lineno} {name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in [getattr(node, "attr", None) or getattr(node, "id", None)
+                     or getattr(node, "name", None)]
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and name in ("cache", "lru_cache")
+    ]
+    assert names == []
+
+
 def test_no_result_has_a_serializer():
     """A result is built as the dict its --json document prints, so no
     to_dict is defined or assigned under src/cmtype."""

@@ -158,10 +158,14 @@ class TestMalformedMasks:
 
 
 def test_operands_over_another_semigroup_are_refused():
+    # an operand over an equal semigroup that is another object is accepted
     E, F = RelativeIdeal.from_exponents(H345, {3}), RelativeIdeal.from_exponents(H456, {4})
-    for op in (E.add, E.multiply, E.colon, E.intersect, E.contains_ideal):
+    G, twin = (RelativeIdeal.from_exponents(H, {4}) for H in (H345, NumericalSemigroup([3, 4, 5])))
+    for op in (E.add, E.multiply, E.colon, E.intersect, E.contains_ideal,
+               lambda X: E.top_rank(X, E), lambda X: E.top_rank(E, X)):
         with pytest.raises(ArgumentError, match=r"semigroup mismatch: <3,4,5> vs <4,5,6>"):
             op(F)
+        assert op(twin) == op(G)
 
 
 class TestCanonicalDual:

@@ -1,13 +1,14 @@
 """The type formulas and the work one report does, on both ideal engines."""
 
+import gc
 import itertools
-import random
 import re
 import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmtype import relideal, typecalc
 from cmtype.constructions import enumerate_monomial_ideals
@@ -19,9 +20,10 @@ from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import parse_series
 from helpers import (
     ENGINES,
-    random_relative_ideal,
+    ideal_cases,
     record_calls,
     reduction_search_reference,
+    series_ideal,
     series_ideals,
     socle_excess_reference,
     ulrich_module_reference,
@@ -31,8 +33,6 @@ H345 = NumericalSemigroup([3, 4, 5])
 H37 = NumericalSemigroup([3, 7])
 H35 = NumericalSemigroup([3, 5])
 H1 = NumericalSemigroup([1])  # the DVR k[[t]]: c = 0, PF(H) = {-1}
-# semigroups with ideals I <= m whose I^2 is not xI, so (x) reduces only a higher power
-REDUCTION_POOL = ([3, 5], [3, 7], [4, 5, 6], [4, 6, 9], [5, 6, 7], [3, 4, 5])
 
 
 def ulrich_ideal(field=GF(5)):
@@ -53,73 +53,122 @@ def cases():
 
 CASES = cases()
 
-def proper_ideals(H, field, rng):
-    """Proper monomial ideals (enumerated, shifted into R) and random series ideals."""
-    R = RelativeIdeal.from_exponents(H, {0})
-    shifts = H.members(1, H.conductor + 1)
-    out = [E.shift(a) for E in enumerate_monomial_ideals(H, H.conductor) for a in shifts]
-    out = [E for E in out if R.contains_ideal(E) and E != R]
-    elements = H.members(1, H.conductor + 2 * H.multiplicity)
-    for _ in range(12):
-        exprs = [
-            " + ".join(f"{rng.randint(1, field.characteristic - 1)}*t^{x}"
-                       for x in rng.sample(elements, rng.randint(1, 3)))
-            for _ in range(rng.randint(1, 3))
-        ]
-        gens = [parse_series(s, field) for s in exprs]
-        out.append(FractionalIdeal.from_generators(H, field, gens))
-    return out
 
-
-def test_ulrich_by_length_matches_the_reduction_search():
-    # _is_ulrich_ideal decides I^2 = xI by len(I/I^2) = delta_I; find_reduction
-    # searches for such an x among candidates that include one of order delta_I
-    rng = random.Random(11)
-    outcomes = set()
-    for gens in ([3, 4, 5], [3, 5], [4, 5, 6], [3, 7]):
-        for I in proper_ideals(NumericalSemigroup(gens), GF(3), rng):
-            length = I.quotient_length(I.multiply(I))
-            reduced = I.find_reduction() is not None
-            assert (length == I.delta) == reduced, I.describe()
-            free = length == I.mu() * I.unit_ideal().quotient_length(I)
-            assert typecalc.is_ulrich_ideal(I) == (I.mu() >= 2 and reduced and free)
-            outcomes.add((I.engine, reduced, free))
-    engines, flags = ("monomial", "series"), (True, False)
-    assert outcomes == set(itertools.product(engines, flags, flags))
-
-
-def test_find_reduction_matches_the_candidate_search():
-    # the reference tries several candidates for x; find_reduction tests one by values
-    rng = random.Random(13)
-    outcomes = set()
-    for gens in REDUCTION_POOL + ([1],):
+def reduction_examples():
+    """(I, J, e, 0) over <3,5>, <3,7>, <4,5,6>, <4,6,9> and <5,6,7>, which
+    have ideals J <= m whose J^2 is not xJ, so (x) reduces only a higher
+    power, and over <3,4,5> and the DVR.  Each comes on the monomial engine
+    with a fractional I, and lifted to F_3 with a non-monomial I; J is
+    proper, and over <3,7> a non-monomial Ulrich ideal is one more J."""
+    out = []
+    for gens, i_exps, j_exps in (
+        ([3, 5], {-2, 5}, {3, 5}), ([3, 7], {-4, 1}, {9, 10, 14}), ([4, 5, 6], {-1}, {4, 11}),
+        ([4, 6, 9], {0, 7}, {8, 10, 13, 15}), ([5, 6, 7], {-3, 4}, {5, 6}),
+        ([3, 4, 5], {1, 2}, {3, 4, 5}), ([1], {-2}, {1}),
+    ):
         H = NumericalSemigroup(gens)
-        ideals = proper_ideals(H, GF(3), rng) if H.conductor else []
-        ideals += [random_relative_ideal(rng, H) for _ in range(6)]
-        ideals += [FractionalIdeal.from_relative(E, GF(3)) for E in ideals[-3:]]
-        ideals += [FractionalIdeal.from_generators(H, GF(3), [parse_series(s, GF(3))])
-                   for s in ("t^-2 + t^5", "t^2 + 2*t^3")]
-        for I in ideals:
-            P = I.find_reduction()
-            assert (P is None) == (reduction_search_reference(I) is None), I.describe()
-            if P is not None:
-                assert P.is_principal() and P.delta == I.delta
-                assert P.multiply(I) == I.multiply(I)
-            outcomes.add((I.engine, P is None))
-    assert outcomes == set(itertools.product(("monomial", "series"), (True, False)))
+        I, J = (RelativeIdeal.from_exponents(H, exps) for exps in (i_exps, j_exps))
+        series = series_ideal(H, GF(3), "t^-2 + t^5" if len(gens) % 2 else "t^2 + 2*t^3")
+        out += [(I, J, H.multiplicity, 0),
+                (series, FractionalIdeal.from_relative(J, GF(3)), H.multiplicity, 0)]
+    return out + [(series_ideal(H37, GF(3), "t^2 + 2*t^3"), ulrich_ideal(GF(3)), 3, 0)]
 
 
-def test_ulrich_module_test_matches_the_definition():
-    # 82 of these 271 ideals have I^2 != xI
-    rng = random.Random(12)
-    outcomes = set()
-    for gens in REDUCTION_POOL:
-        for I in proper_ideals(NumericalSemigroup(gens), GF(3), rng):
-            for M in (I.unit_ideal(), I, I.maximal_ideal(), I.canonical_ideal()):
-                ulrich = typecalc.is_ulrich_module_wrt(M, I)
-                assert ulrich == ulrich_module_reference(M, I), (M.describe(), I.describe())
-                outcomes.add((I.engine, ulrich))
-    assert outcomes == set(itertools.product(("monomial", "series"), (True, False)))
+REDUCTION_EXAMPLES = reduction_examples()
+
+
+def over_every_engine(max_examples):
+    """Make ``check(I, J)`` a test over the I and J of ``ideal_cases`` on
+    every engine, with REDUCTION_EXAMPLES as its explicit examples."""
+    def decorate(check):
+        @settings(max_examples=max_examples, deadline=None)
+        @given(st.sampled_from(ENGINES).flatmap(ideal_cases))
+        def test(case):
+            check(*case[:2])
+
+        for case in REDUCTION_EXAMPLES:
+            test = example(case)(test)
+        test.__name__ = test.__qualname__ = check.__name__
+        return test
+    return decorate
+
+
+def ulrich_by_length(J):
+    """is_ulrich_ideal decides J^2 = xJ by len(J/J^2) = delta_J; find_reduction
+    searches for such an x among candidates that include one of order
+    delta_J.  Returns (engine, reduced, free)."""
+    length = J.quotient_length(J.multiply(J))
+    reduced = J.find_reduction() is not None
+    assert (length == J.delta) == reduced, J.describe()
+    free = length == J.mu() * J.unit_ideal().quotient_length(J)
+    assert typecalc.is_ulrich_ideal(J) == (J.mu() >= 2 and reduced and free)
+    return J.engine, reduced, free
+
+
+def reduction_by_search(I):
+    """The reference tries several candidates for x; find_reduction tests one
+    by values.  Returns (engine, whether there is none)."""
+    P = I.find_reduction()
+    assert (P is None) == (reduction_search_reference(I) is None), I.describe()
+    if P is not None:
+        assert P.is_principal() and P.delta == I.delta
+        assert P.multiply(I) == I.multiply(I)
+    return I.engine, P is None
+
+
+def ulrich_modules_by_definition(I, J):
+    """is_ulrich_module_wrt(M, J) against the definition, for M = R, J, m, K
+    and I.  Returns the set of (engine, verdict)."""
+    verdicts = set()
+    for M in (J.unit_ideal(), J, J.maximal_ideal(), J.canonical_ideal(), I):
+        ulrich = typecalc.is_ulrich_module_wrt(M, J)
+        assert ulrich == ulrich_module_reference(M, J), (M.describe(), J.describe())
+        verdicts.add((J.engine, ulrich))
+    return verdicts
+
+
+def ulrich_wrt_m_by_length(M):
+    """mu(M) = e, against len(M/mM) = mu(M) = len(M/t^e M) and the test with
+    the ideal m.  Returns the verdict."""
+    ulrich = typecalc.is_ulrich_module_wrt(M)
+    assert ulrich == (M.mu() == M.quotient_length(M.shift(M.semigroup.multiplicity)))
+    assert ulrich == typecalc.is_ulrich_module_wrt(M, M.maximal_ideal())
+    return ulrich
+
+
+@over_every_engine(40)
+def test_ulrich_by_length_matches_the_reduction_search(I, J):
+    ulrich_by_length(J)
+
+
+@over_every_engine(40)
+def test_find_reduction_matches_the_candidate_search(I, J):
+    reduction_by_search(I)
+    reduction_by_search(J)
+
+
+@over_every_engine(30)
+def test_ulrich_module_test_matches_the_definition(I, J):
+    ulrich_modules_by_definition(I, J)
+
+
+@over_every_engine(40)
+def test_ulrich_wrt_m_is_the_length_formula(I, J):
+    ulrich_wrt_m_by_length(I)
+    ulrich_wrt_m_by_length(J)
+
+
+def test_the_reduction_examples_reach_every_outcome():
+    # the explicit examples of the four tests above reach every outcome of
+    # their checks on both engines
+    engines, flags = ("monomial", "series"), (True, False)
+    cases = [case[:2] for case in REDUCTION_EXAMPLES]
+    assert {ulrich_by_length(J) for _, J in cases} == set(itertools.product(engines, flags, flags))
+    found = {reduction_by_search(X) for case in cases for X in case}
+    assert found == set(itertools.product(engines, flags))
+    verdicts = set().union(*(ulrich_modules_by_definition(I, J) for I, J in cases))
+    assert verdicts == set(itertools.product(engines, flags))
+    assert {ulrich_wrt_m_by_length(X) for case in cases for X in case} == {True, False}
 
 
 def engines(*names):
@@ -144,20 +193,6 @@ def test_ulrich_module_pinned_cases(engine):
         for M in (R, I):
             with pytest.raises(ContainmentError):
                 typecalc.is_ulrich_module_wrt(M, I)
-
-
-def test_ulrich_wrt_m_is_the_length_formula():
-    # mu(M) = e, against len(M/mM) = mu(M) = len(M/t^e M) and the test with I = m
-    rng = random.Random(14)
-    outcomes = set()
-    for gens in REDUCTION_POOL:
-        H = NumericalSemigroup(gens)
-        for I in proper_ideals(H, GF(3), rng)[::4] + [random_relative_ideal(rng, H)]:
-            ulrich = typecalc.is_ulrich_module_wrt(I)
-            assert ulrich == (I.mu() == I.quotient_length(I.shift(H.multiplicity)))
-            assert ulrich == typecalc.is_ulrich_module_wrt(I, I.maximal_ideal())
-            outcomes.add(ulrich)
-    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("name, ideal", CASES, ids=[name for name, _ in CASES])
@@ -450,6 +485,33 @@ class TestWorkCounts:
         # K:I alone: neither I:I nor the parameter socle (t^13 R : m) meet R
         assert len(colons) == 1
 
+    def test_monomial_idealization_type_hashes_and_compares_no_semigroup(self, monkeypatch):
+        H = NumericalSemigroup([10, 13, 17])
+        I = RelativeIdeal.from_exponents(H, {0, 13, 21})
+        typecalc.idealization_type(I)  # builds the companions
+        hashes = record_calls(monkeypatch, NumericalSemigroup, "__hash__")
+        checks = record_calls(monkeypatch, RelativeIdeal, "_check_same")
+        typecalc.idealization_type(I)
+        # K sits in a slot of H, and I, K and K:I share H as one object
+        assert hashes == [] and checks == []
+
+
+def test_monomial_companions_live_as_long_as_their_semigroup():
+    gens = (25, 27, 29)  # no other test draws a generator above 24
+
+    def ideals_over_it():
+        return sum(1 for x in gc.get_objects()
+                   if isinstance(x, RelativeIdeal) and x.semigroup.generators == gens)
+
+    H = NumericalSemigroup(gens)
+    I = RelativeIdeal.from_exponents(H, {0, 27})
+    companions = [I.unit_ideal(), I.canonical_ideal(), I.maximal_ideal()]
+    typecalc.idealization_type(I)
+    assert ideals_over_it() == 4  # I, R, K and m; K:I is gone
+    del H, I, companions
+    gc.collect()
+    assert ideals_over_it() == 0
+
 
 @pytest.mark.parametrize("build", [
     lambda H: RelativeIdeal.from_exponents(H, {4, 7}),
@@ -474,3 +536,19 @@ def test_public_functions_take_orders_far_apart(build):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 1024 * 1024
+
+
+@pytest.mark.parametrize("lift", [lambda E: E, lambda E: FractionalIdeal.from_relative(E, QQ)],
+                         ids=["monomial", "series"])
+def test_endo_meet_dim_takes_exponents_far_past_the_conductor(lift):
+    # every t^f with f >= c lies in R <= I:I: it counts once, with no mask or
+    # window that grows with f
+    I = lift(RelativeIdeal.from_exponents(NumericalSemigroup([4, 5, 7]), {0, 3}))  # I:I = R
+    tracemalloc.start()
+    try:
+        assert I.endo_meet_dim([1, 2, 3, 10**20]) == 1
+        assert I.endo_meet_dim([10**20, 6, 10**20, 7, -10**20, 0, 10**20 + 1]) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
