@@ -30,6 +30,12 @@ to the leaf parser its command words name (``semigroup info``,
 ``sup-search``, ...), since the outer parsers would only pick that leaf;
 every other argv, and a leaf parse with arguments left over, goes to the
 full parser, so help and error text stay argparse's own.
+
+Only ``_cmd_verify_paper`` imports ``verify``, when it runs: the module and
+the ``random`` it loads cost every other command start-up time for nothing.
+A ``python -S -E`` process that imports this module loads no ``dataclasses``,
+``inspect``, ``ast``, ``dis``, ``tokenize`` or ``random``, which
+``tests/test_package.py`` holds.
 """
 
 import argparse
@@ -40,7 +46,6 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-from . import verify
 from .constructions import ENUMERATION_LIMIT, enumerate_monomial_ideals, sup_search
 from .errors import ArgumentError, CmtypeError, ConsistencyError, ParseError, ResourceLimitError
 from .fracideal import FractionalIdeal
@@ -332,6 +337,8 @@ def _cmd_ideal_analyze(args):
 
 
 def _cmd_verify_paper(args):
+    from . import verify
+
     results = verify.run(args.filter)
     if not results:
         raise ArgumentError(

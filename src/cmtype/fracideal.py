@@ -477,7 +477,7 @@ class FractionalIdeal:
         if not isinstance(other, FractionalIdeal):
             return NotImplemented
         return (
-            self.semigroup == other.semigroup
+            (self.semigroup is other.semigroup or self.semigroup == other.semigroup)
             and self.field == other.field
             and self.delta == other.delta
             and self.matrix.rows == other.matrix.rows

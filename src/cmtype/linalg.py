@@ -39,11 +39,16 @@ way the series engine adds row spaces (ideal sums and products).
 
 A CoeffMatrix given its ``pivots`` trusts the caller and skips the reduction:
 the rows must already be canonical and reduced, with those pivots.
+
+``FieldSpec`` is a plain ``__slots__`` class, not a frozen dataclass:
+importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis``, ``tokenize``
+and ``copy`` with it, which was about half the time ``import cmtype.cli``
+took, for one field.  A ``namedtuple`` would be as cheap but would compare
+equal to the tuple ``(p,)``.
 """
 
 import bisect
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
@@ -69,17 +74,40 @@ def _is_prime(n: int) -> bool:
 _NOT_PRIME = "characteristic must be a prime < 2**31, got {}"
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """The coefficient field, named by its characteristic: 0 is the rationals,
-    a prime p < 2**31 is F_p.  Any other characteristic is refused."""
+    a prime p < 2**31 is F_p.  Any other characteristic is refused.
 
-    characteristic: int
+    A frozen value: equal and hashed by its characteristic, and assignment
+    raises ``AttributeError``."""
 
-    def __post_init__(self):
-        p = self.characteristic
+    __slots__ = ("characteristic",)
+
+    def __init__(self, characteristic: int):
+        p = characteristic
         if p and not (p < _PRIME_LIMIT and _is_prime(p)):
             raise ArgumentError(_NOT_PRIME.format(p))
+        object.__setattr__(self, "characteristic", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash(self.characteristic)
+
+    def __reduce__(self):
+        return FieldSpec, (self.characteristic,)
+
+    def __repr__(self):
+        return f"FieldSpec(characteristic={self.characteristic!r})"
 
     @property
     def is_prime_field(self) -> bool:

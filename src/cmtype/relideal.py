@@ -316,7 +316,7 @@ class RelativeIdeal:
     def __eq__(self, other):
         return (
             isinstance(other, RelativeIdeal)
-            and self.semigroup == other.semigroup
+            and (self.semigroup is other.semigroup or self.semigroup == other.semigroup)
             and self.delta == other.delta
             and self._mask == other._mask
         )

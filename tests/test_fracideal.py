@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmtype import linalg
@@ -24,14 +24,15 @@ from cmtype.relideal import RelativeIdeal
 from cmtype.semigroup import NumericalSemigroup
 from cmtype.series import TruncatedSeries, parse_series
 from helpers import (
+    ENGINES,
+    SERIES_ENGINES,
     SERIES_POOL,
     colon_reference,
     common_window,
     full_stack_add,
     generated_ideals,
+    ideal_cases,
     multiply_reference,
-    random_relative_ideal,
-    random_semigroup,
     record_calls,
     series_cases,
     series_ideal,
@@ -43,6 +44,54 @@ H345 = NumericalSemigroup([3, 4, 5])
 H37 = NumericalSemigroup([3, 7])
 H456 = NumericalSemigroup([4, 5, 6])
 R34 = fracideal._unit(NumericalSemigroup([3, 4]), GF(3))
+
+# one monomial ideal of an ideal_cases draw (its fractional I or its proper J),
+# and a field to lift it to
+monomial_ideals = ideal_cases(ENGINES[0]).flatmap(lambda case: st.sampled_from(case[:2]))
+lift_fields = st.sampled_from([QQ, GF(2), GF(5)])
+
+# (generators of H, field, exponents): the ideals of the seeded loops that
+# test_monomial_basis_has_an_empty_cached_view and
+# TestEngineAgreement::test_find_reduction replace, both outcomes of
+# find_reduction among them; conductors reach 168, past ideal_cases' 80
+MONOMIAL_EXAMPLES = [
+    ([4, 11], QQ, {-9, -6}), ([9, 10], GF(2), {-22}), ([5, 13], GF(2), {13, 14}),
+    ([2, 11], QQ, {0, 1}), ([2, 15], QQ, {-3}), ([9, 14, 15], QQ, {-20}), ([2, 5], QQ, {-3, 0}),
+    ([3, 8], GF(5), {-9}), ([2, 9], QQ, {7}), ([2, 11], QQ, {-4, 5}), ([7, 9], QQ, {-6, 4}),
+    ([2, 13], GF(5), {8}), ([7, 11, 13], GF(2), {-10, 0}), ([3, 5], QQ, {-7}),
+    ([13, 15], GF(5), {143}), ([13, 14, 15], GF(2), {-64}), ([6, 7], QQ, {42}),
+    ([4, 15], GF(5), {-7, 10}), ([7, 8], GF(2), {-41}), ([2, 5], GF(5), {-3}),
+    ([3, 10, 11], QQ, {-6, -4}), ([10, 11, 12], GF(5), {79, 83, 86}), ([3, 11], GF(2), {-10}),
+    ([7, 11], GF(2), {79}), ([5, 13], QQ, {-3}), ([3, 4], QQ, {-6}), ([4, 11], GF(5), {-23}),
+    ([3, 5], QQ, {-1, 1}), ([7, 9], QQ, {-18, -14}), ([6, 9, 13], QQ, {30}),
+    ([5, 14], QQ, {-16}), ([2, 9], QQ, {-7}), ([3, 8], GF(5), {-8, 5}),
+    ([5, 11], GF(2), {-24, -20}), ([2, 11], QQ, {10}), ([3, 4, 5], GF(2), {-2, -1}),
+    ([11, 14, 15], GF(2), {33}), ([4, 5], GF(5), {4}), ([9, 10, 15], GF(5), {-6}),
+    ([6, 7], GF(2), {-14}),
+    ([3, 7], QQ, {0}), ([3, 7], QQ, {3, 7}), ([3, 7], GF(5), {-12}), ([3, 7], GF(5), {4}),
+    ([3, 7], GF(5), {7}), ([3, 7], QQ, {-6, -5}), ([3, 7], GF(5), {-1, 10}), ([3, 7], QQ, {-6}),
+    ([3, 7], GF(5), {-2, 0}), ([3, 7], GF(5), {-8}), ([3, 7], QQ, {-10, -8}),
+    ([3, 7], QQ, {-8}), ([3, 7], QQ, {15, 16}), ([3, 7], QQ, {-9}),
+    ([3, 4, 5], QQ, {0, 1}), ([3, 4, 5], GF(5), {3, 4, 5}), ([3, 4, 5], QQ, {-1}),
+    ([3, 4, 5], GF(5), {-1}), ([3, 4, 5], QQ, {0, 1, 2}), ([3, 4, 5], GF(5), {0, 2}),
+    ([3, 4, 5], QQ, {-3}), ([3, 4, 5], GF(5), {2, 3}), ([3, 4, 5], QQ, {0}),
+    ([3, 4, 5], QQ, {-2}),
+    ([4, 5, 6], GF(5), {0}), ([4, 5, 6], GF(5), {4, 5, 6}), ([4, 5, 6], GF(5), {11}),
+    ([4, 5, 6], GF(5), {2}), ([4, 5, 6], QQ, {-1}), ([4, 5, 6], GF(5), {-6, -5}),
+    ([4, 5, 6], GF(5), {-8}), ([4, 5, 6], QQ, {0, 1, 3}), ([4, 5, 6], QQ, {-7, 0}),
+    ([4, 5, 6], QQ, {-8, -7}), ([4, 5, 6], QQ, {-6}), ([4, 5, 6], QQ, {2}),
+    ([4, 5, 6], GF(5), {-1}), ([4, 5, 6], QQ, {-7}),
+]
+
+
+def monomial_examples(*extra):
+    """An @example (E, field, *extra) for each of MONOMIAL_EXAMPLES."""
+    def decorate(test):
+        for gens, field, exponents in MONOMIAL_EXAMPLES:
+            E = RelativeIdeal.from_exponents(NumericalSemigroup(gens), exponents)
+            test = example(E, field, *extra)(test)
+        return test
+    return decorate
 
 
 class TestConstruction:
@@ -201,26 +250,25 @@ class TestFromRelative:
         E = RelativeIdeal.from_exponents(H345, {3, 5})
         assert FractionalIdeal.from_relative(E, QQ) == series_ideal(H345, QQ, "t^3", "t^5")
 
-    def test_monomial_basis_has_an_empty_cached_view(self):
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_ideals, lift_fields, st.integers(0, 2**16))
+    @monomial_examples(24)
+    def test_monomial_basis_has_an_empty_cached_view(self, E, field, seed):
         # a span of unit vectors: reduction only picks each vector's gap cells
-        rng = random.Random(24)
-        for _ in range(40):
-            H = random_semigroup(rng)
-            field = rng.choice([QQ, GF(2), GF(5)])
-            E = random_relative_ideal(rng, H)
-            matrix = FractionalIdeal.from_relative(E, field).matrix
-            c = matrix.ncols
-            view = matrix.tails()
-            mask = E.members_mask(E.delta, c)
-            assert view == ([i for i in range(c) if not mask >> i & 1], [])
-            vecs = [[rng.choice([rng.randint(-9, 9), Fraction(rng.randint(1, 9), 7)])
-                     if field == QQ else rng.randint(-99, 99) for _ in range(c)]
-                    for _ in range(3)]
-            residuals = linalg._reduce_rows(field, vecs, matrix)
-            assert len(residuals) == len(vecs)
-            for r, v in zip(residuals, vecs):
-                assert len(r) == len(view[0]) and all(x is v[j] for x, j in zip(r, view[0]))
-            assert matrix.tails() is view
+        rng = random.Random(seed)
+        matrix = FractionalIdeal.from_relative(E, field).matrix
+        c = matrix.ncols
+        view = matrix.tails()
+        mask = E.members_mask(E.delta, c)
+        assert view == ([i for i in range(c) if not mask >> i & 1], [])
+        vecs = [[rng.choice([rng.randint(-9, 9), Fraction(rng.randint(1, 9), 7)])
+                 if field == QQ else rng.randint(-99, 99) for _ in range(c)]
+                for _ in range(3)]
+        residuals = linalg._reduce_rows(field, vecs, matrix)
+        assert len(residuals) == len(vecs)
+        for r, v in zip(residuals, vecs):
+            assert len(r) == len(view[0]) and all(x is v[j] for x, j in zip(r, view[0]))
+        assert matrix.tails() is view
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
@@ -248,21 +296,20 @@ def test_from_relative_reads_its_generators_off_the_values(field, gens, exponent
 class TestEngineAgreement:
     """Monomial inputs: every operation matches the relative-ideal engine."""
 
-    def test_find_reduction(self):
-        rng = random.Random(25)
-        outcomes = set()
-        for H in (H37, H345, H456):
-            ideals = [H.canonical_relative_ideal(), RelativeIdeal.from_exponents(H, H.generators)]
-            ideals += [random_relative_ideal(rng, H) for _ in range(12)]
-            for E in ideals:
-                field = rng.choice([QQ, GF(5)])
-                red = E.find_reduction()
-                got = FractionalIdeal.from_relative(E, field).find_reduction()
-                outcomes.add(red is None)
-                if red is None:
-                    assert got is None
-                else:
-                    assert got == FractionalIdeal.from_relative(red, field)
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_ideals, lift_fields)
+    @monomial_examples()
+    def test_find_reduction(self, E, field):
+        red = E.find_reduction()
+        got = FractionalIdeal.from_relative(E, field).find_reduction()
+        if red is None:
+            assert got is None
+        else:
+            assert got == FractionalIdeal.from_relative(red, field)
+
+    def test_the_examples_reach_both_outcomes(self):
+        outcomes = {RelativeIdeal.from_exponents(NumericalSemigroup(gens), exponents)
+                    .find_reduction() is None for gens, _, exponents in MONOMIAL_EXAMPLES}
         assert outcomes == {True, False}
 
 
@@ -293,6 +340,14 @@ def assert_minimal_generators(X):
     assert linalg.sum_spaces(span, wide) == mine
 
 
+def colon_example(gens, p, *exprs):
+    """An ideal_cases case (I, J, e, 0) of the seeded loop that
+    TestColonBruteForce replaces: J is generated by I's first generator."""
+    H = NumericalSemigroup(gens)
+    I, J = (series_ideal(H, GF(p), *exprs[:k]) for k in (len(exprs), 1))
+    return I, J, H.multiplicity, 0
+
+
 class TestColonBruteForce:
     """Acceptance criterion: exhaustive window enumeration over F_2/F_3."""
 
@@ -320,28 +375,27 @@ class TestColonBruteForce:
                 rows.append(list(coeffs))
         return start, end, rows
 
-    def test_against_enumeration(self):
-        rng = random.Random(23)
-        checked = 0
-        while checked < 12:
-            H = NumericalSemigroup(rng.choice([[2, 3], [3, 4], [2, 5], [3, 5]]))
-            p = rng.choice([2, 3])
-            field = GF(p)
-            gens = []
-            for _ in range(rng.randint(1, 2)):
-                o = rng.randint(0, 4)
-                coeffs = {o: 1}
-                for e in range(o + 1, o + 4):
-                    coeffs[e] = rng.randrange(p)
-                gens.append(TruncatedSeries(field, coeffs))
-            I = FractionalIdeal.from_generators(H, field, gens)
-            if I.gamma - I.delta > 8 or p ** (I.gamma - I.delta) > 7000:
-                continue
-            J = FractionalIdeal.from_generators(H, field, gens[:1])
-            start, end, rows = self._brute_colon_rows(I, J)
-            rebuilt = FractionalIdeal._build(H, start, CoeffMatrix(field, end - start, rows))
-            assert rebuilt == I.colon(J)
-            checked += 1
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([e for e in SERIES_ENGINES if e.field in (GF(2), GF(3))])
+           .flatmap(ideal_cases))
+    @example(colon_example([2, 5], 2, "t^4 + t^5 + t^6 + t^7"))
+    @example(colon_example([2, 5], 2, "t^2 + t^3"))
+    @example(colon_example([3, 5], 2, "1 + t + t^2"))
+    @example(colon_example([3, 5], 3, "t + 2*t^3 + t^4"))
+    @example(colon_example([3, 4], 2, "t^4 + t^5 + t^6 + t^7", "t^4 + t^6"))
+    @example(colon_example([3, 4], 2, "1 + t + t^3"))
+    @example(colon_example([2, 5], 3, "t^2 + t^3 + 2*t^4 + t^5"))
+    @example(colon_example([3, 5], 2, "t + t^4", "t + t^2"))
+    @example(colon_example([3, 5], 2, "1 + t^2 + t^3", "1"))
+    @example(colon_example([3, 4], 2, "1 + t + t^3", "t^3"))
+    @example(colon_example([2, 5], 3, "t^3 + t^4"))
+    def test_against_enumeration(self, case):
+        I, J = case[:2]
+        H, field = I.semigroup, I.field
+        assume(field.characteristic ** H.conductor <= 7000)
+        start, end, rows = self._brute_colon_rows(I, J)
+        rebuilt = FractionalIdeal._build(H, start, CoeffMatrix(field, end - start, rows))
+        assert rebuilt == I.colon(J)
 
 
 def rereduced_window(H, start, matrix):

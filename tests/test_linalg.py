@@ -1,5 +1,6 @@
 import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,18 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmtype import kernels
+from cmtype import fracideal, kernels
 from cmtype.errors import ArgumentError, DimensionError
 from cmtype.linalg import (
     GF,
     QQ,
     CoeffMatrix,
+    FieldSpec,
     intersect,
     member,
     nullspace,
     reduce_echelon,
     sum_spaces,
 )
+from cmtype.semigroup import NumericalSemigroup
 from helpers import two_step_nullspace, zassenhaus_intersect
 
 
@@ -38,13 +41,40 @@ class TestFieldSpec:
 
     @pytest.mark.parametrize("p", [1, 4, 0, -3, 91, 2**31 + 11])
     def test_bad_characteristic_rejected(self, p):
-        with pytest.raises(ArgumentError):
+        message = rf"^characteristic must be a prime < 2\*\*31, got {p}$"
+        with pytest.raises(ArgumentError, match=message):
             GF(p)
+        if p:
+            with pytest.raises(ArgumentError, match=message):
+                FieldSpec(p)
 
     def test_fraction_coercion_mod_p(self):
         assert GF(5).element(Fraction(1, 2)) == 3  # 2 * 3 = 6 = 1 mod 5
         with pytest.raises(ArgumentError):
             GF(2).element(Fraction(1, 2))
+
+    @pytest.mark.parametrize("p", [0, 2, 32003])
+    def test_a_field_is_a_frozen_value(self, p):
+        F = FieldSpec(p)
+        assert F == (GF(p) if p else QQ) and hash(F) == hash(GF(p) if p else QQ)
+        assert F == FieldSpec(characteristic=p) and F != FieldSpec(3) and F != p and F != (p,)
+        assert repr(F) == f"FieldSpec(characteristic={p})"
+        with pytest.raises(AttributeError):
+            F.characteristic = 5
+        with pytest.raises(AttributeError):
+            del F.characteristic
+        with pytest.raises(AttributeError):
+            F.other = 5
+        for twin in (copy.copy(F), copy.deepcopy(F), pickle.loads(pickle.dumps(F))):
+            assert twin == F and twin.characteristic == p and hash(twin) == hash(F)
+
+    def test_an_equal_field_hits_the_companion_cache(self):
+        H = NumericalSemigroup([6, 7, 8])
+        unit = fracideal._unit(H, GF(32003))
+        before = fracideal._unit.cache_info()
+        assert fracideal._unit(H, FieldSpec(32003)) is unit
+        after = fracideal._unit.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestReduceEchelon:

@@ -3,6 +3,8 @@
 import ast
 import inspect
 import itertools
+import subprocess
+import sys
 from pathlib import Path
 
 import cmtype
@@ -106,3 +108,16 @@ def test_each_test_helper_is_defined_once():
                     and not node.name.startswith(collected)):
                 defined.setdefault(node.name, []).append(path.name)
     assert {name: files for name, files in defined.items() if len(files) > 1} == {}
+
+
+def test_the_cli_loads_no_heavy_standard_module():
+    """A fresh ``python -S -E`` importing cmtype.cli loads none of these: each
+    costs every command start-up time (``dataclasses`` pulls in ``inspect``,
+    ``ast``, ``dis`` and ``tokenize``; ``verify`` pulls in ``random``)."""
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "random"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import cmtype.cli; "
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

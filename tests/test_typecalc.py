@@ -495,6 +495,24 @@ class TestWorkCounts:
         # K sits in a slot of H, and I, K and K:I share H as one object
         assert hashes == [] and checks == []
 
+    def test_warm_monomial_classify_compares_no_semigroup(self, monkeypatch):
+        H = NumericalSemigroup([7, 9, 11])
+        ideals = list(itertools.islice(enumerate_monomial_ideals(H, H.conductor + 7), 64))
+        typecalc.classify(ideals[0])  # builds the companions
+        compares = record_calls(monkeypatch, NumericalSemigroup, "__eq__")
+        for I in ideals:
+            assert typecalc.classify(I)["consistent"]
+        # every ideal a report compares lies over I's H, which __eq__ tests by identity
+        assert compares == []
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.name)
+def test_ideals_over_equal_semigroup_objects_are_equal(engine):
+    H, twin = NumericalSemigroup([3, 7]), NumericalSemigroup([3, 7])
+    X, Y, Z = (engine.lift(RelativeIdeal.from_exponents(G, {3, 8})) for G in (H, twin, H37))
+    assert H is not twin and X == Y == Z and hash(X) == hash(Y) == hash(Z)
+    assert X != engine.lift(RelativeIdeal.from_exponents(NumericalSemigroup([3, 8]), {3, 8}))
+
 
 def test_monomial_companions_live_as_long_as_their_semigroup():
     gens = (25, 27, 29)  # no other test draws a generator above 24
